@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +55,6 @@ _HANDLED_ERRORS = (
     TruncationError,
     OverflowError,
 )
-
-_SWEEP_WORKERS = 4
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -169,36 +165,27 @@ def _run_sweep(config: RunConfig) -> int:
         )
     values = _sweep_values(config)
 
-    def evaluate(value: float):
-        spec = with_parameter(base, config.axis, float(value))
-        return measure_report(spec, target_tail=config.tail, n_points=config.grid_points)
-
-    results: list[MeasureReport | Exception] = [None] * len(values)
-    with ThreadPoolExecutor(max_workers=min(_SWEEP_WORKERS, len(values))) as pool:
-        futures = {i: pool.submit(evaluate, v) for i, v in enumerate(values)}
-        for i, future in futures.items():
-            try:
-                results[i] = future.result()
-            except _HANDLED_ERRORS as exc:
-                results[i] = exc
-
-    successes = sum(isinstance(r, MeasureReport) for r in results)
+    successes = 0
     header = [config.axis] + _MEASURE_COLUMNS + ["error"]
     rows = []
     json_rows = []
-    for value, result in zip(values, results):
-        if isinstance(result, MeasureReport):
-            fields = _report_fields(result)
-            rows.append([_fmt(float(value))] + [_fmt(fields[c]) for c in _MEASURE_COLUMNS] + [""])
-            json_rows.append({config.axis: _round12(float(value)), **fields, "error": None})
-        else:
-            reason = _sanitize_reason(result)
+    for value in values:
+        try:
+            spec = with_parameter(base, config.axis, float(value))
+            report = measure_report(spec, target_tail=config.tail, n_points=config.grid_points)
+        except _HANDLED_ERRORS as exc:
+            reason = _sanitize_reason(exc)
             rows.append([_fmt(float(value))] + [""] * len(_MEASURE_COLUMNS) + [reason])
             json_rows.append(
                 {config.axis: _round12(float(value)),
                  **{c: None for c in _MEASURE_COLUMNS},
                  "error": reason}
             )
+        else:
+            successes += 1
+            fields = _report_fields(report)
+            rows.append([_fmt(float(value))] + [_fmt(fields[c]) for c in _MEASURE_COLUMNS] + [""])
+            json_rows.append({config.axis: _round12(float(value)), **fields, "error": None})
     if config.fmt == "json":
         _emit(config, _json_document({"command": "sweep", "potential": config.potential,
                                       "axis": config.axis, "rows": json_rows}))

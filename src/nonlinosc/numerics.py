@@ -238,13 +238,15 @@ def auto_grid(
 def sample_ground_state(spec: PotentialSpec, grid: Grid) -> SampledWavefunction:
     """Tabulate and normalize the analytic ground state on a grid.
 
-    Evaluation happens in log space; amplitudes whose printed prefactor
-    overflows the float range are rescaled before exponentiation, in which
-    case norm_defect reflects the rescaled amplitude.
+    Evaluation happens in log space. A peak log amplitude beyond +-300 is
+    subtracted before exponentiation, so the squared amplitude neither
+    overflows nor underflows; norm_defect then reflects the rescaled
+    amplitude.
     """
     x = grid.points()
     log_amp = ground_state_log_amplitude(spec, x)
-    shift = max(0.0, float(np.max(log_amp)) - 300.0)
+    peak = float(np.max(log_amp))
+    shift = peak if abs(peak) > 300.0 else 0.0
     amplitude = np.exp(log_amp - shift)
     return normalize(SampledWavefunction(grid, amplitude, normalized=False, norm_defect=0.0))
 

@@ -13,7 +13,7 @@ amplitude before use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Union
 
@@ -397,15 +397,16 @@ def parse_potential_spec(text: str) -> PotentialSpec:
 
 
 def with_parameter(spec: PotentialSpec, name: str, value: float) -> PotentialSpec:
-    """Rebuild a spec with one named parameter replaced (sweep support)."""
+    """Rebuild a spec with one named parameter replaced (sweep support).
+
+    Fields that are not sweep axes, such as ``eps_guard``, carry over.
+    """
     axes = _AXIS_TABLE[type(spec)]
     if name not in axes:
         raise SpecError(
             f"{type(spec).__name__} has no sweep axis {name!r}; choose from {list(axes)}"
         )
-    fields = {axis: getattr(spec, axis) for axis in axes}
-    fields[name] = value
-    return type(spec)(**fields)
+    return replace(spec, **{name: value})
 
 
 def sweep_axes(spec: PotentialSpec) -> tuple[str, ...]:

@@ -1,10 +1,14 @@
-"""Scalar special functions: Gamma, Kummer's confluent hypergeometric, and
-the Gaussian-state entropy function.
+"""Special functions: Gamma, Kummer's confluent hypergeometric, and the
+Gaussian-state entropy function.
 
-All functions are pure and stateless. ``kummer_phi`` is the workhorse: the
-oscillator catalog needs it for parameters a, b in (0, 20] and arguments
-z in [0, 1200], where the raw series value can exceed the float range, so
-results carry an optional log-scaled companion value.
+All functions are pure and stateless. The oscillator catalog needs Kummer
+Phi for parameters a, b in (0, 20] and arguments z in [0, 1200], where the
+series value can exceed the float range. ``kummer_phi_log_grid`` is the one
+log-space evaluator: it sums the positive series terms in linear space and
+rescales each element into a log scale before the sum can overflow.
+``kummer_phi`` evaluates a scalar: a compensated series for small |z|, the
+grid kernel on a one-element array for z > 40, so its results carry an
+optional log-scaled companion value.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from .errors import ConvergenceError, DomainError
 
 _LOG_MAX = 709.0  # just under log(float max)
 _SERIES_CAP = 100_000
+_TAIL_RATIO = math.exp(-40.0)  # series stop: last term below e^-40 of the sum
+_RESCALE_AT = 1e150  # growth bound that triggers a rescale in the grid kernel
 
 
 @dataclass(frozen=True)
@@ -78,31 +84,12 @@ def _kummer_series(a: float, b: float, z: float) -> tuple[float, float]:
     raise ConvergenceError(f"kummer series did not converge for a={a}, b={b}, z={z}")
 
 
-def _kummer_log_stream(a: float, b: float, z: float) -> float:
-    """log of the positive-term series, accumulated with streaming logsumexp.
-
-    Valid for a, b > 0 and z > 0; never overflows, so it covers the large-z
-    regime (z up to ~1200 needs ~1600 terms).
-    """
-    log_z = math.log(z)
-    log_term = 0.0
-    log_sum = 0.0
-    n = 0
-    while n < _SERIES_CAP:
-        log_term += math.log((a + n) / ((b + n) * (n + 1))) + log_z
-        log_sum = np.logaddexp(log_sum, log_term)
-        n += 1
-        if log_term < log_sum - 40.0 and (a + n) * z < (b + n) * (n + 1):
-            return float(log_sum)
-    raise ConvergenceError(f"kummer log series did not converge for a={a}, b={b}, z={z}")
-
-
 def kummer_phi(a: float, b: float, z: float) -> EvaluationResult:
     """Kummer's confluent hypergeometric function Phi(a, b; z).
 
     Phi(a,b;z) = sum_n (a)_n z^n / ((b)_n n!). Strategy: direct compensated
-    series for z in [-8, 40]; streaming log-space accumulation of the
-    (positive) terms for z > 40; the transformation
+    series for z in [-8, 40]; ``kummer_phi_log_grid`` on a one-element array
+    for z > 40, where every term is positive; the transformation
     Phi(a,b;z) = e^z Phi(b-a, b; -z) for z < -8, where the direct
     alternating series would lose more than ~8 significant digits.
 
@@ -136,11 +123,11 @@ def kummer_phi(a: float, b: float, z: float) -> EvaluationResult:
 
     if a <= 0.0:
         # Only reachable via the z < -8 transformation with b <= a; the
-        # positive-term log accumulation does not apply.
+        # positive-term grid kernel does not apply.
         raise ConvergenceError(
             f"kummer_phi unsupported regime: a={a} <= 0 with large z={z}"
         )
-    log_val = _kummer_log_stream(a, b, z)
+    log_val = float(kummer_phi_log_grid(a, b, np.array([z]))[0])
     value = math.exp(log_val) if log_val < _LOG_MAX else math.inf
     return EvaluationResult(value, log_val)
 
@@ -148,10 +135,14 @@ def kummer_phi(a: float, b: float, z: float) -> EvaluationResult:
 def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> np.ndarray:
     """log Phi(a, b; z) for an array of arguments z >= 0 (a, b > 0).
 
-    Vectorized streaming logsumexp over the series terms; the per-term
-    factor splits into a scalar n-dependent part plus log z, so each
-    iteration is a handful of array operations. Used to sample
-    hypergeometric ground states on grids without overflow.
+    Sums the positive series terms in linear space, one array update per
+    term: term <- term * (a+n) z / ((b+n)(n+1)), total += term. A scalar
+    bound on the growth since the last rescale, the product of
+    max(1, c_n z_max), keeps the arrays inside the float range: once it
+    passes 1e150 every element divides its term and total by its total and
+    adds log(total) to its own log scale. The sum stops when the last term
+    is past the ratio peak and below e^-40 of the sum everywhere. Used to
+    sample hypergeometric ground states on grids without overflow.
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"kummer_phi_log_grid requires a, b > 0, got a={a}, b={b}")
@@ -160,18 +151,31 @@ def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> np.ndarray:
         return np.zeros_like(z)
     if np.any(z < 0.0) or not np.all(np.isfinite(z)):
         raise DomainError("kummer_phi_log_grid requires finite z >= 0")
-    with np.errstate(divide="ignore"):
-        log_z = np.log(z)
-    log_term = np.zeros_like(z)
-    log_sum = np.zeros_like(z)
-    z_max = float(z.max())
-    n = 0
-    while n < _SERIES_CAP:
-        log_term = log_term + (math.log((a + n) / ((b + n) * (n + 1))) + log_z)
-        log_sum = np.logaddexp(log_sum, log_term)
-        n += 1
-        if (a + n) * z_max < (b + n) * (n + 1) and np.all(log_term < log_sum - 40.0):
-            return log_sum
+    i_max = int(np.argmax(z))
+    z_max = float(z.flat[i_max])
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    log_scale = np.zeros_like(z)
+    growth = 1.0
+    for n in range(_SERIES_CAP):
+        c = (a + n) / ((b + n) * (n + 1))
+        term *= z
+        term *= c
+        total += term
+        growth *= max(1.0, c * z_max)
+        if growth > _RESCALE_AT:
+            term /= total
+            log_scale += np.log(total)
+            total.fill(1.0)
+            growth = 1.0
+        # term/total grows with z at every n, so the largest z settles last;
+        # testing it first skips the full-array test on most terms.
+        if (
+            (a + n + 1) * z_max < (b + n + 1) * (n + 2)
+            and term.flat[i_max] < _TAIL_RATIO * total.flat[i_max]
+            and np.all(term < _TAIL_RATIO * total)
+        ):
+            return np.log(total) + log_scale
     raise ConvergenceError(f"kummer_phi_log_grid did not converge for a={a}, b={b}")
 
 

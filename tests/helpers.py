@@ -87,6 +87,29 @@ def sech_state_moments(s: float) -> tuple[float, float]:
     return float(var_x), float(var_p)
 
 
+def mio_reference_fidelity(a: float) -> float:
+    """Fidelity of the MIO ground state to its omega_R = sqrt(25 + 12a)
+    reference Gaussian, by mpmath quadrature.
+
+    The amplitude exp(-x^2/2) (1 + a x^2)^(-2/a) drops the constant
+    prefactor, so no factor leaves the float range even where the printed
+    amplitude does (a -> 0).
+    """
+    a = mp.mpf(a)
+    omega = mp.sqrt(25 + 12 * a)
+    breaks = [-10, -4, -2, -1, 0, 1, 2, 4, 10]
+
+    def state(u):
+        return mp.exp(-(u**2) / 2 - (2 / a) * mp.log(1 + a * u**2))
+
+    def reference(u):
+        return mp.exp(-omega * u**2 / 2)
+
+    overlap = mp.quad(lambda u: state(u) * reference(u), breaks)
+    norms = mp.quad(lambda u: state(u) ** 2, breaks) * mp.quad(lambda u: reference(u) ** 2, breaks)
+    return float(overlap**2 / norms)
+
+
 def morse_closed_moments(D: float, alpha: float) -> tuple[float, float]:
     """(var_x, var_p) of the Morse ground state.
 

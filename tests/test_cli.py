@@ -1,10 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nonlinosc.cli import main
+from nonlinosc.errors import SpecError
+from nonlinosc.measures import measure_report
 from nonlinosc.perturbation import parametric_curve
+from nonlinosc.potentials import parse_potential_spec, with_parameter
 
 
 def run_cli(capsys, *argv):
@@ -95,6 +99,30 @@ class TestSweep:
             cells = row.split(",")
             p = float(cells[0])
             assert (cells[1] == "") == (p < p_plus)
+
+    @pytest.mark.parametrize(
+        "potential,axis,lo,hi,points",
+        [("fs:p=-0.5", "p", "-0.97", "0", "7"), ("morse:D=1,alpha=1", "alpha", "2.0", "3.2", "4")],
+    )
+    def test_rows_match_measure_report(self, capsys, potential, axis, lo, hi, points):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--potential", potential, "--axis", axis,
+            "--from", lo, "--to", hi, "--points", points, "--format", "json",
+        )
+        assert code == 0
+        base = parse_potential_spec(potential)
+        values = np.linspace(float(lo), float(hi), int(points))
+        for value, row in zip(values, json.loads(out)["rows"], strict=True):
+            try:
+                report = measure_report(with_parameter(base, axis, float(value)))
+            except SpecError as exc:
+                assert row["error"] == f"{type(exc).__name__}: {exc}".replace(",", ";")
+                continue
+            assert row["error"] is None
+            for column in ("eta_b", "eta_ng", "omega_r", "ground_energy", "det_sigma",
+                           "fidelity_to_reference"):
+                value = getattr(report, column)
+                assert row[column] == (None if value is None else float(f"{value:.12g}"))
 
     def test_log_spacing(self, capsys):
         code, out, _ = run_cli(

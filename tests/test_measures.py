@@ -34,6 +34,8 @@ from nonlinosc.potentials import (
 )
 from nonlinosc.specfun import entropy_h
 
+from helpers import mio_reference_fidelity
+
 
 class TestFidelityAndBures:
     def test_self_fidelity(self):
@@ -160,6 +162,16 @@ class TestMeasureReport:
     def test_perturbed_report_honors_loosened_guard(self):
         report = measure_report(PerturbedHarmonic(1.0, 0.6, 0.0, eps_guard=0.7))
         assert report.eta_b > 0.0 and report.eta_ng > 0.0
+
+    @pytest.mark.parametrize("a", [0.01, 0.0225])
+    def test_mio_low_a_peak_far_below_float_range(self, a):
+        # The peak log amplitude sits near -970 at a = 0.01: without the peak
+        # shift the squared amplitude underflows to zero (a = 0.01) or goes
+        # subnormal and loses digits (a = 0.0225).
+        report = measure_report(ModifiedIsotonic(a))
+        assert report.fidelity_to_reference == pytest.approx(mio_reference_fidelity(a), abs=1e-14)
+        fine = measure_report(ModifiedIsotonic(a), n_points=16385)
+        assert report.eta_ng == pytest.approx(fine.eta_ng, abs=1e-8)
 
     def test_deterministic(self):
         a = measure_report(ModifiedIsotonic(3.0))

@@ -288,6 +288,10 @@ class TestParsing:
         with pytest.raises(SpecError):
             with_parameter(Morse(1.0, 1.0), "omega", 0.7)
 
+    def test_with_parameter_keeps_eps_guard(self):
+        spec = with_parameter(PerturbedHarmonic(1.0, 0.6, 0.0, eps_guard=0.7), "eps4", 0.1)
+        assert spec == PerturbedHarmonic(1.0, 0.6, 0.1, eps_guard=0.7)
+
     def test_sweep_axes(self):
         assert sweep_axes(ModifiedIsotonic(1.0)) == ("a",)
 

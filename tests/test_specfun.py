@@ -1,9 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from nonlinosc import specfun
 from nonlinosc.errors import ConvergenceError, DomainError
 from nonlinosc.specfun import (
     entropy_h,
@@ -65,8 +67,6 @@ class TestKummer:
         assert kummer_phi(2.0, 3.0, 1.0).value == pytest.approx(expected, rel=1e-12)
 
     def test_catalog_rectangle_against_mpmath(self):
-        import mpmath as mp
-
         rng = np.random.default_rng(7)
         for _ in range(40):
             a = float(rng.uniform(0.05, 20.0))
@@ -128,11 +128,38 @@ class TestKummer:
         with pytest.raises(ConvergenceError):
             kummer_phi(5.0, 1.5, -100.0)
 
-    def test_log_grid_matches_scalar(self):
-        z = np.array([0.0, 0.5, 3.0, 41.0, 120.0, 900.0])
-        logs = kummer_phi_log_grid(0.2, 0.5, z)
+    @pytest.mark.parametrize(
+        "a,b,z",
+        [
+            (0.2, 0.5, [0.0, 0.5, 3.0, 41.0, 120.0, 900.0]),
+            # log Phi(20, 1/2; 1200) is about 1300, far past log(float max):
+            # the sum stays finite only through the per-element rescale.
+            (20.0, 0.5, [0.0, 1.0, 600.0, 1200.0]),
+        ],
+    )
+    def test_log_grid_matches_mpmath(self, a, b, z):
+        logs = kummer_phi_log_grid(a, b, np.array(z))
         for zi, li in zip(z, logs):
-            assert li == pytest.approx(kummer_phi(0.2, 0.5, float(zi)).log_scaled or 0.0, abs=1e-10)
+            assert li == pytest.approx(float(mp.log(kummer_mp(a, b, zi))), rel=1e-14, abs=1e-14)
+
+    @given(
+        st.floats(min_value=1e-3, max_value=20.0),
+        st.floats(min_value=1e-3, max_value=20.0),
+        st.lists(st.floats(min_value=0.0, max_value=1200.0), min_size=1, max_size=6),
+    )
+    def test_log_grid_against_mpmath(self, a, b, z):
+        logs = kummer_phi_log_grid(a, b, np.array(z))
+        for zi, li in zip(z, logs):
+            expected = float(mp.log(kummer_mp(a, b, zi)))
+            assert li == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+    def test_log_grid_series_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_SERIES_CAP", 10)
+        with pytest.raises(ConvergenceError):
+            kummer_phi_log_grid(0.2, 0.5, np.array([1.0, 100.0]))
+
+    def test_log_grid_empty_input(self):
+        assert kummer_phi_log_grid(0.2, 0.5, np.array([])).size == 0
 
     def test_log_grid_rejects_negative(self):
         with pytest.raises(DomainError):
