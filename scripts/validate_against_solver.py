@@ -1,63 +1,37 @@
 #!/usr/bin/env python3
 """Cross-validate every analytic catalog ground state against the
-finite-difference solver and print one table row per instance.
+finite-difference solver through the CLI's ``oracle-check`` command, which
+prints one row per instance and applies the oracle tolerances.
 
-Exits nonzero if any instance misses the oracle tolerances
-(|dE| <= 1e-4, fidelity >= 1 - 1e-5).
+Exits nonzero if any instance fails its check.
 """
 
-import math
-
-from nonlinosc.measures import fidelity_pure
-from nonlinosc.numerics import auto_grid, covariance_of, sample_ground_state
-from nonlinosc.oracle import fd_ground_state
-from nonlinosc.potentials import (
-    FellowsSmith,
-    Harmonic,
-    ModifiedIsotonic,
-    ModifiedPoschlTeller,
-    Morse,
-    ground_energy,
-)
-from nonlinosc.specfun import entropy_h
+from nonlinosc.cli import main as cli_main
 
 CATALOG = [
-    Harmonic(1.0),
-    Morse(1.0, 0.5),
-    Morse(1.0, 1.0),
-    Morse(2.0, 1.5),
-    ModifiedPoschlTeller(1.0, 0.5),
-    ModifiedPoschlTeller(1.0, 1.0),
-    ModifiedPoschlTeller(3.0, 1.0),
-    ModifiedIsotonic(0.5),
-    ModifiedIsotonic(2.0),
-    ModifiedIsotonic(8.0),
-    FellowsSmith(-0.1),
-    FellowsSmith(-0.5),
-    FellowsSmith(-0.9),
+    "harmonic:omega=1",
+    "morse:D=1,alpha=0.5",
+    "morse:D=1,alpha=1",
+    "morse:D=2,alpha=1.5",
+    "mpt:D=1,alpha=0.5",
+    "mpt:D=1,alpha=1",
+    "mpt:D=3,alpha=1",
+    "mio:a=0.5",
+    "mio:a=2",
+    "mio:a=8",
+    "fs:p=-0.1",
+    "fs:p=-0.5",
+    "fs:p=-0.9",
 ]
 
 
 def main() -> int:
-    print(f"{'potential':34s} {'E_analytic':>12s} {'E_fd':>12s} {'|dE|':>9s} "
-          f"{'1-fidelity':>11s} {'eta_ng(an)':>10s} {'eta_ng(fd)':>10s}")
     failures = 0
-    for spec in CATALOG:
-        grid = auto_grid(spec)
-        fd = fd_ground_state(spec, grid)
-        analytic = sample_ground_state(spec, grid)
-        e_analytic = ground_energy(spec)
-        fidelity = fidelity_pure(analytic, fd.wavefunction)
-        ng_analytic = entropy_h(math.sqrt(covariance_of(analytic).det))
-        ng_fd = entropy_h(math.sqrt(covariance_of(fd.wavefunction).det))
-        d_e = abs(fd.energy - e_analytic)
-        ok = d_e <= 1e-4 and fidelity >= 1.0 - 1e-5
-        failures += not ok
-        flag = "" if ok else "  <-- MISMATCH"
-        print(f"{str(spec):34s} {e_analytic:12.8f} {fd.energy:12.8f} {d_e:9.2e} "
-              f"{1.0 - fidelity:11.2e} {ng_analytic:10.6f} {ng_fd:10.6f}{flag}")
+    for text in CATALOG:
+        print(f"# {text}", flush=True)
+        failures += cli_main(["oracle-check", "--potential", text]) != 0
     if failures:
-        print(f"{failures} instance(s) failed the oracle tolerances")
+        print(f"{failures} instance(s) failed the oracle check")
         return 1
     print("all instances match the finite-difference oracle")
     return 0

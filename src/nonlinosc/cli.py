@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +39,6 @@ from .potentials import (
     PerturbedHarmonic,
     ground_energy,
     parse_potential_spec,
-    sweep_axes,
     with_parameter,
 )
 from .specfun import entropy_h
@@ -56,28 +54,6 @@ _HANDLED_ERRORS = (
     OverflowError,
 )
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed and validated invocation."""
-
-    command: str
-    potential: str | None = None
-    fmt: str = "csv"
-    out: str | None = None
-    points: int = 50
-    grid_points: int = DEFAULT_N_POINTS
-    tail: float = DEFAULT_TARGET_TAIL
-    seed: int = 0
-    log_spacing: bool = False
-    axis: str | None = None
-    sweep_from: float | None = None
-    sweep_to: float | None = None
-    n: int = 500
-    eps3: tuple[float, float] = (-0.1, 0.1)
-    eps4: tuple[float, float] = (-0.25, 0.25)
-    omega: float = 1.0
-
-
 def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.12g}"
 
@@ -86,9 +62,9 @@ def _round12(value: float | None):
     return None if value is None else float(f"{value:.12g}")
 
 
-def _emit(config: RunConfig, text: str) -> None:
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -118,31 +94,29 @@ def _report_fields(report: MeasureReport) -> dict:
 _MEASURE_COLUMNS = ["eta_b", "eta_ng", "omega_r", "ground_energy", "det_sigma", "fidelity_to_reference"]
 
 
-def _run_measure(config: RunConfig) -> int:
-    spec = parse_potential_spec(config.potential)
-    report = measure_report(spec, target_tail=config.tail, n_points=config.grid_points)
+def _run_measure(args: argparse.Namespace) -> int:
+    spec = parse_potential_spec(args.potential)
+    report = measure_report(spec, target_tail=args.tail, n_points=args.grid_points)
     for warning in report.diagnostics.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     fields = _report_fields(report)
-    if config.fmt == "json":
-        payload = {"potential": config.potential, **fields,
+    if args.fmt == "json":
+        payload = {"potential": args.potential, **fields,
                    "warnings": list(report.diagnostics.warnings)}
-        _emit(config, _json_document(payload))
+        _emit(args, _json_document(payload))
     else:
         row = [_fmt(fields[c]) for c in _MEASURE_COLUMNS]
-        _emit(config, _csv_table(_MEASURE_COLUMNS, [row]))
+        _emit(args, _csv_table(_MEASURE_COLUMNS, [row]))
     return 0
 
 
-def _sweep_values(config: RunConfig) -> np.ndarray:
-    lo, hi, count = config.sweep_from, config.sweep_to, config.points
-    if lo is None or hi is None:
-        raise SpecError("sweep requires --from and --to")
+def _sweep_values(args: argparse.Namespace) -> np.ndarray:
+    lo, hi, count = args.sweep_from, args.sweep_to, args.points
     if not lo < hi:
         raise SpecError(f"sweep range must be strictly increasing, got [{lo}, {hi}]")
     if count < 2:
         raise SpecError(f"sweep needs at least 2 points, got {count}")
-    if config.log_spacing:
+    if args.log_spacing:
         if lo <= 0.0:
             raise SpecError("log spacing requires a positive range start")
         return np.geomspace(lo, hi, count)
@@ -154,30 +128,25 @@ def _sanitize_reason(exc: Exception) -> str:
     return text.replace(",", ";").replace("\n", " ")
 
 
-def _run_sweep(config: RunConfig) -> int:
-    base = parse_potential_spec(config.potential)
-    if config.axis is None:
-        raise SpecError(f"sweep requires --axis (one of {list(sweep_axes(base))})")
-    if config.axis not in sweep_axes(base):
-        raise SpecError(
-            f"{type(base).__name__} has no sweep axis {config.axis!r}; "
-            f"choose from {list(sweep_axes(base))}"
-        )
-    values = _sweep_values(config)
+def _run_sweep(args: argparse.Namespace) -> int:
+    base = parse_potential_spec(args.potential)
+    # Rebuilding the base spec rejects an unknown axis before any row runs.
+    with_parameter(base, args.axis, getattr(base, args.axis, None))
+    values = _sweep_values(args)
 
     successes = 0
-    header = [config.axis] + _MEASURE_COLUMNS + ["error"]
+    header = [args.axis] + _MEASURE_COLUMNS + ["error"]
     rows = []
     json_rows = []
     for value in values:
         try:
-            spec = with_parameter(base, config.axis, float(value))
-            report = measure_report(spec, target_tail=config.tail, n_points=config.grid_points)
+            spec = with_parameter(base, args.axis, float(value))
+            report = measure_report(spec, target_tail=args.tail, n_points=args.grid_points)
         except _HANDLED_ERRORS as exc:
             reason = _sanitize_reason(exc)
             rows.append([_fmt(float(value))] + [""] * len(_MEASURE_COLUMNS) + [reason])
             json_rows.append(
-                {config.axis: _round12(float(value)),
+                {args.axis: _round12(float(value)),
                  **{c: None for c in _MEASURE_COLUMNS},
                  "error": reason}
             )
@@ -185,40 +154,39 @@ def _run_sweep(config: RunConfig) -> int:
             successes += 1
             fields = _report_fields(report)
             rows.append([_fmt(float(value))] + [_fmt(fields[c]) for c in _MEASURE_COLUMNS] + [""])
-            json_rows.append({config.axis: _round12(float(value)), **fields, "error": None})
-    if config.fmt == "json":
-        _emit(config, _json_document({"command": "sweep", "potential": config.potential,
-                                      "axis": config.axis, "rows": json_rows}))
+            json_rows.append({args.axis: _round12(float(value)), **fields, "error": None})
+    if args.fmt == "json":
+        _emit(args, _json_document({"command": "sweep", "potential": args.potential,
+                                    "axis": args.axis, "rows": json_rows}))
     else:
-        _emit(config, _csv_table(header, rows))
+        _emit(args, _csv_table(header, rows))
     if successes == 0:
         print("error: every sweep point failed", file=sys.stderr)
         return 1
     return 0
 
 
-def _run_scatter(config: RunConfig) -> int:
-    records = scatter_sample(config.n, config.eps3, config.eps4, config.omega, config.seed)
+def _run_scatter(args: argparse.Namespace) -> int:
+    records = scatter_sample(args.n, args.eps3, args.eps4, args.omega, args.seed)
     header = ["eps3", "eps4", "eta_b", "eta_ng"]
-    if config.fmt == "json":
+    if args.fmt == "json":
         rows = [
             {"eps3": _round12(r.eps3), "eps4": _round12(r.eps4),
              "eta_b": _round12(r.eta_b), "eta_ng": _round12(r.eta_ng)}
             for r in records
         ]
-        _emit(config, _json_document({"command": "scatter", "seed": config.seed, "rows": rows}))
+        _emit(args, _json_document({"command": "scatter", "seed": args.seed, "rows": rows}))
     else:
         rows = [[_fmt(r.eps3), _fmt(r.eps4), _fmt(r.eta_b), _fmt(r.eta_ng)] for r in records]
-        _emit(config, _csv_table(header, rows))
+        _emit(args, _csv_table(header, rows))
     return 0
 
 
-def _run_curve(config: RunConfig) -> int:
-    lo = 0.0 if config.sweep_from is None else config.sweep_from
-    hi = 0.9 if config.sweep_to is None else config.sweep_to
+def _run_curve(args: argparse.Namespace) -> int:
+    lo, hi = args.sweep_from, args.sweep_to
     if not (0.0 <= lo < hi < 1.0):
         raise SpecError(f"curve range must satisfy 0 <= from < to < 1, got [{lo}, {hi}]")
-    values = np.linspace(lo, hi, config.points)
+    values = np.linspace(lo, hi, args.points)
     header = ["eta_b", "eta_ng_printed", "eta_ng_corrected"]
     rows = []
     json_rows = []
@@ -230,19 +198,19 @@ def _run_curve(config: RunConfig) -> int:
              "eta_ng_printed": _round12(point.printed),
              "eta_ng_corrected": _round12(point.corrected)}
         )
-    if config.fmt == "json":
-        _emit(config, _json_document({"command": "curve", "rows": json_rows}))
+    if args.fmt == "json":
+        _emit(args, _json_document({"command": "curve", "rows": json_rows}))
     else:
-        _emit(config, _csv_table(header, rows))
+        _emit(args, _csv_table(header, rows))
     return 0
 
 
-def _run_oracle_check(config: RunConfig) -> int:
-    spec = parse_potential_spec(config.potential)
+def _run_oracle_check(args: argparse.Namespace) -> int:
+    spec = parse_potential_spec(args.potential)
     if isinstance(spec, PerturbedHarmonic):
         raise SpecError("oracle-check compares analytic ground states; "
                         "the perturbed harmonic oscillator has none")
-    grid = auto_grid(spec, config.tail, config.grid_points)
+    grid = auto_grid(spec, args.tail, args.grid_points)
     analytic = sample_ground_state(spec, grid)
     result = fd_ground_state(spec, grid)
     e_analytic = ground_energy(spec)
@@ -257,15 +225,15 @@ def _run_oracle_check(config: RunConfig) -> int:
         "eta_ng_analytic": _round12(float(ng_analytic)),
         "eta_ng_fd": _round12(float(ng_fd)),
     }
-    if config.fmt == "json":
-        _emit(config, _json_document({"potential": config.potential, **fields}))
+    if args.fmt == "json":
+        _emit(args, _json_document({"potential": args.potential, **fields}))
     else:
         header = list(fields)
-        _emit(config, _csv_table(header, [[_fmt(fields[c]) for c in header]]))
+        _emit(args, _csv_table(header, [[_fmt(fields[c]) for c in header]]))
     ok = fidelity >= 1.0 - 1e-5 and abs(result.energy - e_analytic) <= 1e-4
     if not ok:
         print(
-            f"error: oracle mismatch for {config.potential}: "
+            f"error: oracle mismatch for {args.potential}: "
             f"|dE| = {abs(result.energy - e_analytic):.3g}, fidelity = {fidelity:.8f}",
             file=sys.stderr,
         )
@@ -299,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--grid-points", type=int, default=DEFAULT_N_POINTS)
         p.add_argument("--tail", type=float, default=DEFAULT_TARGET_TAIL)
-        p.add_argument("--seed", type=int, default=0)
 
     p_measure = sub.add_parser("measure", help="evaluate both measures for one potential")
     common(p_measure)
@@ -315,41 +282,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scatter = sub.add_parser("scatter", help="randomized perturbative ensemble")
     common(p_scatter, potential=False)
     p_scatter.add_argument("--n", type=int, default=500)
+    p_scatter.add_argument("--seed", type=int, default=0)
     p_scatter.add_argument("--eps3", type=_parse_range, default=(-0.1, 0.1))
     p_scatter.add_argument("--eps4", type=_parse_range, default=(-0.25, 0.25))
     p_scatter.add_argument("--omega", type=float, default=1.0)
 
     p_curve = sub.add_parser("curve", help="even-perturbation parametric curve")
     common(p_curve, potential=False)
-    p_curve.add_argument("--from", dest="sweep_from", type=float, default=None)
-    p_curve.add_argument("--to", dest="sweep_to", type=float, default=None)
+    p_curve.add_argument("--from", dest="sweep_from", type=float, default=0.0)
+    p_curve.add_argument("--to", dest="sweep_to", type=float, default=0.9)
     p_curve.add_argument("--points", type=int, default=50)
 
     p_oracle = sub.add_parser("oracle-check",
                               help="validate an analytic ground state against the FD solver")
     common(p_oracle)
     return parser
-
-
-def build_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        potential=getattr(args, "potential", None),
-        fmt=args.fmt,
-        out=args.out,
-        points=getattr(args, "points", 50),
-        grid_points=args.grid_points,
-        tail=args.tail,
-        seed=args.seed,
-        log_spacing=getattr(args, "log_spacing", False),
-        axis=getattr(args, "axis", None),
-        sweep_from=getattr(args, "sweep_from", None),
-        sweep_to=getattr(args, "sweep_to", None),
-        n=getattr(args, "n", 500),
-        eps3=getattr(args, "eps3", (-0.1, 0.1)),
-        eps4=getattr(args, "eps4", (-0.25, 0.25)),
-        omega=getattr(args, "omega", 1.0),
-    )
 
 
 _DISPATCH = {
@@ -363,9 +310,8 @@ _DISPATCH = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    config = build_config(args)
     try:
-        return _DISPATCH[config.command](config)
+        return _DISPATCH[args.command](args)
     except _HANDLED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

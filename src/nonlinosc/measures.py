@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import UnphysicalCovarianceError
 from .numerics import (
     DEFAULT_N_POINTS,
@@ -37,7 +35,6 @@ from .perturbation import (
 )
 from .potentials import (
     Harmonic,
-    Morse,
     PerturbedHarmonic,
     PotentialSpec,
     ground_energy,
@@ -127,11 +124,7 @@ def _reference_state(omega_r: float, grid: Grid) -> SampledWavefunction:
 
 
 def _edge_warnings(spec: PotentialSpec, wf: SampledWavefunction, target_tail: float) -> tuple[str, ...]:
-    warnings = []
-    if isinstance(spec, Morse) and spec.alpha > 0.98 * 2.0 * math.sqrt(2.0 * spec.D):
-        warnings.append(
-            "alpha is within 2% of the bound-state limit 2*sqrt(2D); quadrature degrades"
-        )
+    warnings = list(spec.quadrature_warnings())
     if wf.tail_ratio > target_tail:
         warnings.append(
             f"tail target {target_tail:g} unmet at the grid cap "
@@ -150,15 +143,7 @@ def eta_bures(
     None when no reference frequency exists. The perturbed harmonic
     oscillator uses its closed form sqrt(1 - N^{-1/2}).
     """
-    if isinstance(spec, PerturbedHarmonic):
-        return eta_b_perturbative(_perturbative_state(spec))
-    omega_r = reference_frequency(spec)
-    if omega_r is None:
-        return None
-    grid = auto_grid(spec, target_tail, n_points)
-    wf = sample_ground_state(spec, grid)
-    ref = _reference_state(omega_r, grid)
-    return math.sqrt(max(0.0, 1.0 - abs(overlap(wf, ref))))
+    return measure_report(spec, target_tail, n_points).eta_b
 
 
 def eta_ng(
@@ -167,11 +152,7 @@ def eta_ng(
     n_points: int = DEFAULT_N_POINTS,
 ) -> float:
     """Entropic non-Gaussianity of the ground state: h(sqrt(det sigma))."""
-    if isinstance(spec, PerturbedHarmonic):
-        return eta_ng_perturbative(_perturbative_state(spec))
-    grid = auto_grid(spec, target_tail, n_points)
-    wf = sample_ground_state(spec, grid)
-    return entropy_h(math.sqrt(covariance_of(wf).det))
+    return measure_report(spec, target_tail, n_points).eta_ng
 
 
 def measure_report(
@@ -210,12 +191,8 @@ def measure_report(
     )
 
 
-def _perturbative_state(spec: PerturbedHarmonic):
-    return alpha_coefficients(spec.eps3, spec.eps4, spec.omega, guard=spec.eps_guard)
-
-
 def _perturbative_report(spec: PerturbedHarmonic) -> MeasureReport:
-    state = _perturbative_state(spec)
+    state = alpha_coefficients(spec.eps3, spec.eps4, spec.omega, guard=spec.eps_guard)
     var_q, var_p = perturbed_variances(state)
     det = var_q * var_p
     # First-order ground energy: omega/2 + eps4 <0|x^4|0> (the cubic term
@@ -230,18 +207,3 @@ def _perturbative_report(spec: PerturbedHarmonic) -> MeasureReport:
         fidelity_to_reference=1.0 / state.norm_n,
         diagnostics=ReportDiagnostics(grid=None, norm_defect=0.0, tail_ratio=0.0),
     )
-
-
-def wigner_normalization_check(state: GaussianState, half_extent_sigmas: float = 8.0, n: int = 201) -> float:
-    """Trapezoid integral of the Wigner density over a covering box (test aid)."""
-    cov = state.covariance
-    sx = half_extent_sigmas * math.sqrt(cov.var_x)
-    sp = half_extent_sigmas * math.sqrt(cov.var_p)
-    xs = np.linspace(state.mean[0] - sx, state.mean[0] + sx, n)
-    ps = np.linspace(state.mean[1] - sp, state.mean[1] + sp, n)
-    values = np.empty((n, n))
-    for i, xv in enumerate(xs):
-        for j, pv in enumerate(ps):
-            values[i, j] = wigner_gaussian(state, (xv, pv))
-    inner = np.trapezoid(values, ps, axis=1)
-    return float(np.trapezoid(inner, xs))

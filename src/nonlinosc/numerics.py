@@ -20,18 +20,8 @@ from .errors import (
     GridGrowthExhaustedError,
     IncompatibleDomainError,
     NormalizationError,
-    SpecError,
 )
-from .potentials import (
-    FellowsSmith,
-    Harmonic,
-    ModifiedIsotonic,
-    ModifiedPoschlTeller,
-    Morse,
-    PerturbedHarmonic,
-    PotentialSpec,
-    ground_state_log_amplitude,
-)
+from .potentials import PotentialSpec, ground_state_log_amplitude
 
 DEFAULT_N_POINTS = 4097
 DEFAULT_TARGET_TAIL = 1e-8
@@ -150,40 +140,6 @@ def first_derivative(values: np.ndarray, spacing: float) -> np.ndarray:
 _PROBE_POINTS = 513
 
 
-def _seed_halfwidths(spec: PotentialSpec, target_tail: float) -> tuple[float, float]:
-    """Starting halfwidths sized from the known decay of each family.
-
-    Seeds only set the starting scale; the growth loop guarantees the tail
-    condition. ``depth`` is the number of e-foldings the amplitude must fall.
-    """
-    depth = math.log(1.0 / target_tail)
-    if isinstance(spec, (Harmonic, PerturbedHarmonic)):
-        w = 1.1 * math.sqrt(2.0 * depth / spec.omega)
-        return w, w
-    if isinstance(spec, Morse):
-        omega_r = math.sqrt(2.0 * spec.D) * spec.alpha
-        gaussian_core = 1.2 * math.sqrt(2.0 * depth / omega_r)
-        # double-exponential wall on the left; e^{-alpha N x} far tail on the
-        # right, preceded by the Gaussian core around the minimum
-        left = min(3.0 / spec.alpha + 1.0, 2.0 + gaussian_core)
-        right = gaussian_core + 1.1 * depth / (spec.alpha * spec.n_index)
-        return left, min(right, EXTENT_CAP)
-    if isinstance(spec, ModifiedPoschlTeller):
-        w = max(4.0 / spec.alpha, 1.1 * depth / (spec.alpha * spec.s))
-        return w, w
-    if isinstance(spec, (ModifiedIsotonic, FellowsSmith)):
-        return 6.0, 6.0
-    raise SpecError(f"unknown potential spec {spec!r}")
-
-
-def _probe_log_amplitude(spec: PotentialSpec, x: np.ndarray) -> np.ndarray:
-    if isinstance(spec, PerturbedHarmonic):
-        # The perturbative state has no closed amplitude; its harmonic part
-        # dominates the tails, so probe with the omega Gaussian.
-        return ground_state_log_amplitude(Harmonic(spec.omega), x)
-    return ground_state_log_amplitude(spec, x)
-
-
 def auto_grid(
     spec: PotentialSpec,
     target_tail: float = DEFAULT_TARGET_TAIL,
@@ -191,22 +147,24 @@ def auto_grid(
 ) -> Grid:
     """Grow a grid until the analytic amplitude meets the tail target.
 
-    Each side starts from a family-specific seed halfwidth and grows
-    geometrically (factor 1.4) until the end amplitude drops below
-    target_tail relative to the peak, capped at |x| = EXTENT_CAP. A capped
-    side is accepted, with degraded quadrature, as long as the amplitude is
-    still decaying and has fallen below 10% of the peak (near-threshold
-    Morse wells legitimately spread past the cap); otherwise the state is
-    treated as pathological and the growth fails.
+    The amplitude probed is that of ``spec.probe()``, the spec itself for
+    every family with an analytic ground state. Each side starts from the
+    family's seed halfwidth and grows geometrically (factor 1.4) until the
+    end amplitude drops below target_tail relative to the peak, capped at
+    |x| = EXTENT_CAP. A capped side is accepted, with degraded quadrature,
+    as long as the amplitude is still decaying and has fallen below 10% of
+    the peak (near-threshold Morse wells legitimately spread past the cap);
+    otherwise the state is treated as pathological and the growth fails.
     """
     if not (0.0 < target_tail <= 1e-4):
         raise GridError(f"target_tail must lie in (0, 1e-4], got {target_tail!r}")
-    left, right = _seed_halfwidths(spec, target_tail)
+    probe = spec.probe()
+    left, right = probe.seed_halfwidths(math.log(1.0 / target_tail))
     left = min(left, EXTENT_CAP)
     right = min(right, EXTENT_CAP)
     for _ in range(64):
         x = np.linspace(-left, right, _PROBE_POINTS)
-        log_amp = _probe_log_amplitude(spec, x)
+        log_amp = ground_state_log_amplitude(probe, x)
         peak = float(np.max(log_amp))
         with np.errstate(over="ignore"):
             ratio_l = math.exp(min(float(log_amp[0]) - peak, 700.0))

@@ -13,9 +13,9 @@ amplitude before use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
-from typing import Union
+from typing import ClassVar, Union, get_args
 
 import numpy as np
 
@@ -32,18 +32,61 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise SpecError(f"{name} must be finite and positive, got {value!r}")
 
 
+class _Family:
+    """Physics shared by every catalog dataclass.
+
+    Each family sets ``kind``, its name in the text form, and defines
+    ``potential(x)`` (V on an array), ``log_amplitude(x)`` (log of the
+    analytic ground state), ``omega_r()`` (reference frequency or None),
+    ``energy()`` (ground energy) and ``seed_halfwidths(depth)`` (starting
+    grid halfwidths for an amplitude that must fall by ``depth``
+    e-foldings; seeds only set the starting scale, the growth loop of
+    ``auto_grid`` guarantees the tail condition). Its dataclass fields are
+    the parse keys and sweep axes, except fields marked
+    ``metadata={"axis": False}``.
+    """
+
+    kind: ClassVar[str]
+
+    def probe(self) -> PotentialSpec:
+        """Spec whose analytic amplitude sizes the grid: the spec itself."""
+        return self
+
+    def quadrature_warnings(self) -> tuple[str, ...]:
+        """Parameter regimes known to degrade the grid quadrature."""
+        return ()
+
+
 @dataclass(frozen=True)
-class Harmonic:
+class Harmonic(_Family):
     """V(x) = omega^2 x^2 / 2."""
 
     omega: float
 
+    kind: ClassVar[str] = "harmonic"
+
     def __post_init__(self):
         _require_finite_positive("harmonic omega", self.omega)
 
+    def potential(self, x: np.ndarray) -> np.ndarray:
+        return 0.5 * self.omega**2 * x**2
+
+    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+        return 0.25 * math.log(self.omega / math.pi) - 0.5 * self.omega * x**2
+
+    def omega_r(self) -> float:
+        return self.omega
+
+    def energy(self) -> float:
+        return 0.5 * self.omega
+
+    def seed_halfwidths(self, depth: float) -> tuple[float, float]:
+        w = 1.1 * math.sqrt(2.0 * depth / self.omega)
+        return w, w
+
 
 @dataclass(frozen=True)
-class Morse:
+class Morse(_Family):
     """V(x) = D (e^{-2 alpha x} - 2 e^{-alpha x}), minimum -D at x = 0.
 
     D is the dissociation energy, alpha the inverse width. A bound state
@@ -53,6 +96,8 @@ class Morse:
 
     D: float
     alpha: float
+
+    kind: ClassVar[str] = "morse"
 
     def __post_init__(self):
         _require_finite_positive("Morse D", self.D)
@@ -69,13 +114,54 @@ class Morse:
         """N = sqrt(2D)/alpha - 1/2; levels n = 0..floor(N) exist while n < N."""
         return math.sqrt(2.0 * self.D) / self.alpha - 0.5
 
+    def potential(self, x: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            return self.D * (np.exp(-2.0 * self.alpha * x) - 2.0 * np.exp(-self.alpha * x))
+
+    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+        n = self.n_index
+        log_c = (
+            0.5 * math.log(2.0)
+            + n * math.log(2.0 * n + 1.0)
+            + 0.5 * (math.log(n) + math.log(self.alpha) - math.log(2.0) - log_gamma(n + 1.0))
+        )
+        with np.errstate(over="ignore"):
+            decay = np.exp(-self.alpha * x)
+        return log_c - self.alpha * n * x - (n + 0.5) * decay
+
+    def omega_r(self) -> float:
+        return math.sqrt(2.0 * self.D) * self.alpha
+
+    def energy(self) -> float:
+        """E = -alpha^2 N^2 / 2; a variant linear in alpha is sometimes quoted
+        but disagrees with the finite-difference solver for every alpha != 1
+        (see the oracle cross-checks)."""
+        return -0.5 * self.alpha**2 * self.n_index**2
+
+    def seed_halfwidths(self, depth: float) -> tuple[float, float]:
+        gaussian_core = 1.2 * math.sqrt(2.0 * depth / self.omega_r())
+        # double-exponential wall on the left; e^{-alpha N x} far tail on the
+        # right, preceded by the Gaussian core around the minimum
+        left = min(3.0 / self.alpha + 1.0, 2.0 + gaussian_core)
+        right = gaussian_core + 1.1 * depth / (self.alpha * self.n_index)
+        return left, right
+
+    def quadrature_warnings(self) -> tuple[str, ...]:
+        if self.alpha > 0.98 * 2.0 * math.sqrt(2.0 * self.D):
+            return (
+                "alpha is within 2% of the bound-state limit 2*sqrt(2D); quadrature degrades",
+            )
+        return ()
+
 
 @dataclass(frozen=True)
-class ModifiedPoschlTeller:
+class ModifiedPoschlTeller(_Family):
     """V(x) = -D / cosh^2(alpha x), depth D > 0."""
 
     D: float
     alpha: float
+
+    kind: ClassVar[str] = "mpt"
 
     def __post_init__(self):
         _require_finite_positive("MPT D", self.D)
@@ -86,9 +172,31 @@ class ModifiedPoschlTeller:
         """Depth reparametrization D = alpha^2 s (1+s) / 2, s > 0."""
         return 0.5 * (-1.0 + math.sqrt(1.0 + 8.0 * self.D / self.alpha**2))
 
+    def potential(self, x: np.ndarray) -> np.ndarray:
+        return -self.D / np.cosh(self.alpha * x) ** 2
+
+    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+        s = self.s
+        log_c = -0.25 * math.log(math.pi) + 0.5 * (
+            math.log(self.alpha) + log_gamma(0.5 + s) - log_gamma(s)
+        )
+        u = np.abs(self.alpha * x)
+        log_cosh = u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0)
+        return log_c - s * log_cosh
+
+    def omega_r(self) -> float:
+        return math.sqrt(2.0 * self.D) * self.alpha
+
+    def energy(self) -> float:
+        return -0.5 * self.alpha**2 * self.s**2
+
+    def seed_halfwidths(self, depth: float) -> tuple[float, float]:
+        w = max(4.0 / self.alpha, 1.1 * depth / (self.alpha * self.s))
+        return w, w
+
 
 @dataclass(frozen=True)
-class ModifiedIsotonic:
+class ModifiedIsotonic(_Family):
     """V(x) = [x^2 + 4 (a+2)(a x^2 - 1) / (a (a x^2 + 1)^2)] / 2, a > 0.
 
     Interpolates between the harmonic and the isotonic oscillator; the well
@@ -97,12 +205,33 @@ class ModifiedIsotonic:
 
     a: float
 
+    kind: ClassVar[str] = "mio"
+
     def __post_init__(self):
         _require_finite_positive("MIO a", self.a)
 
+    def potential(self, x: np.ndarray) -> np.ndarray:
+        a = self.a
+        return 0.5 * (x**2 + 4.0 * (a + 2.0) * (a * x**2 - 1.0) / (a * (a * x**2 + 1.0) ** 2))
+
+    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+        a = self.a
+        norm = kummer_phi(4.0 / a, 0.5 + 4.0 / a, 1.0 / a)
+        log_c = -0.25 * math.log(math.pi) - 0.5 * norm.log_scaled
+        return log_c - 0.5 * x**2 - (2.0 / a) * np.log(1.0 / a + x**2)
+
+    def omega_r(self) -> float:
+        return math.sqrt(25.0 + 12.0 * self.a)
+
+    def energy(self) -> float:
+        return 0.5 - 4.0 / self.a
+
+    def seed_halfwidths(self, depth: float) -> tuple[float, float]:
+        return 6.0, 6.0
+
 
 @dataclass(frozen=True)
-class FellowsSmith:
+class FellowsSmith(_Family):
     """Supersymmetric-partner family of the harmonic oscillator, p in (-1, 0].
 
     Exhibits a single well for p in [p+, 0], a double well for p in
@@ -112,13 +241,53 @@ class FellowsSmith:
 
     p: float
 
+    kind: ClassVar[str] = "fs"
+
     def __post_init__(self):
         if not (math.isfinite(self.p) and -1.0 < self.p <= 0.0):
             raise SpecError(f"Fellows-Smith p must lie in (-1, 0], got {self.p!r}")
 
+    def potential(self, x: np.ndarray) -> np.ndarray:
+        # V = -2p + x^2/2 + 4(1+p) x^2 r [(1+p) r - 1], r = Phi_3/Phi_1. Both
+        # Phi factors grow like e^{x^2} but their ratio stays O(1), so only the
+        # ratio ever leaves log space.
+        p = self.p
+        z = x * x
+        log_phi1 = kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
+        log_phi3 = kummer_phi_log_grid((3.0 + p) / 2.0, 1.5, z)
+        ratio = np.exp(log_phi3 - log_phi1)
+        return -2.0 * p + 0.5 * z + 4.0 * (1.0 + p) * z * ratio * ((1.0 + p) * ratio - 1.0)
+
+    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+        p = self.p
+        log_c = (
+            -0.25 * math.log(math.pi)
+            + 0.5 * (p * math.log(2.0) - log_gamma(1.0 + p))
+            + log_gamma(1.0 + p / 2.0)
+        )
+        z = x * x
+        return log_c + 0.5 * z - kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
+
+    def omega_r(self) -> float | None:
+        # Below p+ the x = 0 curvature first turns negative (double well) and
+        # then positive again (triple well), where it ignores the dominant
+        # side wells; neither regime admits a faithful reference.
+        if self.p < P_PLUS:
+            return None
+        curvature = 1.0 + 8.0 * self.p * (1.0 + self.p)
+        if curvature <= 0.0:
+            return None
+        return math.sqrt(curvature)
+
+    def energy(self) -> float:
+        return 0.5 - self.p
+
+    def seed_halfwidths(self, depth: float) -> tuple[float, float]:
+        return 6.0, 6.0
+
 
 @dataclass(frozen=True)
-class PerturbedHarmonic:
+class PerturbedHarmonic(_Family):
     """V(x) = omega^2 x^2 / 2 + eps3 x^3 + eps4 x^4, treated perturbatively.
 
     The coefficient guard |eps| <= eps_guard keeps inputs inside the regime
@@ -129,7 +298,9 @@ class PerturbedHarmonic:
     omega: float
     eps3: float = 0.0
     eps4: float = 0.0
-    eps_guard: float = 0.5
+    eps_guard: float = field(default=0.5, metadata={"axis": False})
+
+    kind: ClassVar[str] = "pert"
 
     def __post_init__(self):
         _require_finite_positive("perturbed-harmonic omega", self.omega)
@@ -141,10 +312,34 @@ class PerturbedHarmonic:
                     f"{self.eps_guard}"
                 )
 
+    def potential(self, x: np.ndarray) -> np.ndarray:
+        return 0.5 * self.omega**2 * x**2 + self.eps3 * x**3 + self.eps4 * x**4
+
+    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+        raise UnsupportedSpecError(
+            "perturbed-harmonic ground state is a number-basis expansion; "
+            "use the perturbation module"
+        )
+
+    def omega_r(self) -> float:
+        return self.omega
+
+    def energy(self) -> float:
+        raise UnsupportedSpecError(
+            "perturbed-harmonic energy is perturbative; use the perturbation module"
+        )
+
+    def probe(self) -> PotentialSpec:
+        """The omega Gaussian: the perturbative state has no closed amplitude,
+        and its harmonic part dominates the tails."""
+        return Harmonic(self.omega)
+
 
 PotentialSpec = Union[
     Harmonic, Morse, ModifiedPoschlTeller, ModifiedIsotonic, FellowsSmith, PerturbedHarmonic
 ]
+
+_FAMILIES = {cls.kind: cls for cls in get_args(PotentialSpec)}
 
 
 class WellRegion(Enum):
@@ -195,34 +390,8 @@ def evaluate_potential(spec: PotentialSpec, x):
     x_arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x_arr)):
         raise DomainError("evaluate_potential requires finite x")
-    if isinstance(spec, Harmonic):
-        v = 0.5 * spec.omega**2 * x_arr**2
-    elif isinstance(spec, Morse):
-        with np.errstate(over="ignore"):
-            v = spec.D * (np.exp(-2.0 * spec.alpha * x_arr) - 2.0 * np.exp(-spec.alpha * x_arr))
-    elif isinstance(spec, ModifiedPoschlTeller):
-        v = -spec.D / np.cosh(spec.alpha * x_arr) ** 2
-    elif isinstance(spec, ModifiedIsotonic):
-        a = spec.a
-        v = 0.5 * (x_arr**2 + 4.0 * (a + 2.0) * (a * x_arr**2 - 1.0) / (a * (a * x_arr**2 + 1.0) ** 2))
-    elif isinstance(spec, FellowsSmith):
-        v = _fellows_smith_potential(spec.p, x_arr)
-    elif isinstance(spec, PerturbedHarmonic):
-        v = 0.5 * spec.omega**2 * x_arr**2 + spec.eps3 * x_arr**3 + spec.eps4 * x_arr**4
-    else:
-        raise SpecError(f"unknown potential spec {spec!r}")
+    v = spec.potential(x_arr)
     return v if np.ndim(x) else float(v)
-
-
-def _fellows_smith_potential(p: float, x: np.ndarray) -> np.ndarray:
-    # V = -2p + x^2/2 + 4(1+p) x^2 r [(1+p) r - 1], r = Phi_3/Phi_1. Both
-    # Phi factors grow like e^{x^2} but their ratio stays O(1), so only the
-    # ratio ever leaves log space.
-    z = x * x
-    log_phi1 = kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
-    log_phi3 = kummer_phi_log_grid((3.0 + p) / 2.0, 1.5, z)
-    ratio = np.exp(log_phi3 - log_phi1)
-    return -2.0 * p + 0.5 * z + 4.0 * (1.0 + p) * z * ratio * ((1.0 + p) * ratio - 1.0)
 
 
 def ground_state_log_amplitude(spec: PotentialSpec, x) -> np.ndarray:
@@ -233,47 +402,7 @@ def ground_state_log_amplitude(spec: PotentialSpec, x) -> np.ndarray:
     grids. The prefactor is carried for diagnostics only; sampling
     renormalizes numerically.
     """
-    x_arr = np.asarray(x, dtype=float)
-    if isinstance(spec, Harmonic):
-        return 0.25 * math.log(spec.omega / math.pi) - 0.5 * spec.omega * x_arr**2
-    if isinstance(spec, Morse):
-        n = spec.n_index
-        log_c = (
-            0.5 * math.log(2.0)
-            + n * math.log(2.0 * n + 1.0)
-            + 0.5 * (math.log(n) + math.log(spec.alpha) - math.log(2.0) - log_gamma(n + 1.0))
-        )
-        with np.errstate(over="ignore"):
-            decay = np.exp(-spec.alpha * x_arr)
-        return log_c - spec.alpha * n * x_arr - (n + 0.5) * decay
-    if isinstance(spec, ModifiedPoschlTeller):
-        s = spec.s
-        log_c = -0.25 * math.log(math.pi) + 0.5 * (
-            math.log(spec.alpha) + log_gamma(0.5 + s) - log_gamma(s)
-        )
-        u = np.abs(spec.alpha * x_arr)
-        log_cosh = u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0)
-        return log_c - s * log_cosh
-    if isinstance(spec, ModifiedIsotonic):
-        a = spec.a
-        norm = kummer_phi(4.0 / a, 0.5 + 4.0 / a, 1.0 / a)
-        log_c = -0.25 * math.log(math.pi) - 0.5 * norm.log_scaled
-        return log_c - 0.5 * x_arr**2 - (2.0 / a) * np.log(1.0 / a + x_arr**2)
-    if isinstance(spec, FellowsSmith):
-        p = spec.p
-        log_c = (
-            -0.25 * math.log(math.pi)
-            + 0.5 * (p * math.log(2.0) - log_gamma(1.0 + p))
-            + log_gamma(1.0 + p / 2.0)
-        )
-        z = x_arr * x_arr
-        return log_c + 0.5 * z - kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
-    if isinstance(spec, PerturbedHarmonic):
-        raise UnsupportedSpecError(
-            "perturbed-harmonic ground state is a number-basis expansion; "
-            "use the perturbation module"
-        )
-    raise SpecError(f"unknown potential spec {spec!r}")
+    return spec.log_amplitude(np.asarray(x, dtype=float))
 
 
 def ground_state_amplitude(spec: PotentialSpec, x):
@@ -301,68 +430,12 @@ def reference_frequency(spec: PotentialSpec) -> float | None:
     the x = 0 minimum that reappears in the triple-well region ignores the
     dominant side wells, so no proper reference exists there.
     """
-    if isinstance(spec, Harmonic):
-        return spec.omega
-    if isinstance(spec, (Morse, ModifiedPoschlTeller)):
-        return math.sqrt(2.0 * spec.D) * spec.alpha
-    if isinstance(spec, ModifiedIsotonic):
-        return math.sqrt(25.0 + 12.0 * spec.a)
-    if isinstance(spec, FellowsSmith):
-        # Below p+ the x = 0 curvature first turns negative (double well) and
-        # then positive again (triple well), where it ignores the dominant
-        # side wells; neither regime admits a faithful reference.
-        if spec.p < P_PLUS:
-            return None
-        curvature = 1.0 + 8.0 * spec.p * (1.0 + spec.p)
-        if curvature <= 0.0:
-            return None
-        return math.sqrt(curvature)
-    if isinstance(spec, PerturbedHarmonic):
-        return spec.omega
-    raise SpecError(f"unknown potential spec {spec!r}")
+    return spec.omega_r()
 
 
 def ground_energy(spec: PotentialSpec) -> float:
-    """Analytic ground-state energy.
-
-    The Morse energy is E = -alpha^2 N^2 / 2; a variant linear in alpha is
-    sometimes quoted but disagrees with the finite-difference solver for
-    every alpha != 1 (see the oracle cross-checks).
-    """
-    if isinstance(spec, Harmonic):
-        return 0.5 * spec.omega
-    if isinstance(spec, Morse):
-        return -0.5 * spec.alpha**2 * spec.n_index**2
-    if isinstance(spec, ModifiedPoschlTeller):
-        return -0.5 * spec.alpha**2 * spec.s**2
-    if isinstance(spec, ModifiedIsotonic):
-        return 0.5 - 4.0 / spec.a
-    if isinstance(spec, FellowsSmith):
-        return 0.5 - spec.p
-    if isinstance(spec, PerturbedHarmonic):
-        raise UnsupportedSpecError(
-            "perturbed-harmonic energy is perturbative; use the perturbation module"
-        )
-    raise SpecError(f"unknown potential spec {spec!r}")
-
-
-_PARSE_TABLE = {
-    "harmonic": (Harmonic, {"omega"}, set()),
-    "morse": (Morse, {"D", "alpha"}, set()),
-    "mpt": (ModifiedPoschlTeller, {"D", "alpha"}, set()),
-    "mio": (ModifiedIsotonic, {"a"}, set()),
-    "fs": (FellowsSmith, {"p"}, set()),
-    "pert": (PerturbedHarmonic, {"omega"}, {"eps3", "eps4"}),
-}
-
-_AXIS_TABLE = {
-    Harmonic: ("omega",),
-    Morse: ("D", "alpha"),
-    ModifiedPoschlTeller: ("D", "alpha"),
-    ModifiedIsotonic: ("a",),
-    FellowsSmith: ("p",),
-    PerturbedHarmonic: ("omega", "eps3", "eps4"),
-}
+    """Analytic ground-state energy."""
+    return spec.energy()
 
 
 def parse_potential_spec(text: str) -> PotentialSpec:
@@ -373,10 +446,11 @@ def parse_potential_spec(text: str) -> PotentialSpec:
     """
     kind, sep, rest = text.partition(":")
     kind = kind.strip().lower()
-    if not sep or kind not in _PARSE_TABLE:
-        known = ", ".join(sorted(_PARSE_TABLE))
+    if not sep or kind not in _FAMILIES:
+        known = ", ".join(sorted(_FAMILIES))
         raise SpecError(f"unknown potential {text!r}; expected one of: {known}")
-    cls, required, optional = _PARSE_TABLE[kind]
+    cls = _FAMILIES[kind]
+    keys = sweep_axes(cls)
     params: dict[str, float] = {}
     for item in rest.split(","):
         item = item.strip()
@@ -384,13 +458,13 @@ def parse_potential_spec(text: str) -> PotentialSpec:
             continue
         key, eq, value = item.partition("=")
         key = key.strip()
-        if not eq or key not in required | optional:
+        if not eq or key not in keys:
             raise SpecError(f"unknown parameter {item!r} for potential {kind!r}")
         try:
             params[key] = float(value)
         except ValueError:
             raise SpecError(f"cannot parse numeric value in {item!r}") from None
-    missing = required - params.keys()
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - params.keys()
     if missing:
         raise SpecError(f"potential {kind!r} missing parameters: {sorted(missing)}")
     return cls(**params)
@@ -401,7 +475,7 @@ def with_parameter(spec: PotentialSpec, name: str, value: float) -> PotentialSpe
 
     Fields that are not sweep axes, such as ``eps_guard``, carry over.
     """
-    axes = _AXIS_TABLE[type(spec)]
+    axes = sweep_axes(spec)
     if name not in axes:
         raise SpecError(
             f"{type(spec).__name__} has no sweep axis {name!r}; choose from {list(axes)}"
@@ -410,5 +484,6 @@ def with_parameter(spec: PotentialSpec, name: str, value: float) -> PotentialSpe
 
 
 def sweep_axes(spec: PotentialSpec) -> tuple[str, ...]:
-    """Names of the sweepable parameters for the given spec."""
-    return _AXIS_TABLE[type(spec)]
+    """Names of the sweepable parameters for the given spec (or family
+    class), in declaration order; these are also its parse keys."""
+    return tuple(f.name for f in fields(spec) if f.metadata.get("axis", True))

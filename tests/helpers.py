@@ -141,3 +141,22 @@ def fourth_order_second_derivative(values: np.ndarray, spacing: float) -> np.nda
         -values[:-4] + 16.0 * values[1:-3] - 30.0 * values[2:-2] + 16.0 * values[3:-1] - values[4:]
     ) / (12.0 * spacing**2)
     return out
+
+
+def wigner_normalization_check(state, half_extent_sigmas: float = 8.0, n: int = 201) -> float:
+    """Trapezoid integral of the Wigner density over a covering box."""
+    import math
+
+    from nonlinosc.measures import wigner_gaussian
+
+    cov = state.covariance
+    sx = half_extent_sigmas * math.sqrt(cov.var_x)
+    sp = half_extent_sigmas * math.sqrt(cov.var_p)
+    xs = np.linspace(state.mean[0] - sx, state.mean[0] + sx, n)
+    ps = np.linspace(state.mean[1] - sp, state.mean[1] + sp, n)
+    values = np.empty((n, n))
+    for i, xv in enumerate(xs):
+        for j, pv in enumerate(ps):
+            values[i, j] = wigner_gaussian(state, (xv, pv))
+    inner = np.trapezoid(values, ps, axis=1)
+    return float(np.trapezoid(inner, xs))

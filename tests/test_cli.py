@@ -51,6 +51,12 @@ class TestMeasure:
         assert code != 0
         assert "unknown potential" in err
 
+    def test_seed_is_scatter_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["measure", "--potential", "harmonic:omega=1", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_morse_alpha_sweep_monotone(self, capsys):
@@ -143,11 +149,12 @@ class TestSweep:
         assert "strictly increasing" in err
 
     def test_axis_validation(self, capsys):
-        code, _, err = run_cli(
+        code, out, err = run_cli(
             capsys, "sweep", "--potential", "mio:a=1", "--axis", "alpha",
             "--from", "0.5", "--to", "1.0", "--points", "3",
         )
-        assert code != 0
+        assert code == 2
+        assert out == ""
         assert "sweep axis" in err or "no sweep axis" in err
 
 

@@ -12,7 +12,6 @@ from nonlinosc.measures import (
     measure_report,
     reference_gaussian,
     wigner_gaussian,
-    wigner_normalization_check,
 )
 from nonlinosc.numerics import (
     CovarianceMatrix,
@@ -34,7 +33,7 @@ from nonlinosc.potentials import (
 )
 from nonlinosc.specfun import entropy_h
 
-from helpers import mio_reference_fidelity
+from helpers import mio_reference_fidelity, wigner_normalization_check
 
 
 class TestFidelityAndBures:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -259,20 +260,68 @@ class TestSpecValidation:
         PerturbedHarmonic(1.0, 0.6, 0.0, eps_guard=0.7)
 
 
+# One text form per family.
+FAMILY_TEXTS = [
+    ("morse:D=1,alpha=1", Morse(1.0, 1.0)),
+    ("mpt:D=1,alpha=0.5", ModifiedPoschlTeller(1.0, 0.5)),
+    ("mio:a=2", ModifiedIsotonic(2.0)),
+    ("fs:p=-0.4", FellowsSmith(-0.4)),
+    ("harmonic:omega=1", Harmonic(1.0)),
+    ("pert:omega=1,eps3=0.1,eps4=0.2", PerturbedHarmonic(1.0, 0.1, 0.2)),
+]
+# Parse keys of each family (also its sweep axes, in declaration order) and
+# the keys it requires.
+FAMILY_KEYS = {
+    "morse": (("D", "alpha"), ["D", "alpha"]),
+    "mpt": (("D", "alpha"), ["D", "alpha"]),
+    "mio": (("a",), ["a"]),
+    "fs": (("p",), ["p"]),
+    "harmonic": (("omega",), ["omega"]),
+    "pert": (("omega", "eps3", "eps4"), ["omega"]),
+}
+
+
 class TestParsing:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("morse:D=1,alpha=1", Morse(1.0, 1.0)),
-            ("mpt:D=1,alpha=0.5", ModifiedPoschlTeller(1.0, 0.5)),
-            ("mio:a=2", ModifiedIsotonic(2.0)),
-            ("fs:p=-0.4", FellowsSmith(-0.4)),
-            ("harmonic:omega=1", Harmonic(1.0)),
-            ("pert:omega=1,eps3=0.1,eps4=0.2", PerturbedHarmonic(1.0, 0.1, 0.2)),
-        ],
-    )
+    @pytest.mark.parametrize("text,expected", FAMILY_TEXTS)
     def test_round_trip(self, text, expected):
         assert parse_potential_spec(text) == expected
+
+    @pytest.mark.parametrize("text,expected", FAMILY_TEXTS)
+    def test_rebuilds_from_field_values(self, text, expected):
+        kind = type(expected).kind
+        assert text.startswith(f"{kind}:")
+        axes, _ = FAMILY_KEYS[kind]
+        values = ",".join(f"{name}={getattr(expected, name)!r}" for name in axes)
+        assert parse_potential_spec(f"{kind}:{values}") == expected
+
+    @pytest.mark.parametrize("text,expected", FAMILY_TEXTS)
+    def test_sweep_axes_are_fields_without_eps_guard(self, text, expected):
+        fields = tuple(f.name for f in dataclasses.fields(expected) if f.name != "eps_guard")
+        assert sweep_axes(expected) == fields == FAMILY_KEYS[text.partition(":")[0]][0]
+
+    @pytest.mark.parametrize("text,expected", FAMILY_TEXTS)
+    def test_error_messages(self, text, expected):
+        kind = text.partition(":")[0]
+        axes, required = FAMILY_KEYS[kind]
+        with pytest.raises(SpecError) as exc:
+            parse_potential_spec(f"{kind}:{text.partition(':')[2]},eps_guard=1")
+        assert str(exc.value) == f"unknown parameter 'eps_guard=1' for potential '{kind}'"
+        with pytest.raises(SpecError) as exc:
+            parse_potential_spec(f"{kind}:")
+        assert str(exc.value) == f"potential '{kind}' missing parameters: {required}"
+        with pytest.raises(SpecError) as exc:
+            with_parameter(expected, "eps_guard", 1.0)
+        assert str(exc.value) == (
+            f"{type(expected).__name__} has no sweep axis 'eps_guard'; choose from {list(axes)}"
+        )
+
+    def test_unknown_family_message(self):
+        with pytest.raises(SpecError) as exc:
+            parse_potential_spec("gauss:sigma=1")
+        assert str(exc.value) == (
+            "unknown potential 'gauss:sigma=1'; expected one of: "
+            "fs, harmonic, mio, morse, mpt, pert"
+        )
 
     @pytest.mark.parametrize(
         "text",
