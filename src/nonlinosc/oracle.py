@@ -2,12 +2,12 @@
 ground-state solver and a truncated number-basis moment calculator.
 
 The solver discretizes H = -d^2/dx^2 / 2 + V with the 3-point Laplacian and
-Dirichlet ends, giving a symmetric tridiagonal matrix whose lowest
-eigenvalue comes from Sturm-sequence bisection (LAPACK stebz) followed by
-in-module inverse iteration for the eigenvector. Plain 3-point differencing
-is preferred over higher-order schemes because the tridiagonal structure
-admits exact Sturm counting and its second-order convergence is ample at
-the default grid sizes.
+Dirichlet ends: a symmetric tridiagonal matrix T. Sturm bisection finds its
+lowest eigenvalue; inverse iteration on the L D L^T factor of T shifted just
+below it, positive definite and so factored without pivoting, finds the
+eigenvector. Plain 3-point differencing is preferred over higher-order
+schemes because the tridiagonal structure admits exact Sturm counting and
+its second-order convergence is ample at the default grid sizes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .errors import ConvergenceError, GridError, SpecError, TruncationError, UnsupportedSpecError
 from .numerics import CovarianceMatrix, Grid, SampledWavefunction, normalize
@@ -91,14 +90,11 @@ def fd_ground_state(spec: PotentialSpec, grid: Grid) -> EigenResult:
     grid is too small for the physical ground state.
     """
     diag, off = _tridiagonal_hamiltonian(spec, grid)
-    energy = float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
+    energy = _lowest_eigenvalue(diag, off)
 
     h_scale = float(np.max(np.abs(diag))) + 2.0 * abs(off[0])
     shift = energy - 1e-9 * max(1.0, abs(energy))
-    bands = np.zeros((3, diag.size))
-    bands[0, 1:] = off
-    bands[1, :] = diag - shift
-    bands[2, :-1] = off
+    lower, pivots = _ldl_factor(diag, off, shift)
     vec = np.ones(diag.size) / math.sqrt(diag.size)
     target = max(1e-10 * abs(energy), 8.0 * _EPS * h_scale)
     best_res = math.inf
@@ -106,10 +102,7 @@ def fd_ground_state(spec: PotentialSpec, grid: Grid) -> EigenResult:
     previous = math.inf
     iterations = 0
     for _ in range(30):
-        try:
-            vec = solve_banded((1, 1), bands, vec)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise ConvergenceError(f"inverse iteration failed: {exc}") from exc
+        vec = _ldl_solve(lower, pivots, vec)
         vec /= float(np.linalg.norm(vec))
         iterations += 1
         residual = float(np.linalg.norm(_tridiagonal_apply(diag, off, vec) - energy * vec))
@@ -145,28 +138,65 @@ def fd_ground_state(spec: PotentialSpec, grid: Grid) -> EigenResult:
     return EigenResult(energy, wavefunction, best_res, iterations)
 
 
-def _sturm_count_below(diag: np.ndarray, off: np.ndarray, value: float) -> int:
-    """Eigenvalues of the tridiagonal matrix strictly below ``value``.
+def _sturm_counter(diag: np.ndarray, off: np.ndarray):
+    """Counter of eigenvalues below a value: negative L D L^T pivots of T - value I
+    over Python floats, zero pivots nudged as in LAPACK's pivmin safeguard."""
+    tiny = max(_EPS * (float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))) ** 2, 1e-300)
+    pairs = list(zip(diag.tolist(), [0.0] + (off * off).tolist()))
 
-    Signs of the LDL^T pivots of (T - value I); zero pivots are nudged as in
-    LAPACK's pivmin safeguard.
-    """
-    tiny = _EPS * (float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))) ** 2
-    tiny = max(tiny, 1e-300)
-    count = 0
-    pivot = diag[0] - value
-    if pivot == 0.0:
-        pivot = -tiny
-    if pivot < 0.0:
-        count += 1
-    off_sq = off * off
-    for i in range(1, diag.size):
-        pivot = (diag[i] - value) - off_sq[i - 1] / pivot
-        if pivot == 0.0:
-            pivot = -tiny
-        if pivot < 0.0:
-            count += 1
-    return count
+    def count_below(value: float) -> int:
+        count, pivot = 0, 1.0
+        for d, b_sq in pairs:
+            pivot = (d - value) - b_sq / pivot
+            if pivot <= 0.0:
+                if pivot == 0.0:
+                    pivot = -tiny
+                count += 1
+        return count
+
+    return count_below
+
+
+def _sturm_count_below(diag: np.ndarray, off: np.ndarray, value: float) -> int:
+    """Eigenvalues of the tridiagonal matrix strictly below ``value``."""
+    return _sturm_counter(diag, off)(value)
+
+
+def _lowest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
+    """Sturm bisection of the Gershgorin interval until the midpoint stops moving."""
+    radius = np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0))
+    lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
+    count_below = _sturm_counter(diag, off)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if count_below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return mid
+
+
+def _ldl_factor(diag: np.ndarray, off: np.ndarray, shift: float):
+    """Multipliers and pivots of T - shift I = L D L^T; positive for shifts below E0."""
+    lower, pivots = [], [float(diag[0]) - shift]
+    for d, b in zip(diag[1:].tolist(), off.tolist()):
+        if not pivots[-1] > 0.0:
+            break
+        lower.append(b / pivots[-1])
+        pivots.append((d - shift) - lower[-1] * b)
+    if not pivots[-1] > 0.0:
+        raise ConvergenceError(f"inverse iteration failed: pivot {pivots[-1]!r} is not positive")
+    return lower, pivots
+
+
+def _ldl_solve(lower: list[float], pivots: list[float], rhs: np.ndarray) -> np.ndarray:
+    """Solve L D L^T x = rhs by forward and back substitution."""
+    y = rhs.tolist()
+    for i, m in enumerate(lower):
+        y[i + 1] -= m * y[i]
+    x = [v / p for v, p in zip(y, pivots)]
+    for i in range(len(lower) - 1, -1, -1):
+        x[i] -= lower[i] * x[i + 1]
+    return np.array(x)
 
 
 def count_negative_eigenvalues(spec: PotentialSpec, grid: Grid) -> int:

@@ -444,6 +444,12 @@ def parse_potential_spec(text: str) -> PotentialSpec:
     Examples: ``morse:D=1,alpha=1``  ``mpt:D=1,alpha=0.5``  ``mio:a=2``
     ``fs:p=-0.4``  ``harmonic:omega=1``  ``pert:omega=1,eps3=0.1,eps4=0.2``.
     """
+    family, params = parse_potential_params(text)
+    return family(**params)
+
+
+def parse_potential_params(text: str) -> tuple[type[PotentialSpec], dict[str, float]]:
+    """Family class and unchecked parameter values of the text form."""
     kind, sep, rest = text.partition(":")
     kind = kind.strip().lower()
     if not sep or kind not in _FAMILIES:
@@ -467,7 +473,7 @@ def parse_potential_spec(text: str) -> PotentialSpec:
     missing = {f.name for f in fields(cls) if f.default is MISSING} - params.keys()
     if missing:
         raise SpecError(f"potential {kind!r} missing parameters: {sorted(missing)}")
-    return cls(**params)
+    return cls, params
 
 
 def with_parameter(spec: PotentialSpec, name: str, value: float) -> PotentialSpec:
@@ -475,12 +481,15 @@ def with_parameter(spec: PotentialSpec, name: str, value: float) -> PotentialSpe
 
     Fields that are not sweep axes, such as ``eps_guard``, carry over.
     """
-    axes = sweep_axes(spec)
-    if name not in axes:
-        raise SpecError(
-            f"{type(spec).__name__} has no sweep axis {name!r}; choose from {list(axes)}"
-        )
+    require_sweep_axis(type(spec), name)
     return replace(spec, **{name: value})
+
+
+def require_sweep_axis(family: type[PotentialSpec], name: str) -> None:
+    """Raise SpecError unless ``name`` is a sweep axis of the family class."""
+    axes = sweep_axes(family)
+    if name not in axes:
+        raise SpecError(f"{family.__name__} has no sweep axis {name!r}; choose from {list(axes)}")
 
 
 def sweep_axes(spec: PotentialSpec) -> tuple[str, ...]:

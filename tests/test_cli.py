@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,6 +152,17 @@ class TestSweep:
         assert code != 0
         assert "strictly increasing" in err
 
+    def test_base_value_of_swept_axis_is_not_checked(self, capsys):
+        # alpha=3 has no Morse bound state, but only the swept values are used.
+        code, out, _ = run_cli(
+            capsys, "sweep", "--potential", "morse:D=1,alpha=3", "--axis", "alpha",
+            "--from", "0.5", "--to", "1", "--points", "3",
+        )
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 3
+        assert all(row.split(",")[-1] == "" for row in rows)
+
     def test_axis_validation(self, capsys):
         code, out, err = run_cli(
             capsys, "sweep", "--potential", "mio:a=1", "--axis", "alpha",
@@ -276,3 +291,36 @@ class TestFormatting:
         )
         fine = json.loads(out)["eta_ng"]
         assert coarse == pytest.approx(fine, abs=1e-6)
+
+
+_WITHOUT_SCIPY = """
+import json, os, sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from nonlinosc.cli import main
+out = ["--out", os.devnull]
+commands = [
+    ["measure", "--potential", "fs:p=-0.6"],
+    ["sweep", "--potential", "morse:D=1,alpha=1", "--axis", "alpha",
+     "--from", "0.5", "--to", "2", "--points", "5"],
+    ["scatter", "--n", "5"],
+    ["curve", "--points", "5"],
+    ["oracle-check", "--potential", "fs:p=-0.85"],
+    ["oracle-check", "--potential", "morse:D=1,alpha=1"],
+]
+codes = [main(argv + out) for argv in commands]
+loaded = [name for name, module in sys.modules.items()
+          if name.split(".")[0] == "scipy" and module is not None]
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_every_command_runs_without_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result == {"codes": [0] * 6, "loaded": []}

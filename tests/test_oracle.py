@@ -8,6 +8,8 @@ from nonlinosc.numerics import Grid, auto_grid, overlap, sample_ground_state
 from nonlinosc.oracle import (
     EigenResult,
     FockState,
+    _sturm_count_below,
+    _tridiagonal_hamiltonian,
     count_negative_eigenvalues,
     fd_ground_state,
     fock_covariance,
@@ -133,6 +135,29 @@ class TestFdGroundState:
         second_order = first_order - 2.625 * eps4**2
         assert result.energy == pytest.approx(second_order, abs=5e-4)
         assert abs(result.energy - second_order) < abs(result.energy - first_order)
+
+
+class TestEigenvalueAgainstLapack:
+    # The solver's bisection and L D L^T inverse iteration are checked
+    # against scipy's LAPACK tridiagonal eigensolver, a test-only reference.
+    @pytest.mark.parametrize(
+        "spec,n_points", [(s, 4097) for s in STANDARD_SET] + [(FellowsSmith(-0.9), 16385)]
+    )
+    def test_energy_matches_lapack(self, spec, n_points):
+        linalg = pytest.importorskip("scipy.linalg")
+        grid = auto_grid(spec, n_points=n_points)
+        diag, off = _tridiagonal_hamiltonian(spec, grid)
+        reference = linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
+        energy = fd_ground_state(spec, grid).energy
+        assert abs(energy - reference) <= 4.0 * _EPS * h_scale(spec, grid)
+
+    @pytest.mark.parametrize("spec", [FellowsSmith(-0.5), FellowsSmith(-0.9)])
+    def test_nothing_below_near_degenerate_ground_state(self, spec):
+        # Double and triple wells: the energy returned is the lowest eigenvalue.
+        grid = auto_grid(spec)
+        diag, off = _tridiagonal_hamiltonian(spec, grid)
+        energy = fd_ground_state(spec, grid).energy
+        assert _sturm_count_below(diag, off, energy - 4.0 * _EPS * h_scale(spec, grid)) == 0
 
 
 class TestCountNegativeEigenvalues:
