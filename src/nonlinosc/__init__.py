@@ -22,16 +22,12 @@ from .errors import (
     UnsupportedSpecError,
 )
 from .measures import (
-    GaussianState,
     MeasureReport,
     ReportDiagnostics,
-    bures_distance,
     eta_bures,
     eta_ng,
     fidelity_pure,
     measure_report,
-    reference_gaussian,
-    wigner_gaussian,
 )
 from .numerics import (
     CovarianceMatrix,
@@ -76,7 +72,7 @@ from .potentials import (
     parse_potential_spec,
     reference_frequency,
 )
-from .specfun import EvaluationResult, entropy_h, gamma_fn, kummer_phi
+from .specfun import EvaluationResult, entropy_h, kummer_phi
 
 __version__ = "0.1.0"
 
@@ -89,7 +85,6 @@ __all__ = [
     "EvaluationResult",
     "FellowsSmith",
     "FockState",
-    "GaussianState",
     "Grid",
     "GridError",
     "GridGrowthExhaustedError",
@@ -116,7 +111,6 @@ __all__ = [
     "WellStructure",
     "alpha_coefficients",
     "auto_grid",
-    "bures_distance",
     "count_negative_eigenvalues",
     "covariance_of",
     "entropy_h",
@@ -129,7 +123,6 @@ __all__ = [
     "fellows_smith_well_structure",
     "fidelity_pure",
     "fock_covariance",
-    "gamma_fn",
     "ground_energy",
     "ground_state_amplitude",
     "kummer_phi",
@@ -141,9 +134,7 @@ __all__ = [
     "parse_potential_spec",
     "perturbed_variances",
     "reference_frequency",
-    "reference_gaussian",
     "sample_ground_state",
     "scatter_sample",
     "simpson_integral",
-    "wigner_gaussian",
 ]

@@ -31,6 +31,7 @@ from .numerics import (
     DEFAULT_TARGET_TAIL,
     auto_grid,
     covariance_of,
+    require_grid_settings,
     sample_ground_state,
 )
 from .oracle import fd_ground_state
@@ -312,6 +313,8 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        # Checked for every command, including those that build no grid.
+        require_grid_settings(args.tail, args.grid_points)
         return _DISPATCH[args.command](args)
     except _HANDLED_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

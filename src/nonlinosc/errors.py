@@ -26,7 +26,7 @@ class GridGrowthExhaustedError(GridError):
 
 
 class IncompatibleDomainError(GridError):
-    """Two sampled wavefunctions live on disjoint position ranges."""
+    """Two sampled wavefunctions do not share a grid."""
 
 
 class NormalizationError(ValueError):

@@ -1,5 +1,4 @@
-"""The two ground-state nonlinearity measures and the Gaussian reference
-machinery.
+"""The two ground-state nonlinearity measures.
 
 eta_b is the renormalized Bures distance between a potential's ground state
 and the ground state of its reference harmonic oscillator (the harmonic
@@ -15,11 +14,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import UnphysicalCovarianceError
 from .numerics import (
     DEFAULT_N_POINTS,
     DEFAULT_TARGET_TAIL,
-    CovarianceMatrix,
     Grid,
     SampledWavefunction,
     auto_grid,
@@ -41,8 +38,6 @@ from .potentials import (
     reference_frequency,
 )
 from .specfun import entropy_h
-
-_DET_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,45 +67,9 @@ class MeasureReport:
     diagnostics: ReportDiagnostics
 
 
-@dataclass(frozen=True)
-class GaussianState:
-    """Gaussian state given by its mean vector and covariance matrix."""
-
-    mean: tuple[float, float]
-    covariance: CovarianceMatrix
-
-
 def fidelity_pure(wf1: SampledWavefunction, wf2: SampledWavefunction) -> float:
     """Fidelity of two pure states: the squared overlap."""
     return overlap(wf1, wf2) ** 2
-
-
-def bures_distance(fidelity: float) -> float:
-    """D_B = sqrt(2 (1 - sqrt(F))), with F clamped to [0, 1]."""
-    f = min(max(fidelity, 0.0), 1.0)
-    return math.sqrt(2.0 * (1.0 - math.sqrt(f)))
-
-
-def reference_gaussian(cov: CovarianceMatrix) -> GaussianState:
-    """Gaussian state with the same mean vector and covariance matrix."""
-    if cov.det < 0.25 - _DET_TOLERANCE:
-        raise UnphysicalCovarianceError(
-            f"det sigma = {cov.det} violates the pure-state Heisenberg bound 1/4"
-        )
-    return GaussianState(mean=(cov.mean_x, cov.mean_p), covariance=cov)
-
-
-def wigner_gaussian(state: GaussianState, point: tuple[float, float]) -> float:
-    """Wigner density of a Gaussian state at a phase-space point:
-    exp(-(X - mean)^T sigma^{-1} (X - mean) / 2) / (2 pi sqrt(det sigma))."""
-    cov = state.covariance
-    det = cov.det
-    if det <= 0.0:
-        raise UnphysicalCovarianceError(f"singular covariance, det = {det}")
-    dx = point[0] - state.mean[0]
-    dp = point[1] - state.mean[1]
-    quad = (cov.var_p * dx**2 - 2.0 * cov.cov_xp * dx * dp + cov.var_x * dp**2) / det
-    return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
 
 def _reference_state(omega_r: float, grid: Grid) -> SampledWavefunction:

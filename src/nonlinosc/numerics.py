@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,6 +32,19 @@ EXTENT_CAP = 200.0
 _CAP_ACCEPT_RATIO = 0.1
 
 
+def require_grid_settings(target_tail: float, n_points: int) -> None:
+    """Raise GridError unless ``auto_grid`` accepts the tail target and
+    ``Grid`` the point count."""
+    if not (0.0 < target_tail <= 1e-4):
+        raise GridError(f"target_tail must lie in (0, 1e-4], got {target_tail!r}")
+    _require_n_points(n_points)
+
+
+def _require_n_points(n_points: int) -> None:
+    if n_points < 128:
+        raise GridError(f"grid requires n_points >= 128, got {n_points}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform position grid."""
@@ -44,15 +58,21 @@ class Grid:
             raise GridError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise GridError(f"grid requires x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if self.n_points < 128:
-            raise GridError(f"grid requires n_points >= 128, got {self.n_points}")
+        _require_n_points(self.n_points)
 
     @property
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
 
     def points(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n_points)
+        """The nodes: one read-only array, built on first use and shared."""
+        return self._nodes
+
+    @cached_property
+    def _nodes(self) -> np.ndarray:
+        nodes = np.linspace(self.x_min, self.x_max, self.n_points)
+        nodes.flags.writeable = False
+        return nodes
 
     def refined(self) -> "Grid":
         """Same extent with halved spacing."""
@@ -68,7 +88,7 @@ class SampledWavefunction:
     normalized: bool
     norm_defect: float
 
-    @property
+    @cached_property
     def tail_ratio(self) -> float:
         """Larger end amplitude relative to the peak amplitude."""
         peak = float(np.max(np.abs(self.amplitude)))
@@ -114,13 +134,20 @@ def simpson_integral(values: np.ndarray, spacing: float) -> float:
     if n < 3:
         raise GridError("simpson_integral needs at least 3 points")
     odd_n = n if n % 2 == 1 else n - 1
-    weights = np.ones(odd_n)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    total = float(np.dot(weights, values[:odd_n])) * spacing / 3.0
+    total = float(np.dot(_simpson_weights(odd_n), values[:odd_n])) * spacing / 3.0
     if odd_n != n:
         total += 0.5 * spacing * float(values[-2] + values[-1])
     return total
+
+
+@lru_cache(maxsize=8)
+def _simpson_weights(odd_n: int) -> np.ndarray:
+    """Read-only 1, 4, 2, ..., 4, 1 weights for an odd point count."""
+    weights = np.ones(odd_n)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    weights.flags.writeable = False
+    return weights
 
 
 def first_derivative(values: np.ndarray, spacing: float) -> np.ndarray:
@@ -156,8 +183,7 @@ def auto_grid(
     the peak (near-threshold Morse wells legitimately spread past the cap);
     otherwise the state is treated as pathological and the growth fails.
     """
-    if not (0.0 < target_tail <= 1e-4):
-        raise GridError(f"target_tail must lie in (0, 1e-4], got {target_tail!r}")
+    require_grid_settings(target_tail, n_points)
     probe = spec.probe()
     left, right = probe.seed_halfwidths(math.log(1.0 / target_tail))
     left = min(left, EXTENT_CAP)
@@ -204,8 +230,7 @@ def sample_ground_state(spec: PotentialSpec, grid: Grid) -> SampledWavefunction:
     x = grid.points()
     log_amp = ground_state_log_amplitude(spec, x)
     peak = float(np.max(log_amp))
-    shift = peak if abs(peak) > 300.0 else 0.0
-    amplitude = np.exp(log_amp - shift)
+    amplitude = np.exp(log_amp - peak) if abs(peak) > 300.0 else np.exp(log_amp)
     return normalize(SampledWavefunction(grid, amplitude, normalized=False, norm_defect=0.0))
 
 
@@ -244,30 +269,10 @@ def covariance_of(wf: SampledWavefunction) -> CovarianceMatrix:
 
 
 def overlap(wf1: SampledWavefunction, wf2: SampledWavefunction) -> float:
-    """Position-space overlap integral of two normalized wavefunctions.
-
-    Same-grid inputs integrate directly. Mismatched grids are linearly
-    resampled onto a uniform grid covering both domains at half the finer
-    spacing, which bounds the interpolation bias well below the quadrature
-    tolerances used in tests.
-    """
+    """Position-space overlap integral of two normalized wavefunctions
+    sampled on the same grid."""
     _require_normalized(wf1)
     _require_normalized(wf2)
-    g1, g2 = wf1.grid, wf2.grid
-    if g1 == g2:
-        return simpson_integral(wf1.amplitude * wf2.amplitude, g1.spacing)
-    if g1.x_max <= g2.x_min or g2.x_max <= g1.x_min:
-        raise IncompatibleDomainError(
-            f"wavefunction domains [{g1.x_min}, {g1.x_max}] and "
-            f"[{g2.x_min}, {g2.x_max}] are disjoint"
-        )
-    lo = min(g1.x_min, g2.x_min)
-    hi = max(g1.x_max, g2.x_max)
-    spacing = 0.5 * min(g1.spacing, g2.spacing)
-    n = int(math.ceil((hi - lo) / spacing)) + 1
-    if n % 2 == 0:
-        n += 1
-    common = np.linspace(lo, hi, n)
-    a1 = np.interp(common, g1.points(), wf1.amplitude, left=0.0, right=0.0)
-    a2 = np.interp(common, g2.points(), wf2.amplitude, left=0.0, right=0.0)
-    return simpson_integral(a1 * a2, common[1] - common[0])
+    if wf1.grid != wf2.grid:
+        raise IncompatibleDomainError(f"overlap needs one grid, got {wf1.grid} and {wf2.grid}")
+    return simpson_integral(wf1.amplitude * wf2.amplitude, wf1.grid.spacing)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
+from functools import cached_property
 from typing import ClassVar, Union, get_args
 
 import numpy as np
@@ -43,7 +44,9 @@ class _Family:
     e-foldings; seeds only set the starting scale, the growth loop of
     ``auto_grid`` guarantees the tail condition). Its dataclass fields are
     the parse keys and sweep axes, except fields marked
-    ``metadata={"axis": False}``.
+    ``metadata={"axis": False}``. A family with an analytic amplitude keeps
+    its constant log prefactor in the cached ``_log_prefactor``, computed on
+    first use, once per instance.
     """
 
     kind: ClassVar[str]
@@ -67,12 +70,17 @@ class Harmonic(_Family):
 
     def __post_init__(self):
         _require_finite_positive("harmonic omega", self.omega)
+        _require_finite_positive("harmonic omega/pi", self.omega / math.pi)
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * self.omega**2 * x**2
 
+    @cached_property
+    def _log_prefactor(self) -> float:
+        return 0.25 * math.log(self.omega / math.pi)
+
     def log_amplitude(self, x: np.ndarray) -> np.ndarray:
-        return 0.25 * math.log(self.omega / math.pi) - 0.5 * self.omega * x**2
+        return self._log_prefactor - 0.5 * self.omega * x**2
 
     def omega_r(self) -> float:
         return self.omega
@@ -108,6 +116,9 @@ class Morse(_Family):
                 f"Morse bound-state constraint violated: alpha={self.alpha} must be "
                 f"< 2*sqrt(2D)={limit:.6g} for at least one bound state"
             )
+        # D and alpha far apart in scale push N or omega_R out of the float range.
+        _require_finite_positive("Morse N = sqrt(2D)/alpha - 1/2", self.n_index)
+        _require_finite_positive("Morse omega_R = sqrt(2D)*alpha", self.omega_r())
 
     @property
     def n_index(self) -> float:
@@ -118,16 +129,20 @@ class Morse(_Family):
         with np.errstate(over="ignore"):
             return self.D * (np.exp(-2.0 * self.alpha * x) - 2.0 * np.exp(-self.alpha * x))
 
-    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _log_prefactor(self) -> float:
         n = self.n_index
-        log_c = (
+        return (
             0.5 * math.log(2.0)
             + n * math.log(2.0 * n + 1.0)
             + 0.5 * (math.log(n) + math.log(self.alpha) - math.log(2.0) - log_gamma(n + 1.0))
         )
+
+    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+        n = self.n_index
         with np.errstate(over="ignore"):
             decay = np.exp(-self.alpha * x)
-        return log_c - self.alpha * n * x - (n + 0.5) * decay
+        return self._log_prefactor - self.alpha * n * x - (n + 0.5) * decay
 
     def omega_r(self) -> float:
         return math.sqrt(2.0 * self.D) * self.alpha
@@ -166,6 +181,9 @@ class ModifiedPoschlTeller(_Family):
     def __post_init__(self):
         _require_finite_positive("MPT D", self.D)
         _require_finite_positive("MPT alpha", self.alpha)
+        _require_finite_positive("MPT alpha^2", self.alpha * self.alpha)
+        _require_finite_positive("MPT s = (sqrt(1 + 8D/alpha^2) - 1)/2", self.s)
+        _require_finite_positive("MPT omega_R = sqrt(2D)*alpha", self.omega_r())
 
     @property
     def s(self) -> float:
@@ -175,14 +193,17 @@ class ModifiedPoschlTeller(_Family):
     def potential(self, x: np.ndarray) -> np.ndarray:
         return -self.D / np.cosh(self.alpha * x) ** 2
 
-    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _log_prefactor(self) -> float:
         s = self.s
-        log_c = -0.25 * math.log(math.pi) + 0.5 * (
+        return -0.25 * math.log(math.pi) + 0.5 * (
             math.log(self.alpha) + log_gamma(0.5 + s) - log_gamma(s)
         )
+
+    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
         u = np.abs(self.alpha * x)
         log_cosh = u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0)
-        return log_c - s * log_cosh
+        return self._log_prefactor - self.s * log_cosh
 
     def omega_r(self) -> float:
         return math.sqrt(2.0 * self.D) * self.alpha
@@ -209,16 +230,21 @@ class ModifiedIsotonic(_Family):
 
     def __post_init__(self):
         _require_finite_positive("MIO a", self.a)
+        _require_finite_positive("MIO omega_R = sqrt(25 + 12a)", self.omega_r())
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         a = self.a
         return 0.5 * (x**2 + 4.0 * (a + 2.0) * (a * x**2 - 1.0) / (a * (a * x**2 + 1.0) ** 2))
 
-    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _log_prefactor(self) -> float:
         a = self.a
         norm = kummer_phi(4.0 / a, 0.5 + 4.0 / a, 1.0 / a)
-        log_c = -0.25 * math.log(math.pi) - 0.5 * norm.log_scaled
-        return log_c - 0.5 * x**2 - (2.0 / a) * np.log(1.0 / a + x**2)
+        return -0.25 * math.log(math.pi) - 0.5 * norm.log_scaled
+
+    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+        a = self.a
+        return self._log_prefactor - 0.5 * x**2 - (2.0 / a) * np.log(1.0 / a + x**2)
 
     def omega_r(self) -> float:
         return math.sqrt(25.0 + 12.0 * self.a)
@@ -258,15 +284,18 @@ class FellowsSmith(_Family):
         ratio = np.exp(log_phi3 - log_phi1)
         return -2.0 * p + 0.5 * z + 4.0 * (1.0 + p) * z * ratio * ((1.0 + p) * ratio - 1.0)
 
-    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+    @cached_property
+    def _log_prefactor(self) -> float:
         p = self.p
-        log_c = (
+        return (
             -0.25 * math.log(math.pi)
             + 0.5 * (p * math.log(2.0) - log_gamma(1.0 + p))
             + log_gamma(1.0 + p / 2.0)
         )
+
+    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
         z = x * x
-        return log_c + 0.5 * z - kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
+        return self._log_prefactor + 0.5 * z - kummer_phi_log_grid((1.0 + self.p) / 2.0, 0.5, z)
 
     def omega_r(self) -> float | None:
         # Below p+ the x = 0 curvature first turns negative (double well) and

@@ -1,4 +1,4 @@
-"""Special functions: Gamma, Kummer's confluent hypergeometric, and the
+"""Special functions: log Gamma, Kummer's confluent hypergeometric, and the
 Gaussian-state entropy function.
 
 All functions are pure and stateless. The oscillator catalog needs Kummer
@@ -37,19 +37,6 @@ class EvaluationResult:
 
     value: float
     log_scaled: float | None = None
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for real non-pole arguments.
-
-    Relies on the platform Gamma (accurate to a few ulp); tests pin the
-    relative error against an independent Stirling-series oracle.
-    """
-    if not math.isfinite(x):
-        raise DomainError(f"gamma_fn requires finite x, got {x!r}")
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"gamma_fn pole at non-positive integer x={x!r}")
-    return math.gamma(x)
 
 
 def log_gamma(x: float) -> float:

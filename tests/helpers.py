@@ -1,15 +1,22 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values, and test aids.
 
-Everything here is deliberately decoupled from the package's own evaluation
+The oracles are deliberately decoupled from the package's own evaluation
 paths: Stirling series for Gamma, exact-rational series for the confluent
 hypergeometric function, mpmath quadrature for moments, and plain
-finite differences for local energies.
+finite differences for local energies. The Gaussian-state, Bures-distance,
+Gamma and resampled-overlap aids at the end serve tests only; no package
+path needs them.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+
+from nonlinosc.errors import DomainError, UnphysicalCovarianceError
+from nonlinosc.numerics import CovarianceMatrix, SampledWavefunction, simpson_integral
 
 mp.mp.dps = 40
 
@@ -33,8 +40,6 @@ def stirling_log_gamma(x: float) -> float:
     far below 1e-15 relative; the recurrence divides the shift terms back
     out. Independent of the C library Gamma.
     """
-    import math
-
     shift = 0
     while x < 8.0:
         shift += 1
@@ -50,8 +55,6 @@ def stirling_log_gamma(x: float) -> float:
 
 
 def gamma_oracle(x: float) -> float:
-    import math
-
     return math.exp(stirling_log_gamma(x))
 
 
@@ -145,10 +148,6 @@ def fourth_order_second_derivative(values: np.ndarray, spacing: float) -> np.nda
 
 def wigner_normalization_check(state, half_extent_sigmas: float = 8.0, n: int = 201) -> float:
     """Trapezoid integral of the Wigner density over a covering box."""
-    import math
-
-    from nonlinosc.measures import wigner_gaussian
-
     cov = state.covariance
     sx = half_extent_sigmas * math.sqrt(cov.var_x)
     sp = half_extent_sigmas * math.sqrt(cov.var_p)
@@ -160,3 +159,65 @@ def wigner_normalization_check(state, half_extent_sigmas: float = 8.0, n: int = 
             values[i, j] = wigner_gaussian(state, (xv, pv))
     inner = np.trapezoid(values, ps, axis=1)
     return float(np.trapezoid(inner, xs))
+
+
+@dataclass(frozen=True)
+class GaussianState:
+    """Gaussian state given by its mean vector and covariance matrix."""
+
+    mean: tuple[float, float]
+    covariance: CovarianceMatrix
+
+
+def reference_gaussian(cov: CovarianceMatrix) -> GaussianState:
+    """Gaussian state with the same mean vector and covariance matrix."""
+    if cov.det < 0.25 - 1e-6:
+        raise UnphysicalCovarianceError(
+            f"det sigma = {cov.det} violates the pure-state Heisenberg bound 1/4"
+        )
+    return GaussianState(mean=(cov.mean_x, cov.mean_p), covariance=cov)
+
+
+def wigner_gaussian(state: GaussianState, point: tuple[float, float]) -> float:
+    """Wigner density of a Gaussian state at a phase-space point:
+    exp(-(X - mean)^T sigma^{-1} (X - mean) / 2) / (2 pi sqrt(det sigma))."""
+    cov = state.covariance
+    det = cov.det
+    if det <= 0.0:
+        raise UnphysicalCovarianceError(f"singular covariance, det = {det}")
+    dx = point[0] - state.mean[0]
+    dp = point[1] - state.mean[1]
+    quad = (cov.var_p * dx**2 - 2.0 * cov.cov_xp * dx * dp + cov.var_x * dp**2) / det
+    return math.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
+
+
+def bures_distance(fidelity: float) -> float:
+    """D_B = sqrt(2 (1 - sqrt(F))), with F clamped to [0, 1]."""
+    f = min(max(fidelity, 0.0), 1.0)
+    return math.sqrt(2.0 * (1.0 - math.sqrt(f)))
+
+
+def gamma_fn(x: float) -> float:
+    """Platform Gamma for real non-pole arguments, with DomainError at the
+    poles and for non-finite input."""
+    if not math.isfinite(x):
+        raise DomainError(f"gamma_fn requires finite x, got {x!r}")
+    if x <= 0.0 and x == math.floor(x):
+        raise DomainError(f"gamma_fn pole at non-positive integer x={x!r}")
+    return math.gamma(x)
+
+
+def resampled_overlap(wf1: SampledWavefunction, wf2: SampledWavefunction) -> float:
+    """Overlap of two normalized states on different grids: both are
+    linearly resampled onto one uniform grid covering both domains at half
+    the finer spacing."""
+    g1, g2 = wf1.grid, wf2.grid
+    lo = min(g1.x_min, g2.x_min)
+    hi = max(g1.x_max, g2.x_max)
+    n = int(math.ceil((hi - lo) / (0.5 * min(g1.spacing, g2.spacing)))) + 1
+    if n % 2 == 0:
+        n += 1
+    common = np.linspace(lo, hi, n)
+    a1 = np.interp(common, g1.points(), wf1.amplitude, left=0.0, right=0.0)
+    a2 = np.interp(common, g2.points(), wf2.amplitude, left=0.0, right=0.0)
+    return simpson_integral(a1 * a2, common[1] - common[0])

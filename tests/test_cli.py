@@ -62,6 +62,39 @@ class TestMeasure:
         assert "--seed" in capsys.readouterr().err
 
 
+GRID_FLAG_COMMANDS = {
+    "measure-pert": ["measure", "--potential", "pert:omega=1,eps3=0.1"],
+    "measure-harmonic": ["measure", "--potential", "harmonic:omega=1"],
+    "sweep-morse": ["sweep", "--potential", "morse:D=1,alpha=1", "--axis", "alpha",
+                    "--from", "0.5", "--to", "1", "--points", "3"],
+    "sweep-pert": ["sweep", "--potential", "pert:omega=1", "--axis", "eps3",
+                   "--from", "0", "--to", "0.1", "--points", "3"],
+    "oracle-check": ["oracle-check", "--potential", "mpt:D=1,alpha=1"],
+    "scatter": ["scatter", "--n", "5"],
+    "curve": ["curve", "--points", "5"],
+}
+BAD_GRID_FLAGS = {
+    "tail": (["--tail", "5"], "error: target_tail must lie in (0, 1e-4], got 5.0"),
+    "grid-points": (["--grid-points", "100"], "error: grid requires n_points >= 128, got 100"),
+}
+
+
+class TestGridFlags:
+    @pytest.mark.parametrize("flag", BAD_GRID_FLAGS)
+    @pytest.mark.parametrize("command", GRID_FLAG_COMMANDS)
+    def test_bad_value_exits_2_before_evaluation(self, capsys, monkeypatch, command, flag):
+        def no_evaluation(*args, **kwargs):
+            raise AssertionError("evaluation started")
+
+        for name in ("measure_report", "auto_grid", "scatter_sample", "parametric_curve"):
+            monkeypatch.setattr(f"nonlinosc.cli.{name}", no_evaluation)
+        extra, message = BAD_GRID_FLAGS[flag]
+        code, out, err = run_cli(capsys, *GRID_FLAG_COMMANDS[command], *extra)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [message]
+
+
 class TestSweep:
     def test_morse_alpha_sweep_monotone(self, capsys):
         code, out, _ = run_cli(

@@ -4,15 +4,7 @@ import numpy as np
 import pytest
 
 from nonlinosc.errors import UnphysicalCovarianceError
-from nonlinosc.measures import (
-    bures_distance,
-    eta_bures,
-    eta_ng,
-    fidelity_pure,
-    measure_report,
-    reference_gaussian,
-    wigner_gaussian,
-)
+from nonlinosc.measures import eta_bures, eta_ng, fidelity_pure, measure_report
 from nonlinosc.numerics import (
     CovarianceMatrix,
     Grid,
@@ -33,7 +25,13 @@ from nonlinosc.potentials import (
 )
 from nonlinosc.specfun import entropy_h
 
-from helpers import mio_reference_fidelity, wigner_normalization_check
+from helpers import (
+    bures_distance,
+    mio_reference_fidelity,
+    reference_gaussian,
+    wigner_gaussian,
+    wigner_normalization_check,
+)
 
 
 class TestFidelityAndBures:

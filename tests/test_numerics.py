@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from nonlinosc.numerics import (
     CovarianceMatrix,
     Grid,
     SampledWavefunction,
+    _simpson_weights,
     auto_grid,
     covariance_of,
     normalize,
@@ -28,7 +30,7 @@ from nonlinosc.potentials import (
     Morse,
 )
 
-from helpers import morse_closed_moments, sech_state_moments
+from helpers import morse_closed_moments, resampled_overlap, sech_state_moments
 
 EVEN_SPECS = [
     Harmonic(1.0),
@@ -60,6 +62,28 @@ class TestGrid:
         g = Grid(-1.0, 1.0, 201)
         assert g.refined().spacing == pytest.approx(g.spacing / 2.0)
 
+    def test_points_are_linspace_bit_for_bit(self):
+        g = Grid(-3.7, 11.3, 4097)
+        nodes = g.points()
+        assert nodes.tobytes() == np.linspace(-3.7, 11.3, 4097).tobytes()
+        assert g.points() is nodes
+
+    def test_points_are_read_only(self):
+        nodes = Grid(-1.0, 1.0, 201).points()
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            nodes *= 2.0
+
+    def test_derived_grids_get_their_own_nodes(self):
+        g = Grid(-1.0, 1.0, 201)
+        nodes = g.points()
+        for other in (g.refined(), dataclasses.replace(g, x_max=2.0)):
+            assert other.points() is not nodes
+            expected = np.linspace(other.x_min, other.x_max, other.n_points)
+            assert other.points().tobytes() == expected.tobytes()
+        assert g.points() is nodes
+
 
 class TestSimpson:
     def test_polynomial_exact(self):
@@ -70,6 +94,29 @@ class TestSimpson:
     def test_even_point_count_falls_back(self):
         x = np.linspace(0.0, 1.0, 200)
         assert simpson_integral(x**2, x[1] - x[0]) == pytest.approx(1.0 / 3.0, abs=1e-5)
+
+    @pytest.mark.parametrize("n", [201, 200, 4097, 4096])
+    def test_cached_weights_give_the_fresh_weight_result(self, n):
+        values = np.exp(-np.linspace(-6.0, 6.0, n) ** 2)
+        h = 12.0 / (n - 1)
+        odd_n = n if n % 2 == 1 else n - 1
+        weights = np.ones(odd_n)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        expected = float(np.dot(weights, values[:odd_n])) * h / 3.0
+        if odd_n != n:
+            expected += 0.5 * h * float(values[-2] + values[-1])
+        for _ in range(2):
+            assert simpson_integral(values, h) == expected
+
+    def test_cached_weights_are_read_only(self):
+        values = np.ones(201)
+        before = simpson_integral(values, 0.01)
+        weights = _simpson_weights(201)
+        with pytest.raises(ValueError):
+            weights[1] = 0.0
+        assert _simpson_weights(201) is weights
+        assert simpson_integral(values, 0.01) == before
 
 
 class TestAutoGrid:
@@ -187,7 +234,7 @@ class TestOverlap:
         wf1 = sample_ground_state(Harmonic(1.0), auto_grid(Harmonic(1.0)))
         wf4 = sample_ground_state(Harmonic(4.0), auto_grid(Harmonic(4.0)))
         expected = math.sqrt(2.0 * math.sqrt(4.0) / 5.0)
-        assert overlap(wf1, wf4) == pytest.approx(expected, abs=1e-5)
+        assert resampled_overlap(wf1, wf4) == pytest.approx(expected, abs=1e-5)
 
     def test_gaussian_pair_same_grid_tight(self):
         grid = auto_grid(Harmonic(1.0))
@@ -202,6 +249,12 @@ class TestOverlap:
         even = normalize(SampledWavefunction(grid, np.exp(-(x**2) / 2.0), False, 0.0))
         odd = normalize(SampledWavefunction(grid, x * np.exp(-(x**2) / 2.0), False, 0.0))
         assert overlap(even, odd) == pytest.approx(0.0, abs=1e-9)
+
+    def test_mismatched_grids_raise(self):
+        wf1 = gaussian_wavefunction(Grid(-10.0, 10.0, 2049))
+        wf2 = gaussian_wavefunction(Grid(-10.0, 10.0, 4097))
+        with pytest.raises(IncompatibleDomainError):
+            overlap(wf1, wf2)
 
     def test_disjoint_domains_raise(self):
         left = gaussian_wavefunction(Grid(-30.0, -10.0, 513), center=-20.0)

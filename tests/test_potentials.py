@@ -5,7 +5,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from nonlinosc import potentials
 from nonlinosc.errors import DomainError, SpecError, UnsupportedSpecError
+from nonlinosc.measures import measure_report
 from nonlinosc.numerics import auto_grid, first_derivative, sample_ground_state
 from nonlinosc.potentials import (
     P_MINUS,
@@ -343,6 +345,48 @@ class TestParsing:
 
     def test_sweep_axes(self):
         assert sweep_axes(ModifiedIsotonic(1.0)) == ("a",)
+
+
+class TestPrefactorCache:
+    """Each spec instance computes its constant log prefactor once, on first use."""
+
+    def test_one_mio_report_makes_one_kummer_call(self, monkeypatch):
+        calls = []
+        original = potentials.kummer_phi
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(potentials, "kummer_phi", counted)
+        # a < 0.025 puts Phi(4/a, 1/2 + 4/a; 1/a) on the grid kernel.
+        for a in (0.01, 2.0):
+            spec = ModifiedIsotonic(a)
+            assert calls == []
+            measure_report(spec)
+            assert len(calls) == 1
+            calls.clear()
+
+    @pytest.mark.parametrize(
+        "spec,axis,value",
+        [
+            (Harmonic(1.0), "omega", 3.0),
+            (Morse(1.0, 1.0), "alpha", 0.5),
+            (ModifiedPoschlTeller(1.0, 0.5), "D", 4.0),
+            (ModifiedIsotonic(2.0), "a", 0.3),
+            (FellowsSmith(-0.4), "p", -0.1),
+        ],
+        ids=lambda v: getattr(v, "kind", None),
+    )
+    def test_with_parameter_carries_its_own_prefactor(self, spec, axis, value):
+        x = np.linspace(-3.0, 3.0, 7)
+        before = spec.log_amplitude(x)
+        other = with_parameter(spec, axis, value)
+        fresh = type(spec)(**{**dataclasses.asdict(spec), axis: value})
+        assert other._log_prefactor == fresh._log_prefactor
+        assert other._log_prefactor != spec._log_prefactor
+        assert other.log_amplitude(x).tobytes() == fresh.log_amplitude(x).tobytes()
+        assert spec.log_amplitude(x).tobytes() == before.tobytes()
 
 
 class TestSchrodingerConsistency:

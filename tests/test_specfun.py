@@ -9,12 +9,19 @@ from nonlinosc import specfun
 from nonlinosc.errors import ConvergenceError, DomainError
 from nonlinosc.specfun import (
     entropy_h,
-    gamma_fn,
     kummer_phi,
     kummer_phi_log_grid,
+    log_gamma,
 )
 
-from helpers import entropy_oracle, gamma_oracle, kummer_mp, kummer_rational_series
+from helpers import (
+    entropy_oracle,
+    gamma_fn,
+    gamma_oracle,
+    kummer_mp,
+    kummer_rational_series,
+    stirling_log_gamma,
+)
 
 
 class TestGamma:
@@ -49,6 +56,16 @@ class TestGamma:
         rng = np.random.default_rng(2024)
         for x in rng.uniform(0.1, 20.0, 1000):
             assert gamma_fn(x + 1.0) == pytest.approx(x * gamma_fn(x), rel=1e-11)
+
+    def test_log_gamma_against_stirling_series_oracle(self):
+        # log_gamma is the package's Gamma: it sets the Morse, MPT and FS prefactors.
+        for x in (0.1, 0.35, 1.3, 2.7, 9.2, 17.5, 30.0, 400.0):
+            assert log_gamma(x) == pytest.approx(stirling_log_gamma(x), rel=1e-13, abs=1e-13)
+
+    @pytest.mark.parametrize("x", [0.0, -1.5, math.inf, math.nan])
+    def test_log_gamma_domain(self, x):
+        with pytest.raises(DomainError):
+            log_gamma(x)
 
 
 class TestKummer:
