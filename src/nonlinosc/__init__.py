@@ -72,7 +72,7 @@ from .potentials import (
     parse_potential_spec,
     reference_frequency,
 )
-from .specfun import EvaluationResult, entropy_h, kummer_phi
+from .specfun import entropy_h
 
 __version__ = "0.1.0"
 
@@ -82,7 +82,6 @@ __all__ = [
     "CurvePoint",
     "DomainError",
     "EigenResult",
-    "EvaluationResult",
     "FellowsSmith",
     "FockState",
     "Grid",
@@ -125,7 +124,6 @@ __all__ = [
     "fock_covariance",
     "ground_energy",
     "ground_state_amplitude",
-    "kummer_phi",
     "measure_report",
     "morse_bound_state_count",
     "normalize",

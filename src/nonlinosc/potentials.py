@@ -7,7 +7,7 @@ small frozen dataclass validated on construction; the union of them is the
 
 Printed normalization prefactors of the analytic ground states are carried
 along but never trusted: downstream numerics renormalize every sampled
-amplitude before use.
+amplitude before use. MIO carries none; its amplitude has peak 1.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import ClassVar, Union, get_args
 import numpy as np
 
 from .errors import DomainError, SpecError, UnsupportedSpecError
-from .specfun import kummer_phi, kummer_phi_log_grid, log_gamma
+from .specfun import kummer_phi_log_grid, log_gamma
 
 # Well-structure boundaries of the supersymmetric-partner family.
 P_PLUS = -0.5 + math.sqrt(2.0) / 4.0
@@ -44,9 +44,9 @@ class _Family:
     e-foldings; seeds only set the starting scale, the growth loop of
     ``auto_grid`` guarantees the tail condition). Its dataclass fields are
     the parse keys and sweep axes, except fields marked
-    ``metadata={"axis": False}``. A family with an analytic amplitude keeps
-    its constant log prefactor in the cached ``_log_prefactor``, computed on
-    first use, once per instance.
+    ``metadata={"axis": False}``. A family with a printed normalization
+    keeps its constant log prefactor in the cached ``_log_prefactor``,
+    computed on first use, once per instance; MIO has none.
     """
 
     kind: ClassVar[str]
@@ -221,7 +221,12 @@ class ModifiedIsotonic(_Family):
     """V(x) = [x^2 + 4 (a+2)(a x^2 - 1) / (a (a x^2 + 1)^2)] / 2, a > 0.
 
     Interpolates between the harmonic and the isotonic oscillator; the well
-    depth at the origin is V(0) = -2(a+2)/a.
+    depth at the origin is V(0) = -2(a+2)/a. The ground state
+    e^{-x^2/2} (1 + a x^2)^{-2/a} is carried unnormalized, with peak 1 at
+    x = 0: its printed normalization Phi(4/a, 1/2 + 4/a; 1/a) is a constant
+    that sampling renormalizes away, and for small a it would swamp the
+    x-dependence of the log amplitude in rounding. As a -> 0 the state
+    tends to the omega = 5 Gaussian.
     """
 
     a: float
@@ -230,21 +235,16 @@ class ModifiedIsotonic(_Family):
 
     def __post_init__(self):
         _require_finite_positive("MIO a", self.a)
+        _require_finite_positive("MIO 4/a", 4.0 / self.a)
         _require_finite_positive("MIO omega_R = sqrt(25 + 12a)", self.omega_r())
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         a = self.a
         return 0.5 * (x**2 + 4.0 * (a + 2.0) * (a * x**2 - 1.0) / (a * (a * x**2 + 1.0) ** 2))
 
-    @cached_property
-    def _log_prefactor(self) -> float:
-        a = self.a
-        norm = kummer_phi(4.0 / a, 0.5 + 4.0 / a, 1.0 / a)
-        return -0.25 * math.log(math.pi) - 0.5 * norm.log_scaled
-
     def log_amplitude(self, x: np.ndarray) -> np.ndarray:
         a = self.a
-        return self._log_prefactor - 0.5 * x**2 - (2.0 / a) * np.log(1.0 / a + x**2)
+        return -0.5 * x**2 - (2.0 / a) * np.log1p(a * x**2)
 
     def omega_r(self) -> float:
         return math.sqrt(25.0 + 12.0 * self.a)
@@ -424,7 +424,8 @@ def evaluate_potential(spec: PotentialSpec, x):
 
 
 def ground_state_log_amplitude(spec: PotentialSpec, x) -> np.ndarray:
-    """log of the analytic ground-state amplitude, printed prefactor included.
+    """log of the analytic ground-state amplitude, printed prefactor included
+    (MIO has none: its amplitude is unnormalized, with peak 1).
 
     Working in log space keeps the hypergeometric states (which divide
     e^{x^2/2} by Phi(., .; x^2)) and deep-Morse states representable on wide
@@ -435,7 +436,8 @@ def ground_state_log_amplitude(spec: PotentialSpec, x) -> np.ndarray:
 
 
 def ground_state_amplitude(spec: PotentialSpec, x):
-    """Analytic ground-state amplitude as printed, prefactor and all.
+    """Analytic ground-state amplitude as printed, prefactor and all; for
+    MIO the unnormalized amplitude, with peak 1 at x = 0.
 
     Raises OverflowError when the printed prefactor leaves the float range
     (deep Morse wells, N >~ 120); the grid-sampling path is unaffected since

@@ -1,42 +1,25 @@
-"""Special functions: log Gamma, Kummer's confluent hypergeometric, and the
-Gaussian-state entropy function.
+"""Special functions: log Gamma, Kummer's confluent hypergeometric on a
+grid, and the Gaussian-state entropy function.
 
-All functions are pure and stateless. The oscillator catalog needs Kummer
-Phi for parameters a, b in (0, 20] and arguments z in [0, 1200], where the
-series value can exceed the float range. ``kummer_phi_log_grid`` is the one
-log-space evaluator: it sums the positive series terms in linear space and
-rescales each element into a log scale before the sum can overflow.
-``kummer_phi`` evaluates a scalar: a compensated series for small |z|, the
-grid kernel on a one-element array for z > 40, so its results carry an
-optional log-scaled companion value.
+All functions are pure and stateless. Kummer Phi enters the catalog only
+through the Fellows-Smith ground state and potential, as Phi(a, b; x^2)
+sampled on a whole grid, where the series value can exceed the float
+range. ``kummer_phi_log_grid`` is that one log-space evaluator: it sums the
+positive series terms in linear space and rescales each element into a log
+scale before the sum can overflow.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 
-_LOG_MAX = 709.0  # just under log(float max)
 _SERIES_CAP = 100_000
 _TAIL_RATIO = math.exp(-40.0)  # series stop: last term below e^-40 of the sum
 _RESCALE_AT = 1e150  # growth bound that triggers a rescale in the grid kernel
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    """Value of a special function, with its natural log when positive.
-
-    ``log_scaled`` is populated for every strictly positive result so
-    overflow-prone callers (growing like exp(x^2)) can stay in log space;
-    ``value`` is ``inf`` when the true value exceeds the float range.
-    """
-
-    value: float
-    log_scaled: float | None = None
 
 
 def log_gamma(x: float) -> float:
@@ -44,79 +27,6 @@ def log_gamma(x: float) -> float:
     if not (math.isfinite(x) and x > 0.0):
         raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
     return math.lgamma(x)
-
-
-def _kummer_series(a: float, b: float, z: float) -> tuple[float, float]:
-    """Direct power series with compensated summation.
-
-    Returns (sum, max |term|). For z >= 0 all terms are positive; for
-    z < 0 the series alternates and the caller is responsible for keeping
-    |z| small enough that cancellation stays harmless.
-    """
-    term = 1.0
-    total = 1.0
-    comp = 0.0
-    max_term = 1.0
-    for n in range(_SERIES_CAP):
-        term *= (a + n) * z / ((b + n) * (n + 1))
-        if term == 0.0:
-            return total, max_term
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        max_term = max(max_term, abs(term))
-        if abs(term) < 1e-17 * abs(total) and (a + n + 1) * abs(z) < (b + n + 1) * (n + 2):
-            return total, max_term
-    raise ConvergenceError(f"kummer series did not converge for a={a}, b={b}, z={z}")
-
-
-def kummer_phi(a: float, b: float, z: float) -> EvaluationResult:
-    """Kummer's confluent hypergeometric function Phi(a, b; z).
-
-    Phi(a,b;z) = sum_n (a)_n z^n / ((b)_n n!). Strategy: direct compensated
-    series for z in [-8, 40]; ``kummer_phi_log_grid`` on a one-element array
-    for z > 40, where every term is positive; the transformation
-    Phi(a,b;z) = e^z Phi(b-a, b; -z) for z < -8, where the direct
-    alternating series would lose more than ~8 significant digits.
-
-    Relative error is ~1e-12 for a, b > 0 and z >= 0 (the catalog regime);
-    for negative z the alternating-series cancellation bounds accuracy to
-    roughly 1e-9 near z = -8.
-    """
-    for name, v in (("a", a), ("b", b), ("z", z)):
-        if not math.isfinite(v):
-            raise DomainError(f"kummer_phi requires finite {name}, got {v!r}")
-    if b <= 0.0 and b == math.floor(b):
-        raise DomainError(f"kummer_phi parameter pole at b={b!r}")
-
-    if z < -8.0:
-        inner = kummer_phi(b - a, b, -z)
-        if inner.log_scaled is not None:
-            log_val = inner.log_scaled + z
-            value = math.exp(log_val) if log_val < _LOG_MAX else math.inf
-            return EvaluationResult(value, log_val)
-        value = math.exp(z) * inner.value
-        return EvaluationResult(value, None)
-
-    if z <= 40.0:
-        value, max_term = _kummer_series(a, b, z)
-        if value != 0.0 and 2.3e-16 * max_term > 1e-8 * abs(value):
-            raise ConvergenceError(
-                f"kummer series cancellation too severe for a={a}, b={b}, z={z}"
-            )
-        log_val = math.log(value) if value > 0.0 else None
-        return EvaluationResult(value, log_val)
-
-    if a <= 0.0:
-        # Only reachable via the z < -8 transformation with b <= a; the
-        # positive-term grid kernel does not apply.
-        raise ConvergenceError(
-            f"kummer_phi unsupported regime: a={a} <= 0 with large z={z}"
-        )
-    log_val = float(kummer_phi_log_grid(a, b, np.array([z]))[0])
-    value = math.exp(log_val) if log_val < _LOG_MAX else math.inf
-    return EvaluationResult(value, log_val)
 
 
 def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> np.ndarray:

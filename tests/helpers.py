@@ -58,16 +58,6 @@ def gamma_oracle(x: float) -> float:
     return math.exp(stirling_log_gamma(x))
 
 
-def kummer_rational_series(a: int, b: int, z: int, terms: int = 200) -> float:
-    """Exact-rational truncated series for integer parameters."""
-    total = Fraction(0)
-    term = Fraction(1)
-    for n in range(terms):
-        total += term
-        term = term * (a + n) * z / ((b + n) * (n + 1))
-    return float(total)
-
-
 def kummer_mp(a: float, b: float, z: float) -> mp.mpf:
     return mp.hyp1f1(a, b, z)
 

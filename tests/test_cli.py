@@ -50,6 +50,13 @@ class TestMeasure:
         assert "bound-state" in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("a", ["5e-324", "2.2e-308"])
+    def test_mio_overflowing_four_over_a_exits_2(self, capsys, a):
+        code, out, err = run_cli(capsys, "measure", "--potential", f"mio:a={a}")
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines() == ["error: MIO 4/a must be finite and positive, got inf"]
+
     def test_parse_error_nonzero_exit(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--potential", "nope:x=1")
         assert code != 0

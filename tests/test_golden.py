@@ -35,7 +35,7 @@ CASES = {
                         "--from", "0.2", "--to", "3.2", "--points", "6"],
     "sweep_mpt.json": ["sweep", "--potential", "mpt:D=2,alpha=1", "--axis", "alpha",
                        "--from", "0.25", "--to", "3", "--points", "5", "--format", "json"],
-    # Low-a end of the MIO family, where the peak log amplitude falls below -300.
+    # Low-a end of the MIO family, where the state nears the omega = 5 Gaussian.
     "sweep_mio.csv": ["sweep", "--potential", "mio:a=1", "--axis", "a", "--from", "0.01",
                       "--to", "0.05", "--points", "9", "--log-spacing"],
     # Crosses p- and p+: triple, double and single well.

@@ -162,13 +162,21 @@ class TestMeasureReport:
 
     @pytest.mark.parametrize("a", [0.01, 0.0225])
     def test_mio_low_a_peak_far_below_float_range(self, a):
-        # The peak log amplitude sits near -970 at a = 0.01: without the peak
-        # shift the squared amplitude underflows to zero (a = 0.01) or goes
-        # subnormal and loses digits (a = 0.0225).
+        # Low-a MIO against mpmath quadrature of the same closed form.
         report = measure_report(ModifiedIsotonic(a))
         assert report.fidelity_to_reference == pytest.approx(mio_reference_fidelity(a), abs=1e-14)
         fine = measure_report(ModifiedIsotonic(a), n_points=16385)
         assert report.eta_ng == pytest.approx(fine.eta_ng, abs=1e-8)
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-100, 1e-12, 1e-8, 1e-5])
+    def test_mio_small_a_is_the_omega_5_gaussian(self, a):
+        # (1 + a x^2)^(-2/a) -> e^(-2 x^2): the state tends to its own
+        # omega_R = 5 reference, so both measures vanish.
+        report = measure_report(ModifiedIsotonic(a))
+        assert report.eta_ng <= 1e-8
+        assert report.eta_b <= 1e-5
+        assert report.fidelity_to_reference >= 1.0 - 1e-10
+        assert report.det_sigma == pytest.approx(0.25, abs=1e-9)
 
     def test_deterministic(self):
         a = measure_report(ModifiedIsotonic(3.0))

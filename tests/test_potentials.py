@@ -5,7 +5,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nonlinosc import potentials
+from nonlinosc import potentials, specfun
 from nonlinosc.errors import DomainError, SpecError, UnsupportedSpecError
 from nonlinosc.measures import measure_report
 from nonlinosc.numerics import auto_grid, first_derivative, sample_ground_state
@@ -249,6 +249,12 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             ModifiedIsotonic(0.0)
 
+    @pytest.mark.parametrize("a", [5e-324, 2.2e-308])
+    def test_mio_four_over_a_must_be_finite(self, a):
+        # 4/a overflows, so the ground energy 1/2 - 4/a would be -inf.
+        with pytest.raises(SpecError, match="4/a"):
+            ModifiedIsotonic(a)
+
     def test_fellows_smith_range(self):
         with pytest.raises(SpecError):
             FellowsSmith(-1.0)
@@ -348,24 +354,28 @@ class TestParsing:
 
 
 class TestPrefactorCache:
-    """Each spec instance computes its constant log prefactor once, on first use."""
+    """Each spec instance computes its constant log prefactor once, on first
+    use; only the Fellows-Smith family evaluates Kummer Phi."""
 
-    def test_one_mio_report_makes_one_kummer_call(self, monkeypatch):
-        calls = []
-        original = potentials.kummer_phi
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            Harmonic(1.0),
+            Morse(1.0, 1.0),
+            ModifiedPoschlTeller(1.0, 0.5),
+            ModifiedIsotonic(0.01),
+            ModifiedIsotonic(3.0),
+        ],
+        ids=["harmonic", "morse", "mpt", "mio-0.01", "mio-3"],
+    )
+    def test_report_makes_no_kummer_call(self, spec, monkeypatch):
+        # Only the Fellows-Smith family needs Phi; MIO samples a closed form.
+        def forbidden(*args):
+            raise AssertionError("kummer_phi_log_grid called")
 
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(potentials, "kummer_phi", counted)
-        # a < 0.025 puts Phi(4/a, 1/2 + 4/a; 1/a) on the grid kernel.
-        for a in (0.01, 2.0):
-            spec = ModifiedIsotonic(a)
-            assert calls == []
-            measure_report(spec)
-            assert len(calls) == 1
-            calls.clear()
+        monkeypatch.setattr(specfun, "kummer_phi_log_grid", forbidden)
+        monkeypatch.setattr(potentials, "kummer_phi_log_grid", forbidden)
+        assert measure_report(spec).eta_b >= 0.0
 
     @pytest.mark.parametrize(
         "spec,axis,value",
@@ -373,7 +383,6 @@ class TestPrefactorCache:
             (Harmonic(1.0), "omega", 3.0),
             (Morse(1.0, 1.0), "alpha", 0.5),
             (ModifiedPoschlTeller(1.0, 0.5), "D", 4.0),
-            (ModifiedIsotonic(2.0), "a", 0.3),
             (FellowsSmith(-0.4), "p", -0.1),
         ],
         ids=lambda v: getattr(v, "kind", None),

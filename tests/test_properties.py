@@ -80,12 +80,11 @@ def test_mpt(depth, alpha):
     check_measure(f"mpt:D={depth!r},alpha={alpha!r}")
 
 
-# Below a of about 2e-5 every point fails alike: Phi(4/a, 1/2 + 4/a; 1/a)
-# needs more series terms than the cap, and each such point costs about a
-# second, so the box keeps a few decades of that regime, not 300.
 @SETTINGS
-@given(a=st.one_of(log_uniform(-3.0, 3.0), log_uniform(-8.0, 300.0)))
+@given(a=st.one_of(log_uniform(-3.0, 3.0), log_uniform(-300.0, 300.0)))
 @example(a=1e300)  # reference Gaussian far narrower than the grid spacing
 @example(a=1.7e308)  # omega_R overflows
+@example(a=1e-300)  # the omega = 5 Gaussian limit: a full report
+@example(a=5e-324)  # 4/a overflows
 def test_mio(a):
     check_measure(f"mio:a={a!r}")
