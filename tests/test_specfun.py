@@ -76,6 +76,27 @@ class TestKummer:
         with pytest.raises(DomainError):
             kummer_phi_log_grid(1.0, b, np.array([1.0]))
 
+    def test_exponential_identity(self):
+        log_phi = kummer_phi_log_grid(1.0, 1.0, np.array([2.0]))
+        assert math.exp(log_phi[0]) == pytest.approx(math.exp(2.0), rel=1e-13)
+
+    def test_value_inf_when_overflowing(self):
+        # Phi(1, 1; 800) = e^800 overflows a float; its log does not.
+        log_phi = kummer_phi_log_grid(1.0, 1.0, np.array([800.0]))
+        with np.errstate(over="ignore"):
+            assert np.exp(log_phi[0]) == math.inf
+        assert log_phi[0] == pytest.approx(800.0, rel=1e-12)
+
+    def test_catalog_rectangle_against_mpmath(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            a = float(rng.uniform(0.05, 20.0))
+            b = float(rng.uniform(0.05, 20.0))
+            z = float(rng.uniform(0.0, 1200.0))
+            log_phi = kummer_phi_log_grid(a, b, np.array([z]))
+            reference = kummer_mp(a, b, z)
+            assert log_phi[0] == pytest.approx(float(mp.log(reference)), rel=1e-14, abs=1e-14)
+
     @pytest.mark.parametrize(
         "a,b,z",
         [
