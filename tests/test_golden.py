@@ -26,6 +26,9 @@ CASES = {
     "measure_morse_deep.csv": ["measure", "--potential", "morse:D=20000,alpha=0.5"],
     "measure_mpt.csv": ["measure", "--potential", "mpt:D=2,alpha=1"],
     "measure_mio.json": ["measure", "--potential", "mio:a=3", "--format", "json"],
+    # Near the Morse bound-state edge: the JSON warnings list is not empty.
+    "measure_morse_edge.json": ["measure", "--potential", "morse:D=1,alpha=2.8",
+                                "--format", "json"],
     "measure_fs.csv": ["measure", "--potential", "fs:p=-0.08"],
     "measure_pert.json": ["measure", "--potential", "pert:omega=1,eps3=0.05,eps4=0.1",
                           "--format", "json"],
@@ -33,6 +36,9 @@ CASES = {
                            "--from", "0.5", "--to", "2", "--points", "4"],
     "sweep_morse.csv": ["sweep", "--potential", "morse:D=1,alpha=1", "--axis", "alpha",
                         "--from", "0.2", "--to", "3.2", "--points", "6"],
+    # The same sweep as JSON: its last row is an error row.
+    "sweep_morse.json": ["sweep", "--potential", "morse:D=1,alpha=1", "--axis", "alpha",
+                         "--from", "0.2", "--to", "3.2", "--points", "6", "--format", "json"],
     "sweep_mpt.json": ["sweep", "--potential", "mpt:D=2,alpha=1", "--axis", "alpha",
                        "--from", "0.25", "--to", "3", "--points", "5", "--format", "json"],
     # Low-a end of the MIO family, where the state nears the omega = 5 Gaussian.
@@ -44,7 +50,10 @@ CASES = {
     "sweep_pert.csv": ["sweep", "--potential", "pert:omega=1,eps3=0.05", "--axis", "eps4",
                        "--from", "-0.2", "--to", "0.2", "--points", "5"],
     "scatter.csv": ["scatter", "--n", "20", "--seed", "7"],
+    "scatter.json": ["scatter", "--n", "5", "--seed", "7", "--format", "json"],
     "curve.json": ["curve", "--points", "11", "--to", "0.9", "--format", "json"],
+    # Every row past eta_b = 0 has an empty eta_ng_printed cell.
+    "curve.csv": ["curve", "--points", "11", "--to", "0.9"],
     "oracle_harmonic.csv": ["oracle-check", "--potential", "harmonic:omega=0.7"],
     "oracle_morse.csv": ["oracle-check", "--potential", "morse:D=2,alpha=1.2"],
     "oracle_mpt.json": ["oracle-check", "--potential", "mpt:D=1,alpha=0.7", "--format", "json"],
