@@ -3,9 +3,11 @@
 Commands: ``measure`` (one potential), ``sweep`` (one parameter axis),
 ``scatter`` (randomized perturbative ensemble), ``curve`` (the
 even-perturbation parametric curve), ``oracle-check`` (analytic vs
-finite-difference cross-validation). Output is CSV (numeric/empty fields
-only) or a single JSON document; numbers are serialized with 12 significant
-digits so identical configurations produce byte-identical output.
+finite-difference cross-validation). Each command builds its rows once, as
+dicts of numbers rounded to 12 significant digits, ``None`` for an empty
+field and a plain string for a sweep error reason; one writer, ``_emit``,
+renders them as CSV or as a single JSON document, so identical
+configurations produce byte-identical output in either format.
 """
 
 from __future__ import annotations
@@ -16,15 +18,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    GridError,
-    NormalizationError,
-    SpecError,
-    TruncationError,
-    UnphysicalCovarianceError,
-)
+from .errors import ConvergenceError, DomainError, GridError, NormalizationError, SpecError
 from .measures import MeasureReport, fidelity_pure, measure_report
 from .numerics import (
     DEFAULT_N_POINTS,
@@ -45,26 +39,32 @@ from .potentials import (
 )
 from .specfun import entropy_h
 
-_HANDLED_ERRORS = (
-    SpecError,
-    DomainError,
-    GridError,
-    ConvergenceError,
-    NormalizationError,
-    UnphysicalCovarianceError,
-    TruncationError,
-    OverflowError,
-)
+# OverflowError: float ** raises it for extreme parameters.
+_HANDLED_ERRORS = (SpecError, DomainError, GridError, ConvergenceError, NormalizationError,
+                   OverflowError)
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.12g}"
+_MEASURE_COLUMNS = ["eta_b", "eta_ng", "omega_r", "ground_energy", "det_sigma", "fidelity_to_reference"]
 
 
 def _round12(value: float | None):
     return None if value is None else float(f"{value:.12g}")
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _cell(value: float | str | None) -> str:
+    # A value rounded by _round12 formats back to the same 12 digits.
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else f"{value:.12g}"
+
+
+def _emit(args: argparse.Namespace, columns: list[str], rows: list[dict], document: dict) -> None:
+    """Write ``rows`` as a CSV table of ``columns``, or ``document`` as JSON."""
+    if args.fmt == "json":
+        text = json.dumps(document, indent=2) + "\n"
+    else:
+        lines = [",".join(columns)]
+        lines.extend(",".join(_cell(row[c]) for c in columns) for row in rows)
+        text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -72,28 +72,8 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _json_document(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
-
-
 def _report_fields(report: MeasureReport) -> dict:
-    return {
-        "eta_b": _round12(report.eta_b),
-        "eta_ng": _round12(report.eta_ng),
-        "omega_r": _round12(report.omega_r),
-        "ground_energy": _round12(report.ground_energy),
-        "det_sigma": _round12(report.det_sigma),
-        "fidelity_to_reference": _round12(report.fidelity_to_reference),
-    }
-
-
-_MEASURE_COLUMNS = ["eta_b", "eta_ng", "omega_r", "ground_energy", "det_sigma", "fidelity_to_reference"]
+    return {c: _round12(getattr(report, c)) for c in _MEASURE_COLUMNS}
 
 
 def _run_measure(args: argparse.Namespace) -> int:
@@ -102,13 +82,9 @@ def _run_measure(args: argparse.Namespace) -> int:
     for warning in report.diagnostics.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     fields = _report_fields(report)
-    if args.fmt == "json":
-        payload = {"potential": args.potential, **fields,
-                   "warnings": list(report.diagnostics.warnings)}
-        _emit(args, _json_document(payload))
-    else:
-        row = [_fmt(fields[c]) for c in _MEASURE_COLUMNS]
-        _emit(args, _csv_table(_MEASURE_COLUMNS, [row]))
+    document = {"potential": args.potential, **fields,
+                "warnings": list(report.diagnostics.warnings)}
+    _emit(args, _MEASURE_COLUMNS, [fields], document)
     return 0
 
 
@@ -136,33 +112,21 @@ def _run_sweep(args: argparse.Namespace) -> int:
     require_sweep_axis(family, args.axis)
     values = _sweep_values(args)
 
-    successes = 0
-    header = [args.axis] + _MEASURE_COLUMNS + ["error"]
     rows = []
-    json_rows = []
     for value in values:
         try:
             spec = family(**{**params, args.axis: float(value)})
             report = measure_report(spec, target_tail=args.tail, n_points=args.grid_points)
         except _HANDLED_ERRORS as exc:
-            reason = _sanitize_reason(exc)
-            rows.append([_fmt(float(value))] + [""] * len(_MEASURE_COLUMNS) + [reason])
-            json_rows.append(
-                {args.axis: _round12(float(value)),
-                 **{c: None for c in _MEASURE_COLUMNS},
-                 "error": reason}
-            )
+            fields = dict.fromkeys(_MEASURE_COLUMNS)
+            error = _sanitize_reason(exc)
         else:
-            successes += 1
             fields = _report_fields(report)
-            rows.append([_fmt(float(value))] + [_fmt(fields[c]) for c in _MEASURE_COLUMNS] + [""])
-            json_rows.append({args.axis: _round12(float(value)), **fields, "error": None})
-    if args.fmt == "json":
-        _emit(args, _json_document({"command": "sweep", "potential": args.potential,
-                                    "axis": args.axis, "rows": json_rows}))
-    else:
-        _emit(args, _csv_table(header, rows))
-    if successes == 0:
+            error = None
+        rows.append({args.axis: _round12(float(value)), **fields, "error": error})
+    document = {"command": "sweep", "potential": args.potential, "axis": args.axis, "rows": rows}
+    _emit(args, [args.axis, *_MEASURE_COLUMNS, "error"], rows, document)
+    if all(row["error"] is not None for row in rows):
         print("error: every sweep point failed", file=sys.stderr)
         return 1
     return 0
@@ -170,17 +134,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 def _run_scatter(args: argparse.Namespace) -> int:
     records = scatter_sample(args.n, args.eps3, args.eps4, args.omega, args.seed)
-    header = ["eps3", "eps4", "eta_b", "eta_ng"]
-    if args.fmt == "json":
-        rows = [
-            {"eps3": _round12(r.eps3), "eps4": _round12(r.eps4),
-             "eta_b": _round12(r.eta_b), "eta_ng": _round12(r.eta_ng)}
-            for r in records
-        ]
-        _emit(args, _json_document({"command": "scatter", "seed": args.seed, "rows": rows}))
-    else:
-        rows = [[_fmt(r.eps3), _fmt(r.eps4), _fmt(r.eta_b), _fmt(r.eta_ng)] for r in records]
-        _emit(args, _csv_table(header, rows))
+    columns = ["eps3", "eps4", "eta_b", "eta_ng"]
+    rows = [{c: _round12(getattr(r, c)) for c in columns} for r in records]
+    _emit(args, columns, rows, {"command": "scatter", "seed": args.seed, "rows": rows})
     return 0
 
 
@@ -188,22 +144,14 @@ def _run_curve(args: argparse.Namespace) -> int:
     lo, hi = args.sweep_from, args.sweep_to
     if not (0.0 <= lo < hi < 1.0):
         raise SpecError(f"curve range must satisfy 0 <= from < to < 1, got [{lo}, {hi}]")
-    values = np.linspace(lo, hi, args.points)
-    header = ["eta_b", "eta_ng_printed", "eta_ng_corrected"]
     rows = []
-    json_rows = []
-    for value in values:
+    for value in np.linspace(lo, hi, args.points):
         point = parametric_curve(float(value))
-        rows.append([_fmt(float(value)), _fmt(point.printed), _fmt(point.corrected)])
-        json_rows.append(
-            {"eta_b": _round12(float(value)),
-             "eta_ng_printed": _round12(point.printed),
-             "eta_ng_corrected": _round12(point.corrected)}
-        )
-    if args.fmt == "json":
-        _emit(args, _json_document({"command": "curve", "rows": json_rows}))
-    else:
-        _emit(args, _csv_table(header, rows))
+        rows.append({"eta_b": _round12(float(value)),
+                     "eta_ng_printed": _round12(point.printed),
+                     "eta_ng_corrected": _round12(point.corrected)})
+    _emit(args, ["eta_b", "eta_ng_printed", "eta_ng_corrected"], rows,
+          {"command": "curve", "rows": rows})
     return 0
 
 
@@ -227,11 +175,7 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
         "eta_ng_analytic": _round12(float(ng_analytic)),
         "eta_ng_fd": _round12(float(ng_fd)),
     }
-    if args.fmt == "json":
-        _emit(args, _json_document({"potential": args.potential, **fields}))
-    else:
-        header = list(fields)
-        _emit(args, _csv_table(header, [[_fmt(fields[c]) for c in header]]))
+    _emit(args, list(fields), [fields], {"potential": args.potential, **fields})
     ok = fidelity >= 1.0 - 1e-5 and abs(result.energy - e_analytic) <= 1e-4
     if not ok:
         print(

@@ -21,6 +21,7 @@ from typing import ClassVar, Union, get_args
 import numpy as np
 
 from .errors import DomainError, SpecError, UnsupportedSpecError
+from .perturbation import EPS_GUARD, alpha_coefficients
 from .specfun import kummer_phi_log_grid, log_gamma
 
 # Well-structure boundaries of the supersymmetric-partner family.
@@ -327,19 +328,15 @@ class PerturbedHarmonic(_Family):
     omega: float
     eps3: float = 0.0
     eps4: float = 0.0
-    eps_guard: float = field(default=0.5, metadata={"axis": False})
+    eps_guard: float = field(default=EPS_GUARD, metadata={"axis": False})
 
     kind: ClassVar[str] = "pert"
 
     def __post_init__(self):
         _require_finite_positive("perturbed-harmonic omega", self.omega)
         _require_finite_positive("perturbed-harmonic eps_guard", self.eps_guard)
-        for name, value in (("eps3", self.eps3), ("eps4", self.eps4)):
-            if not math.isfinite(value) or abs(value) > self.eps_guard:
-                raise SpecError(
-                    f"perturbative guard violated: |{name}|={abs(value)!r} exceeds "
-                    f"{self.eps_guard}"
-                )
+        # Called for its guard, the one place it is written; the result is dropped.
+        alpha_coefficients(self.eps3, self.eps4, self.omega, guard=self.eps_guard)
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * self.omega**2 * x**2 + self.eps3 * x**3 + self.eps4 * x**4

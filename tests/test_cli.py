@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -331,6 +333,45 @@ class TestFormatting:
         )
         fine = json.loads(out)["eta_ng"]
         assert coarse == pytest.approx(fine, abs=1e-6)
+
+
+FORMAT_PAIRS = {
+    "measure-harmonic": ["measure", "--potential", "harmonic:omega=1.3"],
+    "measure-fs": ["measure", "--potential", "fs:p=-0.6"],
+    "sweep": ["sweep", "--potential", "morse:D=1,alpha=1", "--axis", "alpha",
+              "--from", "2.0", "--to", "3.2", "--points", "4"],
+    "scatter": ["scatter", "--n", "5", "--seed", "7"],
+    "curve": ["curve", "--points", "5", "--to", "0.8"],
+    "oracle-check": ["oracle-check", "--potential", "mpt:D=1,alpha=1"],
+}
+
+
+@pytest.mark.parametrize("command", FORMAT_PAIRS)
+def test_csv_and_json_carry_the_same_values(capsys, command):
+    code, out, _ = run_cli(capsys, *FORMAT_PAIRS[command])
+    assert code == 0
+    header, *csv_rows = csv.reader(io.StringIO(out))
+    code, out, _ = run_cli(capsys, *FORMAT_PAIRS[command], "--format", "json")
+    assert code == 0
+    document = json.loads(out)
+    if "rows" in document:
+        json_rows = document["rows"]
+    else:
+        json_rows = [{k: v for k, v in document.items() if k not in ("potential", "warnings")}]
+    for cells, row in zip(csv_rows, json_rows, strict=True):
+        assert list(row) == header
+        for cell, value in zip(cells, row.values(), strict=True):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, str):
+                assert cell == value
+            else:
+                assert float(cell) == value
+    values = [value for row in json_rows for value in row.values()]
+    if command in ("measure-fs", "curve"):
+        assert None in values
+    if command == "sweep":
+        assert any(isinstance(value, str) for value in values)
 
 
 _WITHOUT_SCIPY = """
