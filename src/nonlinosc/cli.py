@@ -18,7 +18,13 @@ import sys
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, GridError, NormalizationError, SpecError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    GridError,
+    NormalizationError,
+    SpecError,
+)
 from .measures import MeasureReport, fidelity_pure, measure_report
 from .numerics import (
     DEFAULT_N_POINTS,
@@ -39,9 +45,14 @@ from .potentials import (
 )
 from .specfun import entropy_h
 
-# OverflowError: float ** raises it for extreme parameters.
-_HANDLED_ERRORS = (SpecError, DomainError, GridError, ConvergenceError, NormalizationError,
-                   OverflowError)
+_HANDLED_ERRORS = (
+    SpecError,
+    DomainError,
+    GridError,
+    ConvergenceError,
+    NormalizationError,
+    OverflowError,  # float ** raises it for extreme parameters
+)
 
 _MEASURE_COLUMNS = ["eta_b", "eta_ng", "omega_r", "ground_energy", "det_sigma", "fidelity_to_reference"]
 
@@ -144,8 +155,9 @@ def _run_curve(args: argparse.Namespace) -> int:
     lo, hi = args.sweep_from, args.sweep_to
     if not (0.0 <= lo < hi < 1.0):
         raise SpecError(f"curve range must satisfy 0 <= from < to < 1, got [{lo}, {hi}]")
+    values = np.linspace(lo, hi, args.points)
     rows = []
-    for value in np.linspace(lo, hi, args.points):
+    for value in values:
         point = parametric_curve(float(value))
         rows.append({"eta_b": _round12(float(value)),
                      "eta_ng_printed": _round12(point.printed),
