@@ -39,6 +39,7 @@ from .numerics import (
     overlap,
     sample_ground_state,
     simpson_integral,
+    sized_ground_state,
 )
 from .oracle import EigenResult, FockState, count_negative_eigenvalues, fd_ground_state, fock_covariance
 from .perturbation import (
@@ -135,4 +136,5 @@ __all__ = [
     "sample_ground_state",
     "scatter_sample",
     "simpson_integral",
+    "sized_ground_state",
 ]

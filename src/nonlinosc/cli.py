@@ -29,10 +29,9 @@ from .measures import MeasureReport, fidelity_pure, measure_report
 from .numerics import (
     DEFAULT_N_POINTS,
     DEFAULT_TARGET_TAIL,
-    auto_grid,
     covariance_of,
     require_grid_settings,
-    sample_ground_state,
+    sized_ground_state,
 )
 from .oracle import fd_ground_state
 from .perturbation import parametric_curve, scatter_sample
@@ -172,9 +171,8 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     if isinstance(spec, PerturbedHarmonic):
         raise SpecError("oracle-check compares analytic ground states; "
                         "the perturbed harmonic oscillator has none")
-    grid = auto_grid(spec, args.tail, args.grid_points)
-    analytic = sample_ground_state(spec, grid)
-    result = fd_ground_state(spec, grid)
+    analytic = sized_ground_state(spec, args.tail, args.grid_points)
+    result = fd_ground_state(spec, analytic.grid)
     e_analytic = ground_energy(spec)
     fidelity = fidelity_pure(analytic, result.wavefunction)
     ng_analytic = entropy_h(np.sqrt(covariance_of(analytic).det))

@@ -19,10 +19,10 @@ from .numerics import (
     DEFAULT_TARGET_TAIL,
     Grid,
     SampledWavefunction,
-    auto_grid,
     covariance_of,
     overlap,
     sample_ground_state,
+    sized_ground_state,
 )
 from .perturbation import (
     alpha_coefficients,
@@ -72,16 +72,6 @@ def fidelity_pure(wf1: SampledWavefunction, wf2: SampledWavefunction) -> float:
     return overlap(wf1, wf2) ** 2
 
 
-def _reference_state(omega_r: float, grid: Grid) -> SampledWavefunction:
-    """Reference harmonic ground state sampled on the same grid.
-
-    Centered at x = 0: every catalog potential has its global minimum at the
-    printed coordinate origin (the Morse coordinate already measures
-    displacement from the minimum).
-    """
-    return sample_ground_state(Harmonic(omega_r), grid)
-
-
 def _edge_warnings(spec: PotentialSpec, wf: SampledWavefunction, target_tail: float) -> tuple[str, ...]:
     warnings = list(spec.quadrature_warnings())
     if wf.tail_ratio > target_tail:
@@ -122,8 +112,7 @@ def measure_report(
     """Evaluate everything for one potential instance in a single pass."""
     if isinstance(spec, PerturbedHarmonic):
         return _perturbative_report(spec)
-    grid = auto_grid(spec, target_tail, n_points)
-    wf = sample_ground_state(spec, grid)
+    wf = sized_ground_state(spec, target_tail, n_points)
     cov = covariance_of(wf)
     det = cov.det
     omega_r = reference_frequency(spec)
@@ -131,7 +120,9 @@ def measure_report(
         eta_b = None
         fidelity = None
     else:
-        ov = overlap(wf, _reference_state(omega_r, grid))
+        # The reference sits at x = 0: every catalog potential has its global
+        # minimum at the printed origin (the Morse coordinate is the displacement).
+        ov = overlap(wf, sample_ground_state(Harmonic(omega_r), wf.grid))
         eta_b = math.sqrt(max(0.0, 1.0 - abs(ov)))
         fidelity = ov**2
     return MeasureReport(
@@ -142,7 +133,7 @@ def measure_report(
         det_sigma=det,
         fidelity_to_reference=fidelity,
         diagnostics=ReportDiagnostics(
-            grid=grid,
+            grid=wf.grid,
             norm_defect=wf.norm_defect,
             tail_ratio=wf.tail_ratio,
             warnings=_edge_warnings(spec, wf, target_tail),

@@ -164,33 +164,35 @@ def first_derivative(values: np.ndarray, spacing: float) -> np.ndarray:
     return out
 
 
-_PROBE_POINTS = 513
-
-
 def auto_grid(
     spec: PotentialSpec,
     target_tail: float = DEFAULT_TARGET_TAIL,
     n_points: int = DEFAULT_N_POINTS,
 ) -> Grid:
-    """Grow a grid until the analytic amplitude meets the tail target.
+    """The grid ``sized_ground_state`` grows for ``spec.probe()``."""
+    return sized_ground_state(spec.probe(), target_tail, n_points).grid
 
-    The amplitude probed is that of ``spec.probe()``, the spec itself for
-    every family with an analytic ground state. Each side starts from the
-    family's seed halfwidth and grows geometrically (factor 1.4) until the
-    end amplitude drops below target_tail relative to the peak, capped at
-    |x| = EXTENT_CAP. A capped side is accepted, with degraded quadrature,
-    as long as the amplitude is still decaying and has fallen below 10% of
-    the peak (near-threshold Morse wells legitimately spread past the cap);
-    otherwise the state is treated as pathological and the growth fails.
+
+def sized_ground_state(
+    spec: PotentialSpec,
+    target_tail: float = DEFAULT_TARGET_TAIL,
+    n_points: int = DEFAULT_N_POINTS,
+) -> SampledWavefunction:
+    """Grow a grid until the analytic amplitude meets the tail target, and
+    return the normalized sample on which the accepted grid passed the test.
+
+    Each side starts from the family's seed halfwidth and grows by 1.4 until
+    the end amplitude drops below target_tail relative to the peak, capped
+    at |x| = EXTENT_CAP. A capped side is accepted, with degraded quadrature,
+    if the amplitude is below 10% of the peak and still decays over the 5
+    outermost nodes spaced (n_points - 1) // 512 apart (near-threshold Morse
+    wells legitimately spread past the cap); otherwise the growth fails.
     """
     require_grid_settings(target_tail, n_points)
-    probe = spec.probe()
-    left, right = probe.seed_halfwidths(math.log(1.0 / target_tail))
-    left = min(left, EXTENT_CAP)
-    right = min(right, EXTENT_CAP)
+    left, right = (min(w, EXTENT_CAP) for w in spec.seed_halfwidths(math.log(1.0 / target_tail)))
     for _ in range(64):
-        x = np.linspace(-left, right, _PROBE_POINTS)
-        log_amp = ground_state_log_amplitude(probe, x)
+        grid = Grid(-left, right, n_points)
+        log_amp = ground_state_log_amplitude(spec, grid.points())
         peak = float(np.max(log_amp))
         with np.errstate(over="ignore"):
             ratio_l = math.exp(min(float(log_amp[0]) - peak, 700.0))
@@ -203,32 +205,32 @@ def auto_grid(
             left = min(left * 1.4, EXTENT_CAP)
         if need_r:
             right = min(right * 1.4, EXTENT_CAP)
-    for side, ratio, samples in (
-        ("left", ratio_l, log_amp[:5]),
-        ("right", ratio_r, log_amp[-5:][::-1]),
+    inner = 4 * max(1, (n_points - 1) // 512)
+    for side, ratio, end, before in (
+        ("left", ratio_l, log_amp[0], log_amp[inner]),
+        ("right", ratio_r, log_amp[-1], log_amp[-1 - inner]),
     ):
-        if ratio <= target_tail:
-            continue
-        decaying = samples[0] < samples[-1]
-        if ratio > _CAP_ACCEPT_RATIO or not decaying:
+        if ratio > target_tail and (ratio > _CAP_ACCEPT_RATIO or not end < before):
             raise GridGrowthExhaustedError(
                 f"amplitude has not decayed at the {side} cap |x|={EXTENT_CAP} "
                 f"(end/peak ratio {ratio:.3g}); state looks non-normalizable or "
                 "pathologically wide"
             )
-    return Grid(-left, right, n_points)
+    return _normalized_sample(grid, log_amp)
 
 
 def sample_ground_state(spec: PotentialSpec, grid: Grid) -> SampledWavefunction:
-    """Tabulate and normalize the analytic ground state on a grid.
+    """Tabulate and normalize the analytic ground state on a grid."""
+    return _normalized_sample(grid, ground_state_log_amplitude(spec, grid.points()))
 
-    Evaluation happens in log space. A peak log amplitude beyond +-300 is
-    subtracted before exponentiation, so the squared amplitude neither
-    overflows nor underflows; norm_defect then reflects the rescaled
-    amplitude.
+
+def _normalized_sample(grid: Grid, log_amp: np.ndarray) -> SampledWavefunction:
+    """Exponentiate and normalize a log amplitude sampled on ``grid``.
+
+    A peak log amplitude beyond +-300 is subtracted before exponentiation,
+    so the squared amplitude neither overflows nor underflows; norm_defect
+    then reflects the rescaled amplitude.
     """
-    x = grid.points()
-    log_amp = ground_state_log_amplitude(spec, x)
     peak = float(np.max(log_amp))
     amplitude = np.exp(log_amp - peak) if abs(peak) > 300.0 else np.exp(log_amp)
     return normalize(SampledWavefunction(grid, amplitude, normalized=False, norm_defect=0.0))

@@ -87,8 +87,11 @@ def alpha_coefficients(
             )
     if not (math.isfinite(omega) and omega > 0.0):
         raise SpecError(f"omega must be positive, got {omega!r}")
-    alpha1 = -3.0 * eps3 / (2.0 * omega) ** 1.5
-    alpha2 = -0.5 * eps4 * (3.0 / _SQRT2) / omega**2
+    try:
+        alpha1 = -3.0 * eps3 / (2.0 * omega) ** 1.5
+        alpha2 = -0.5 * eps4 * (3.0 / _SQRT2) / omega**2
+    except (ZeroDivisionError, OverflowError):
+        raise SpecError(f"omega={omega!r}: (2 omega)^1.5 or omega^2 under- or overflows") from None
     return PerturbativeState(alpha1=alpha1, alpha2=alpha2, omega=omega)
 
 

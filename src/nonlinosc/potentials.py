@@ -40,20 +40,21 @@ class _Family:
     Each family sets ``kind``, its name in the text form, and defines
     ``potential(x)`` (V on an array), ``log_amplitude(x)`` (log of the
     analytic ground state), ``omega_r()`` (reference frequency or None),
-    ``energy()`` (ground energy) and ``seed_halfwidths(depth)`` (starting
+    ``energy()`` (ground energy) and ``seed_halfwidths(depth)`` (first
     grid halfwidths for an amplitude that must fall by ``depth``
-    e-foldings; seeds only set the starting scale, the growth loop of
-    ``auto_grid`` guarantees the tail condition). Its dataclass fields are
-    the parse keys and sweep axes, except fields marked
-    ``metadata={"axis": False}``. A family with a printed normalization
-    keeps its constant log prefactor in the cached ``_log_prefactor``,
-    computed on first use, once per instance; MIO has none.
+    e-foldings; ``sized_ground_state`` samples each grid in full, so a
+    seed that meets the tail costs one evaluation, each growth step one
+    more). Its dataclass fields are the parse keys and sweep axes, except
+    fields marked ``metadata={"axis": False}``. A family with a printed
+    normalization keeps its constant log prefactor in the cached
+    ``_log_prefactor``, computed once per instance; MIO has none.
     """
 
     kind: ClassVar[str]
 
     def probe(self) -> PotentialSpec:
-        """Spec whose analytic amplitude sizes the grid: the spec itself."""
+        """Spec whose amplitude sizes ``auto_grid``: the spec itself, which
+        a report samples on the grid it grows."""
         return self
 
     def quadrature_warnings(self) -> tuple[str, ...]:
@@ -313,7 +314,18 @@ class FellowsSmith(_Family):
         return 0.5 - self.p
 
     def seed_halfwidths(self, depth: float) -> tuple[float, float]:
-        return 6.0, 6.0
+        """1.1 w, with w^2/2 + p ln w = t = depth + ln(Gamma(a)/Gamma(1/2))/2.
+
+        The tail is Gamma(a)/Gamma(1/2) e^{-x^2/2} |x|^{-p} times the x = 0
+        value (DLMF 13.7.2, a = (1+p)/2), and the peak sits about half that
+        log constant above it. Four fixed-point steps from sqrt(2t) settle
+        w, so the seed needs no growth; at p = 0 it is Harmonic(1)'s.
+        """
+        t = depth + 0.5 * (log_gamma(0.5 * (1.0 + self.p)) - log_gamma(0.5))
+        w = math.sqrt(2.0 * t)
+        for _ in range(4):
+            w = math.sqrt(2.0 * (t - self.p * math.log(w)))
+        return 1.1 * w, 1.1 * w
 
 
 @dataclass(frozen=True)

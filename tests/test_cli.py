@@ -59,6 +59,26 @@ class TestMeasure:
         assert out == ""
         assert err.strip().splitlines() == ["error: MIO 4/a must be finite and positive, got inf"]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["measure", "--potential", "pert:omega=1e-300"],
+            ["measure", "--potential", "pert:omega=1e-170,eps3=0.01"],
+            ["oracle-check", "--potential", "pert:omega=1e-300"],
+            ["measure", "--potential", "pert:omega=1e300,eps4=0.1"],
+        ],
+        ids=["measure-1e-300", "measure-1e-170", "oracle-check-1e-300", "measure-1e300"],
+    )
+    def test_pert_omega_out_of_float_range_exits_2(self, capsys, argv):
+        # (2 omega)^1.5 or omega^2 underflows to 0 or overflows.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        omega = argv[2].partition("=")[2].partition(",")[0]
+        assert err.splitlines() == [
+            f"error: omega={float(omega)!r}: (2 omega)^1.5 or omega^2 under- or overflows"
+        ]
+
     def test_parse_error_nonzero_exit(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--potential", "nope:x=1")
         assert code != 0
@@ -95,7 +115,7 @@ class TestGridFlags:
         def no_evaluation(*args, **kwargs):
             raise AssertionError("evaluation started")
 
-        for name in ("measure_report", "auto_grid", "scatter_sample", "parametric_curve"):
+        for name in ("measure_report", "sized_ground_state", "scatter_sample", "parametric_curve"):
             monkeypatch.setattr(f"nonlinosc.cli.{name}", no_evaluation)
         extra, message = BAD_GRID_FLAGS[flag]
         code, out, err = run_cli(capsys, *GRID_FLAG_COMMANDS[command], *extra)
@@ -175,6 +195,17 @@ class TestSweep:
                            "fidelity_to_reference"):
                 value = getattr(report, column)
                 assert row[column] == (None if value is None else float(f"{value:.12g}"))
+
+    def test_pert_omega_sweep_to_1e_300_gives_error_rows(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--potential", "pert:omega=1", "--axis", "omega",
+            "--from", "1e-300", "--to", "1", "--points", "4", "--log-spacing",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["error"].partition(":")[0] for row in rows] == ["SpecError", "SpecError", "", ""]
+        assert "omega=1e-300" in rows[0]["error"]
+        assert rows[-1]["eta_b"] == "0"
 
     def test_log_spacing(self, capsys):
         code, out, _ = run_cli(

@@ -4,12 +4,14 @@ import math
 import numpy as np
 import pytest
 
+from nonlinosc import numerics
 from nonlinosc.errors import (
     GridError,
     GridGrowthExhaustedError,
     IncompatibleDomainError,
     NormalizationError,
 )
+from nonlinosc.measures import measure_report
 from nonlinosc.numerics import (
     CovarianceMatrix,
     Grid,
@@ -21,6 +23,7 @@ from nonlinosc.numerics import (
     overlap,
     sample_ground_state,
     simpson_integral,
+    sized_ground_state,
 )
 from nonlinosc.potentials import (
     FellowsSmith,
@@ -28,6 +31,7 @@ from nonlinosc.potentials import (
     ModifiedIsotonic,
     ModifiedPoschlTeller,
     Morse,
+    PerturbedHarmonic,
 )
 
 from helpers import morse_closed_moments, resampled_overlap, sech_state_moments
@@ -146,6 +150,71 @@ class TestAutoGrid:
         g = auto_grid(spec, 1e-8)
         wf = sample_ground_state(spec, g)
         assert wf.tail_ratio <= 1e-8
+
+
+def count_amplitude_calls(monkeypatch, spec) -> list:
+    """Grids on which ``numerics`` evaluates the log amplitude of ``spec``."""
+    grids = []
+    original = numerics.ground_state_log_amplitude
+
+    def counted(other, x):
+        if other is spec:
+            grids.append((float(x[0]), float(x[-1]), x.size))
+        return original(other, x)
+
+    monkeypatch.setattr(numerics, "ground_state_log_amplitude", counted)
+    return grids
+
+
+class TestSizedGroundState:
+    """Reports size the grid on the sample they keep."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Harmonic(1.0), Morse(1.0, 1.0), ModifiedPoschlTeller(1.0, 0.5), ModifiedIsotonic(2.0)],
+        ids=lambda spec: spec.kind,
+    )
+    def test_report_without_growth_evaluates_its_amplitude_once(self, spec, monkeypatch):
+        grids = count_amplitude_calls(monkeypatch, spec)
+        report = measure_report(spec)
+        left, right = spec.seed_halfwidths(math.log(1e8))
+        assert grids == [(-left, right, 4097)]
+        assert (report.diagnostics.grid.x_min, report.diagnostics.grid.x_max) == (-left, right)
+
+    def test_each_growth_step_costs_one_evaluation(self, monkeypatch):
+        # The amplitude of MIO a = 100 is still above 1e-8 at the seed |x| = 6.
+        spec = ModifiedIsotonic(100.0)
+        grids = count_amplitude_calls(monkeypatch, spec)
+        report = measure_report(spec)
+        assert grids == [(-6.0, 6.0, 4097), (-6.0 * 1.4, 6.0 * 1.4, 4097)]
+        assert report.diagnostics.grid == Grid(-6.0 * 1.4, 6.0 * 1.4, 4097)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Harmonic(1.3), Morse(1.0, 2.7), ModifiedPoschlTeller(2.0, 1.0), ModifiedIsotonic(100.0),
+         FellowsSmith(-0.6)],
+        ids=lambda spec: spec.kind,
+    )
+    def test_report_sample_is_the_public_path_bit_for_bit(self, spec):
+        grid = auto_grid(spec)
+        public = sample_ground_state(spec, grid)
+        kept = sized_ground_state(spec)
+        assert kept.grid == grid
+        assert kept.amplitude.tobytes() == public.amplitude.tobytes()
+        assert kept.norm_defect == public.norm_defect
+        report = measure_report(spec)
+        assert report.diagnostics.grid == grid
+        assert report.det_sigma == covariance_of(public).det
+
+    def test_auto_grid_sizes_the_probe(self):
+        spec = PerturbedHarmonic(0.7, eps3=0.1)
+        assert auto_grid(spec, 1e-10, 1025) == auto_grid(Harmonic(0.7), 1e-10, 1025)
+
+    @pytest.mark.parametrize("n_points", [129, 513, 1025, 4097, 8193])
+    def test_cap_accepts_near_threshold_morse_at_every_point_count(self, n_points):
+        wf = sized_ground_state(Morse(1.0, 2.7), n_points=n_points)
+        assert wf.grid.x_max == 200.0
+        assert 1e-8 < wf.tail_ratio < 0.1
 
 
 class TestNormalize:

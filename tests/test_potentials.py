@@ -353,6 +353,28 @@ class TestParsing:
         assert sweep_axes(ModifiedIsotonic(1.0)) == ("a",)
 
 
+class TestFellowsSmithSeed:
+    @pytest.mark.parametrize("tail", [1e-4, 1e-8, 1e-14, 1e-30, 1e-100, 1e-300])
+    def test_p_zero_is_the_harmonic_seed(self, tail):
+        depth = math.log(1.0 / tail)
+        assert FellowsSmith(0.0).seed_halfwidths(depth) == Harmonic(1.0).seed_halfwidths(depth)
+
+    @pytest.mark.parametrize("p", [-0.1, -0.5, P_MINUS, -0.9999, -1.0 + 1e-9])
+    def test_seed_solves_the_tail_equation(self, p):
+        # w^2/2 + p ln w = depth + (ln Gamma((1+p)/2) - ln Gamma(1/2))/2, and 1.1 w is returned.
+        depth = math.log(1e8)
+        left, right = FellowsSmith(p).seed_halfwidths(depth)
+        w = left / 1.1
+        t = depth + 0.5 * (math.lgamma(0.5 * (1.0 + p)) - math.lgamma(0.5))
+        assert left == right
+        assert 0.5 * w * w + p * math.log(w) == pytest.approx(t, rel=1e-6)
+
+    def test_seed_widens_towards_p_minus_one(self):
+        depth = math.log(1e8)
+        widths = [FellowsSmith(p).seed_halfwidths(depth)[0] for p in (0.0, -0.5, -0.9, -0.9999)]
+        assert all(narrow < wide for narrow, wide in zip(widths, widths[1:])), widths
+
+
 class TestPrefactorCache:
     """Each spec instance computes its constant log prefactor once, on first
     use; only the Fellows-Smith family evaluates Kummer Phi."""
@@ -376,6 +398,20 @@ class TestPrefactorCache:
         monkeypatch.setattr(specfun, "kummer_phi_log_grid", forbidden)
         monkeypatch.setattr(potentials, "kummer_phi_log_grid", forbidden)
         assert measure_report(spec).eta_b >= 0.0
+
+    @pytest.mark.parametrize("p", [0.0, -0.1, P_PLUS, -0.6, P_MINUS, -0.9999, -1.0 + 1e-9])
+    def test_fellows_smith_report_makes_one_kummer_call(self, p, monkeypatch):
+        # The seed meets the tail at once, and the report keeps that sample.
+        calls = []
+        original = potentials.kummer_phi_log_grid
+
+        def counted(a, b, z):
+            calls.append(z.size)
+            return original(a, b, z)
+
+        monkeypatch.setattr(potentials, "kummer_phi_log_grid", counted)
+        assert measure_report(FellowsSmith(p)).eta_ng >= 0.0
+        assert calls == [4097]
 
     @pytest.mark.parametrize(
         "spec,axis,value",

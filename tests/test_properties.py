@@ -15,6 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nonlinosc.cli import main
+from nonlinosc.numerics import sized_ground_state
+from nonlinosc.potentials import P_MINUS, P_PLUS, FellowsSmith
 
 # Extreme parameters overflow numpy intermediates on their way to an error.
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -38,21 +40,25 @@ MORSE_FRACTION = st.one_of(
 )
 
 
-def check_measure(text: str) -> None:
+def check_measure(text: str, *flags: str, blank: tuple[str, ...] = ()) -> dict | None:
+    """The report of a run that exits 0, None for one that exits 2; fields
+    named in ``blank`` must be empty, every other one finite."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["measure", "--potential", text, "--format", "json"])
+        code = main(["measure", "--potential", text, "--format", "json", *flags])
     if code == 2:
         assert out.getvalue() == ""
         assert err.getvalue().splitlines()[-1].startswith("error: ")
-        return
+        return None
     assert code == 0, (text, code, err.getvalue())
     report = json.loads(out.getvalue())
-    values = [report[name] for name in FIELDS]
+    assert [name for name in FIELDS if report[name] is None] == list(blank), (text, report)
+    values = [report[name] for name in FIELDS if name not in blank]
     assert all(isinstance(v, float) and math.isfinite(v) for v in values), (text, report)
-    assert 0.0 <= report["eta_b"] <= 1.0, (text, report)
+    assert "eta_b" in blank or 0.0 <= report["eta_b"] <= 1.0, (text, report)
     assert report["eta_ng"] >= 0.0, (text, report)
     assert report["det_sigma"] >= 0.25 - 1e-6, (text, report)
+    return report
 
 
 @SETTINGS
@@ -88,3 +94,28 @@ def test_mpt(depth, alpha):
 @example(a=5e-324)  # 4/a overflows
 def test_mio(a):
     check_measure(f"mio:a={a!r}")
+
+
+@SETTINGS
+@given(
+    p=st.floats(min_value=-1.0, max_value=0.0, exclude_min=True),
+    tail=log_uniform(-300.0, -4.0),
+)
+@example(p=0.0, tail=1e-4)  # a seed narrower than the harmonic one misses this tail
+@example(p=P_PLUS, tail=1e-8)
+@example(p=P_MINUS, tail=1e-8)
+@example(p=-0.9999, tail=1e-30)
+@example(p=-1.0 + 1e-9, tail=1e-300)
+def test_fellows_smith(p, tail):
+    # Sizing: the seed meets the tail at once, so the grid is never grown.
+    spec = FellowsSmith(p)
+    left, right = spec.seed_halfwidths(math.log(1.0 / tail))
+    wf = sized_ground_state(spec, tail)
+    assert (wf.grid.x_min, wf.grid.x_max) == (-left, right), (p, tail)
+    assert wf.tail_ratio <= tail, (p, tail)
+    # Below a tail of about 1e-100 the p = 0 (harmonic) report fails with the
+    # entropy_h DomainError that Harmonic(1) also meets there.
+    if tail >= 1e-30:
+        blank = ("eta_b", "omega_r", "fidelity_to_reference") if p < P_PLUS else ()
+        report = check_measure(f"fs:p={p!r}", "--tail", repr(tail), blank=blank)
+        assert report is not None, (p, tail)
