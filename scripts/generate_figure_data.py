@@ -9,6 +9,8 @@ Writes, under --outdir (default ./data):
   mpt_sweep_D{D}.csv                       both measures vs alpha
   mio_sweep.csv                            both measures vs a (log axis)
   fs_sweep.csv                             both measures vs p
+
+Exits nonzero if any command fails.
 """
 
 import argparse
@@ -18,11 +20,13 @@ import pathlib
 from nonlinosc.cli import main as cli
 
 
-def run(outdir: pathlib.Path, args: list[str], name: str) -> None:
+def run(outdir: pathlib.Path, args: list[str], name: str) -> bool:
+    """Run one CLI command into ``outdir/name``; True when it fails."""
     path = outdir / name
     code = cli(args + ["--out", str(path)])
     status = "ok" if code == 0 else f"exit {code}"
     print(f"  {name:24s} {status}")
+    return code != 0
 
 
 def main() -> int:
@@ -36,27 +40,33 @@ def main() -> int:
     seed = str(args.seed)
     points = str(args.points)
 
-    print(f"writing CSVs to {outdir}/")
-    run(outdir, ["scatter", "--n", "2000", "--seed", seed,
-                 "--eps3=-0.1,0.1", "--eps4=-0.25,0.25"], "scatter_narrow.csv")
-    run(outdir, ["scatter", "--n", "2000", "--seed", seed,
-                 "--eps3=-0.2,0.2", "--eps4=-0.25,0.25"], "scatter_wide.csv")
-    run(outdir, ["curve", "--from", "0", "--to", "0.55", "--points", "200"], "curve.csv")
-
+    jobs = [
+        (["scatter", "--n", "2000", "--seed", seed,
+          "--eps3=-0.1,0.1", "--eps4=-0.25,0.25"], "scatter_narrow.csv"),
+        (["scatter", "--n", "2000", "--seed", seed,
+          "--eps3=-0.2,0.2", "--eps4=-0.25,0.25"], "scatter_wide.csv"),
+        (["curve", "--from", "0", "--to", "0.55", "--points", "200"], "curve.csv"),
+    ]
     for d in (0.25, 0.5, 1.0):
         upper = 0.97 * 2.0 * math.sqrt(2.0 * d)
-        run(outdir, ["sweep", "--potential", f"morse:D={d},alpha=1",
-                     "--axis", "alpha", "--from", str(0.02 * upper), "--to", str(upper),
-                     "--points", points], f"morse_sweep_D{d}.csv")
+        jobs.append((["sweep", "--potential", f"morse:D={d},alpha=1",
+                      "--axis", "alpha", "--from", str(0.02 * upper), "--to", str(upper),
+                      "--points", points], f"morse_sweep_D{d}.csv"))
     for d in (1.0, 2.0, 3.0):
-        run(outdir, ["sweep", "--potential", f"mpt:D={d},alpha=1",
-                     "--axis", "alpha", "--from", "0.25", "--to", "3.0",
-                     "--points", points], f"mpt_sweep_D{d}.csv")
-    run(outdir, ["sweep", "--potential", "mio:a=1", "--axis", "a",
-                 "--from", "0.2", "--to", "50", "--points", points, "--log-spacing"],
-        "mio_sweep.csv")
-    run(outdir, ["sweep", "--potential", "fs:p=-0.5", "--axis", "p",
-                 "--from", "-0.98", "--to", "0", "--points", points], "fs_sweep.csv")
+        jobs.append((["sweep", "--potential", f"mpt:D={d},alpha=1",
+                      "--axis", "alpha", "--from", "0.25", "--to", "3.0",
+                      "--points", points], f"mpt_sweep_D{d}.csv"))
+    jobs.append((["sweep", "--potential", "mio:a=1", "--axis", "a",
+                  "--from", "0.2", "--to", "50", "--points", points, "--log-spacing"],
+                 "mio_sweep.csv"))
+    jobs.append((["sweep", "--potential", "fs:p=-0.5", "--axis", "p",
+                  "--from", "-0.98", "--to", "0", "--points", points], "fs_sweep.csv"))
+
+    print(f"writing CSVs to {outdir}/")
+    failures = sum(run(outdir, job, name) for job, name in jobs)
+    if failures:
+        print(f"{failures} command(s) failed")
+        return 1
     return 0
 
 

@@ -26,14 +26,12 @@ from .measures import (
     ReportDiagnostics,
     eta_bures,
     eta_ng,
-    fidelity_pure,
     measure_report,
 )
 from .numerics import (
     CovarianceMatrix,
     Grid,
     SampledWavefunction,
-    auto_grid,
     covariance_of,
     normalize,
     overlap,
@@ -67,11 +65,9 @@ from .potentials import (
     WellStructure,
     evaluate_potential,
     fellows_smith_well_structure,
-    ground_energy,
     ground_state_amplitude,
     morse_bound_state_count,
     parse_potential_spec,
-    reference_frequency,
 )
 from .specfun import entropy_h
 
@@ -110,7 +106,6 @@ __all__ = [
     "WellRegion",
     "WellStructure",
     "alpha_coefficients",
-    "auto_grid",
     "count_negative_eigenvalues",
     "covariance_of",
     "entropy_h",
@@ -121,9 +116,7 @@ __all__ = [
     "evaluate_potential",
     "fd_ground_state",
     "fellows_smith_well_structure",
-    "fidelity_pure",
     "fock_covariance",
-    "ground_energy",
     "ground_state_amplitude",
     "measure_report",
     "morse_bound_state_count",
@@ -132,7 +125,6 @@ __all__ = [
     "parametric_curve",
     "parse_potential_spec",
     "perturbed_variances",
-    "reference_frequency",
     "sample_ground_state",
     "scatter_sample",
     "simpson_integral",

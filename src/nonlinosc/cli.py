@@ -25,11 +25,12 @@ from .errors import (
     NormalizationError,
     SpecError,
 )
-from .measures import MeasureReport, fidelity_pure, measure_report
+from .measures import MeasureReport, measure_report
 from .numerics import (
     DEFAULT_N_POINTS,
     DEFAULT_TARGET_TAIL,
     covariance_of,
+    overlap,
     require_grid_settings,
     sized_ground_state,
 )
@@ -37,7 +38,6 @@ from .oracle import fd_ground_state
 from .perturbation import parametric_curve, scatter_sample
 from .potentials import (
     PerturbedHarmonic,
-    ground_energy,
     parse_potential_params,
     parse_potential_spec,
     require_sweep_axis,
@@ -173,8 +173,8 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
                         "the perturbed harmonic oscillator has none")
     analytic = sized_ground_state(spec, args.tail, args.grid_points)
     result = fd_ground_state(spec, analytic.grid)
-    e_analytic = ground_energy(spec)
-    fidelity = fidelity_pure(analytic, result.wavefunction)
+    e_analytic = spec.energy()
+    fidelity = overlap(analytic, result.wavefunction) ** 2
     ng_analytic = entropy_h(np.sqrt(covariance_of(analytic).det))
     ng_fd = entropy_h(np.sqrt(covariance_of(result.wavefunction).det))
     fields = {

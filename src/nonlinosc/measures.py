@@ -30,13 +30,7 @@ from .perturbation import (
     eta_ng_perturbative,
     perturbed_variances,
 )
-from .potentials import (
-    Harmonic,
-    PerturbedHarmonic,
-    PotentialSpec,
-    ground_energy,
-    reference_frequency,
-)
+from .potentials import Harmonic, PerturbedHarmonic, PotentialSpec
 from .specfun import entropy_h
 
 
@@ -65,11 +59,6 @@ class MeasureReport:
     det_sigma: float
     fidelity_to_reference: float | None
     diagnostics: ReportDiagnostics
-
-
-def fidelity_pure(wf1: SampledWavefunction, wf2: SampledWavefunction) -> float:
-    """Fidelity of two pure states: the squared overlap."""
-    return overlap(wf1, wf2) ** 2
 
 
 def _edge_warnings(spec: PotentialSpec, wf: SampledWavefunction, target_tail: float) -> tuple[str, ...]:
@@ -115,7 +104,7 @@ def measure_report(
     wf = sized_ground_state(spec, target_tail, n_points)
     cov = covariance_of(wf)
     det = cov.det
-    omega_r = reference_frequency(spec)
+    omega_r = spec.omega_r()
     if omega_r is None:
         eta_b = None
         fidelity = None
@@ -129,7 +118,7 @@ def measure_report(
         eta_b=eta_b,
         eta_ng=entropy_h(math.sqrt(det)),
         omega_r=omega_r,
-        ground_energy=ground_energy(spec),
+        ground_energy=spec.energy(),
         det_sigma=det,
         fidelity_to_reference=fidelity,
         diagnostics=ReportDiagnostics(
@@ -142,7 +131,7 @@ def measure_report(
 
 
 def _perturbative_report(spec: PerturbedHarmonic) -> MeasureReport:
-    state = alpha_coefficients(spec.eps3, spec.eps4, spec.omega, guard=spec.eps_guard)
+    state = alpha_coefficients(spec.eps3, spec.eps4, spec.omega)
     var_q, var_p = perturbed_variances(state)
     det = var_q * var_p
     # First-order ground energy: omega/2 + eps4 <0|x^4|0> (the cubic term

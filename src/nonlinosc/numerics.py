@@ -33,8 +33,8 @@ _CAP_ACCEPT_RATIO = 0.1
 
 
 def require_grid_settings(target_tail: float, n_points: int) -> None:
-    """Raise GridError unless ``auto_grid`` accepts the tail target and
-    ``Grid`` the point count."""
+    """Raise GridError unless ``sized_ground_state`` accepts the tail target
+    and ``Grid`` the point count."""
     if not (0.0 < target_tail <= 1e-4):
         raise GridError(f"target_tail must lie in (0, 1e-4], got {target_tail!r}")
     _require_n_points(n_points)
@@ -162,15 +162,6 @@ def first_derivative(values: np.ndarray, spacing: float) -> np.ndarray:
     out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * spacing)
     out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * spacing)
     return out
-
-
-def auto_grid(
-    spec: PotentialSpec,
-    target_tail: float = DEFAULT_TARGET_TAIL,
-    n_points: int = DEFAULT_N_POINTS,
-) -> Grid:
-    """The grid ``sized_ground_state`` grows for ``spec.probe()``."""
-    return sized_ground_state(spec.probe(), target_tail, n_points).grid
 
 
 def sized_ground_state(

@@ -21,22 +21,22 @@ from .specfun import entropy_h
 
 _SQRT2 = math.sqrt(2.0)
 EPS_GUARD = 0.5
+# Bound on |alpha1| and |alpha2|: 3 EPS_GUARD / 2^{3/2}, which at omega = 1
+# is exactly |eps3| <= EPS_GUARD for alpha1 and |eps4| <= EPS_GUARD for alpha2.
+ALPHA_GUARD = 3.0 * EPS_GUARD / 2.0**1.5
 
 
 @dataclass(frozen=True)
 class PerturbativeState:
-    """Three-term perturbative ground state at a given frequency."""
+    """Three-term perturbative ground state."""
 
     alpha1: float
     alpha2: float
-    omega: float = 1.0
 
     def __post_init__(self):
         for name, value in (("alpha1", self.alpha1), ("alpha2", self.alpha2)):
             if not math.isfinite(value):
                 raise SpecError(f"{name} must be finite, got {value!r}")
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise SpecError(f"omega must be positive, got {self.omega!r}")
 
     @property
     def norm_n(self) -> float:
@@ -70,21 +70,16 @@ class CurvePoint(NamedTuple):
     corrected: float
 
 
-def alpha_coefficients(
-    eps3: float, eps4: float, omega: float = 1.0, guard: float = EPS_GUARD
-) -> PerturbativeState:
+def alpha_coefficients(eps3: float, eps4: float, omega: float = 1.0) -> PerturbativeState:
     """First-order expansion coefficients of the cubic/quartic perturbation.
 
     alpha1 = -3 eps3 / (2 omega)^{3/2} and
     alpha2 = -(eps4 / 2) (3 / sqrt(2)) / omega^2. The matrix elements behind
     them assume unit level spacing, so omega != 1 evaluates the same
-    formulas verbatim.
+    formulas verbatim. The perturbative guard |alpha1|, |alpha2| <=
+    ALPHA_GUARD keeps the three-term expansion meaningful at every omega;
+    at omega = 1 it is exactly |eps3|, |eps4| <= EPS_GUARD.
     """
-    for name, value in (("eps3", eps3), ("eps4", eps4)):
-        if not math.isfinite(value) or abs(value) > guard:
-            raise SpecError(
-                f"perturbative guard violated: |{name}|={abs(value)!r} exceeds {guard}"
-            )
     if not (math.isfinite(omega) and omega > 0.0):
         raise SpecError(f"omega must be positive, got {omega!r}")
     try:
@@ -92,7 +87,13 @@ def alpha_coefficients(
         alpha2 = -0.5 * eps4 * (3.0 / _SQRT2) / omega**2
     except (ZeroDivisionError, OverflowError):
         raise SpecError(f"omega={omega!r}: (2 omega)^1.5 or omega^2 under- or overflows") from None
-    return PerturbativeState(alpha1=alpha1, alpha2=alpha2, omega=omega)
+    for name, value in (("alpha1", alpha1), ("alpha2", alpha2)):
+        if not abs(value) <= ALPHA_GUARD:
+            raise SpecError(
+                f"perturbative guard violated: |{name}|={abs(value)!r} exceeds "
+                f"{ALPHA_GUARD!r} (eps3={eps3!r}, eps4={eps4!r}, omega={omega!r})"
+            )
+    return PerturbativeState(alpha1=alpha1, alpha2=alpha2)
 
 
 def perturbed_variances(state: PerturbativeState) -> tuple[float, float]:
@@ -154,17 +155,16 @@ def scatter_sample(
     measures for each.
 
     Deterministic for a fixed seed; both range endpoints must respect the
-    perturbative guard.
+    perturbative guard at ``omega``.
     """
     if n < 0:
         raise SpecError(f"sample count must be >= 0, got {n}")
     for name, (lo, hi) in (("eps3", eps3_range), ("eps4", eps4_range)):
         if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
             raise SpecError(f"{name} range must be ordered and finite, got ({lo}, {hi})")
-        if max(abs(lo), abs(hi)) > EPS_GUARD:
-            raise SpecError(
-                f"{name} range ({lo}, {hi}) exceeds the perturbative guard {EPS_GUARD}"
-            )
+    # |alpha| grows with |eps|, so the two range ends bound every draw.
+    for e3, e4 in zip(eps3_range, eps4_range):
+        alpha_coefficients(e3, e4, omega)
     rng = np.random.default_rng(seed)
     eps3_draw = rng.uniform(eps3_range[0], eps3_range[1], n)
     eps4_draw = rng.uniform(eps4_range[0], eps4_range[1], n)

@@ -13,7 +13,7 @@ amplitude before use. MIO carries none; its amplitude has peak 1.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
 from typing import ClassVar, Union, get_args
@@ -21,7 +21,7 @@ from typing import ClassVar, Union, get_args
 import numpy as np
 
 from .errors import DomainError, SpecError, UnsupportedSpecError
-from .perturbation import EPS_GUARD, alpha_coefficients
+from .perturbation import alpha_coefficients
 from .specfun import kummer_phi_log_grid, log_gamma
 
 # Well-structure boundaries of the supersymmetric-partner family.
@@ -44,18 +44,13 @@ class _Family:
     grid halfwidths for an amplitude that must fall by ``depth``
     e-foldings; ``sized_ground_state`` samples each grid in full, so a
     seed that meets the tail costs one evaluation, each growth step one
-    more). Its dataclass fields are the parse keys and sweep axes, except
-    fields marked ``metadata={"axis": False}``. A family with a printed
-    normalization keeps its constant log prefactor in the cached
-    ``_log_prefactor``, computed once per instance; MIO has none.
+    more). Its dataclass fields are its parse keys and sweep axes. A
+    family with a printed normalization keeps its constant log prefactor
+    in the cached ``_log_prefactor``, computed once per instance; MIO has
+    none.
     """
 
     kind: ClassVar[str]
-
-    def probe(self) -> PotentialSpec:
-        """Spec whose amplitude sizes ``auto_grid``: the spec itself, which
-        a report samples on the grid it grows."""
-        return self
 
     def quadrature_warnings(self) -> tuple[str, ...]:
         """Parameter regimes known to degrade the grid quadrature."""
@@ -300,9 +295,10 @@ class FellowsSmith(_Family):
         return self._log_prefactor + 0.5 * z - kummer_phi_log_grid((1.0 + self.p) / 2.0, 0.5, z)
 
     def omega_r(self) -> float | None:
-        # Below p+ the x = 0 curvature first turns negative (double well) and
-        # then positive again (triple well), where it ignores the dominant
-        # side wells; neither regime admits a faithful reference.
+        """None below p+: the curvature at x = 0 vanishes at p+ and turns
+        negative in the double-well region, and the x = 0 minimum that
+        reappears in the triple-well region ignores the dominant side
+        wells, so no proper reference exists there."""
         if self.p < P_PLUS:
             return None
         curvature = 1.0 + 8.0 * self.p * (1.0 + self.p)
@@ -332,23 +328,21 @@ class FellowsSmith(_Family):
 class PerturbedHarmonic(_Family):
     """V(x) = omega^2 x^2 / 2 + eps3 x^3 + eps4 x^4, treated perturbatively.
 
-    The coefficient guard |eps| <= eps_guard keeps inputs inside the regime
-    where the first-order three-term ground-state expansion is meaningful;
-    the guard is configurable per instance.
+    The perturbative guard of ``alpha_coefficients`` (|alpha1|, |alpha2|
+    bounded; |eps| <= 1/2 at omega = 1) keeps inputs inside the regime
+    where the first-order three-term ground-state expansion is meaningful.
     """
 
     omega: float
     eps3: float = 0.0
     eps4: float = 0.0
-    eps_guard: float = field(default=EPS_GUARD, metadata={"axis": False})
 
     kind: ClassVar[str] = "pert"
 
     def __post_init__(self):
         _require_finite_positive("perturbed-harmonic omega", self.omega)
-        _require_finite_positive("perturbed-harmonic eps_guard", self.eps_guard)
         # Called for its guard, the one place it is written; the result is dropped.
-        alpha_coefficients(self.eps3, self.eps4, self.omega, guard=self.eps_guard)
+        alpha_coefficients(self.eps3, self.eps4, self.omega)
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * self.omega**2 * x**2 + self.eps3 * x**3 + self.eps4 * x**4
@@ -366,11 +360,6 @@ class PerturbedHarmonic(_Family):
         raise UnsupportedSpecError(
             "perturbed-harmonic energy is perturbative; use the perturbation module"
         )
-
-    def probe(self) -> PotentialSpec:
-        """The omega Gaussian: the perturbative state has no closed amplitude,
-        and its harmonic part dominates the tails."""
-        return Harmonic(self.omega)
 
 
 PotentialSpec = Union[
@@ -462,22 +451,6 @@ def ground_state_amplitude(spec: PotentialSpec, x):
     return amp if np.ndim(x) else float(amp)
 
 
-def reference_frequency(spec: PotentialSpec) -> float | None:
-    """Frequency of the harmonic potential matching V near its global minimum.
-
-    Returns None for the Fellows-Smith family below p+: the curvature at
-    x = 0 vanishes at p+ and turns negative in the double-well region, and
-    the x = 0 minimum that reappears in the triple-well region ignores the
-    dominant side wells, so no proper reference exists there.
-    """
-    return spec.omega_r()
-
-
-def ground_energy(spec: PotentialSpec) -> float:
-    """Analytic ground-state energy."""
-    return spec.energy()
-
-
 def parse_potential_spec(text: str) -> PotentialSpec:
     """Parse the CLI text form of a potential.
 
@@ -517,10 +490,7 @@ def parse_potential_params(text: str) -> tuple[type[PotentialSpec], dict[str, fl
 
 
 def with_parameter(spec: PotentialSpec, name: str, value: float) -> PotentialSpec:
-    """Rebuild a spec with one named parameter replaced (sweep support).
-
-    Fields that are not sweep axes, such as ``eps_guard``, carry over.
-    """
+    """Rebuild a spec with one named parameter replaced (sweep support)."""
     require_sweep_axis(type(spec), name)
     return replace(spec, **{name: value})
 
@@ -535,4 +505,4 @@ def require_sweep_axis(family: type[PotentialSpec], name: str) -> None:
 def sweep_axes(spec: PotentialSpec) -> tuple[str, ...]:
     """Names of the sweepable parameters for the given spec (or family
     class), in declaration order; these are also its parse keys."""
-    return tuple(f.name for f in fields(spec) if f.metadata.get("axis", True))
+    return tuple(f.name for f in fields(spec))

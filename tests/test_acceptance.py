@@ -10,7 +10,7 @@ import pytest
 
 from nonlinosc.cli import main as cli_main
 from nonlinosc.measures import eta_ng as eta_ng_of, measure_report
-from nonlinosc.numerics import auto_grid, overlap, sample_ground_state
+from nonlinosc.numerics import overlap, sized_ground_state
 from nonlinosc.oracle import FockState, fd_ground_state, fock_covariance
 from nonlinosc.perturbation import (
     PerturbativeState,
@@ -27,7 +27,6 @@ from nonlinosc.potentials import (
     ModifiedIsotonic,
     ModifiedPoschlTeller,
     Morse,
-    ground_energy,
 )
 from nonlinosc.specfun import entropy_h
 
@@ -76,12 +75,11 @@ def test_criterion_1_harmonic_null():
 def test_criterion_2_oracle_equivalence():
     with criterion(2, "analytic states and energies match the FD solver"):
         for spec in STANDARD_SET:
-            grid = auto_grid(spec)
-            fd = fd_ground_state(spec, grid)
-            analytic = sample_ground_state(spec, grid)
+            analytic = sized_ground_state(spec)
+            fd = fd_ground_state(spec, analytic.grid)
             fidelity = overlap(analytic, fd.wavefunction) ** 2
             assert fidelity >= 1.0 - 1e-6, spec
-            assert abs(fd.energy - ground_energy(spec)) <= 1e-4, spec
+            assert abs(fd.energy - spec.energy()) <= 1e-4, spec
 
 
 def test_criterion_3_perturbative_formula_equivalence():

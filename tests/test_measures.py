@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from nonlinosc.errors import UnphysicalCovarianceError
-from nonlinosc.measures import eta_bures, eta_ng, fidelity_pure, measure_report
+from nonlinosc.measures import eta_bures, eta_ng, measure_report
 from nonlinosc.numerics import (
     CovarianceMatrix,
     Grid,
     SampledWavefunction,
-    auto_grid,
     covariance_of,
     normalize,
+    overlap,
     sample_ground_state,
+    sized_ground_state,
 )
 from nonlinosc.oracle import fd_ground_state
 from nonlinosc.potentials import (
@@ -36,21 +37,21 @@ from helpers import (
 
 class TestFidelityAndBures:
     def test_self_fidelity(self):
-        wf = sample_ground_state(Harmonic(1.0), auto_grid(Harmonic(1.0)))
-        assert fidelity_pure(wf, wf) == pytest.approx(1.0, abs=1e-9)
+        wf = sized_ground_state(Harmonic(1.0))
+        assert overlap(wf, wf) ** 2 == pytest.approx(1.0, abs=1e-9)
 
     def test_gaussian_pair(self):
-        grid = auto_grid(Harmonic(1.0))
+        grid = sized_ground_state(Harmonic(1.0)).grid
         wf1 = sample_ground_state(Harmonic(1.0), grid)
         wf4 = sample_ground_state(Harmonic(4.0), grid)
-        assert fidelity_pure(wf1, wf4) == pytest.approx(0.8, abs=1e-9)
+        assert overlap(wf1, wf4) ** 2 == pytest.approx(0.8, abs=1e-9)
 
     def test_opposite_parity(self):
         grid = Grid(-12.0, 12.0, 4097)
         x = grid.points()
         even = normalize(SampledWavefunction(grid, np.exp(-(x**2) / 2.0), False, 0.0))
         odd = normalize(SampledWavefunction(grid, x * np.exp(-(x**2) / 2.0), False, 0.0))
-        assert fidelity_pure(even, odd) == pytest.approx(0.0, abs=1e-15)
+        assert overlap(even, odd) ** 2 == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("f,expected", [(1.0, 0.0), (0.0, math.sqrt(2.0)), (0.25, 1.0)])
     def test_bures_distance_values(self, f, expected):
@@ -156,10 +157,6 @@ class TestMeasureReport:
         assert report.eta_b > 0.0
         assert report.diagnostics.grid is None
 
-    def test_perturbed_report_honors_loosened_guard(self):
-        report = measure_report(PerturbedHarmonic(1.0, 0.6, 0.0, eps_guard=0.7))
-        assert report.eta_b > 0.0 and report.eta_ng > 0.0
-
     @pytest.mark.parametrize("a", [0.01, 0.0225])
     def test_mio_low_a_peak_far_below_float_range(self, a):
         # Low-a MIO against mpmath quadrature of the same closed form.
@@ -203,7 +200,7 @@ class TestReferenceGaussian:
 
     def test_sech_state_covariance(self):
         spec = ModifiedPoschlTeller(1.0, 1.0)
-        cov = covariance_of(sample_ground_state(spec, auto_grid(spec)))
+        cov = covariance_of(sized_ground_state(spec))
         state = reference_gaussian(cov)
         assert state.covariance.var_x == pytest.approx(math.pi**2 / 12.0, rel=1e-8)
         assert state.covariance.var_p == pytest.approx(1.0 / 3.0, rel=1e-8)
@@ -257,7 +254,7 @@ class TestOracleEquivalence:
         [Morse(1.0, 1.0), ModifiedPoschlTeller(1.0, 1.0), ModifiedIsotonic(2.0), FellowsSmith(-0.5)],
     )
     def test_eta_ng_from_fd_state(self, spec):
-        grid = auto_grid(spec)
-        analytic = entropy_h(math.sqrt(covariance_of(sample_ground_state(spec, grid)).det))
-        fd = entropy_h(math.sqrt(covariance_of(fd_ground_state(spec, grid).wavefunction).det))
+        wf = sized_ground_state(spec)
+        analytic = entropy_h(math.sqrt(covariance_of(wf).det))
+        fd = entropy_h(math.sqrt(covariance_of(fd_ground_state(spec, wf.grid).wavefunction).det))
         assert fd == pytest.approx(analytic, abs=1e-4)

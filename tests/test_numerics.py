@@ -17,7 +17,6 @@ from nonlinosc.numerics import (
     Grid,
     SampledWavefunction,
     _simpson_weights,
-    auto_grid,
     covariance_of,
     normalize,
     overlap,
@@ -31,7 +30,6 @@ from nonlinosc.potentials import (
     ModifiedIsotonic,
     ModifiedPoschlTeller,
     Morse,
-    PerturbedHarmonic,
 )
 
 from helpers import morse_closed_moments, resampled_overlap, sech_state_moments
@@ -124,31 +122,32 @@ class TestSimpson:
 
 
 class TestAutoGrid:
+    """Grid sizing through ``sized_ground_state``."""
+
     def test_harmonic_span_covers_tail(self):
-        g = auto_grid(Harmonic(1.0), 1e-8)
+        g = sized_ground_state(Harmonic(1.0), 1e-8).grid
         assert g.x_min <= -6.07 and g.x_max >= 6.07
 
     def test_near_limit_morse_extends_far_right(self):
-        g = auto_grid(Morse(1.0, 2.7))
+        g = sized_ground_state(Morse(1.0, 2.7)).grid
         assert g.x_max > 100.0
         assert g.x_min > -5.0
 
     def test_tail_target_validation(self):
         with pytest.raises(GridError):
-            auto_grid(Harmonic(1.0), target_tail=1e-3)
+            sized_ground_state(Harmonic(1.0), target_tail=1e-3)
         with pytest.raises(GridError):
-            auto_grid(Harmonic(1.0), target_tail=0.0)
+            sized_ground_state(Harmonic(1.0), target_tail=0.0)
 
     def test_pathologically_wide_state_exhausts_growth(self):
         # So close to the bound-state limit that the amplitude is still at
         # ~75% of its peak at the |x| = 200 cap.
         with pytest.raises(GridGrowthExhaustedError):
-            auto_grid(Morse(1.0, 0.999 * 2.0 * math.sqrt(2.0)))
+            sized_ground_state(Morse(1.0, 0.999 * 2.0 * math.sqrt(2.0)))
 
     @pytest.mark.parametrize("spec", SMALL_CATALOG)
     def test_tail_condition_met_on_catalog(self, spec):
-        g = auto_grid(spec, 1e-8)
-        wf = sample_ground_state(spec, g)
+        wf = sized_ground_state(spec, 1e-8)
         assert wf.tail_ratio <= 1e-8
 
 
@@ -196,19 +195,13 @@ class TestSizedGroundState:
         ids=lambda spec: spec.kind,
     )
     def test_report_sample_is_the_public_path_bit_for_bit(self, spec):
-        grid = auto_grid(spec)
-        public = sample_ground_state(spec, grid)
         kept = sized_ground_state(spec)
-        assert kept.grid == grid
+        public = sample_ground_state(spec, kept.grid)
         assert kept.amplitude.tobytes() == public.amplitude.tobytes()
         assert kept.norm_defect == public.norm_defect
         report = measure_report(spec)
-        assert report.diagnostics.grid == grid
+        assert report.diagnostics.grid == kept.grid
         assert report.det_sigma == covariance_of(public).det
-
-    def test_auto_grid_sizes_the_probe(self):
-        spec = PerturbedHarmonic(0.7, eps3=0.1)
-        assert auto_grid(spec, 1e-10, 1025) == auto_grid(Harmonic(0.7), 1e-10, 1025)
 
     @pytest.mark.parametrize("n_points", [129, 513, 1025, 4097, 8193])
     def test_cap_accepts_near_threshold_morse_at_every_point_count(self, n_points):
@@ -241,14 +234,14 @@ class TestNormalize:
 class TestCovariance:
     def test_harmonic_omega_two(self):
         spec = Harmonic(2.0)
-        cov = covariance_of(sample_ground_state(spec, auto_grid(spec)))
+        cov = covariance_of(sized_ground_state(spec))
         assert cov.var_x == pytest.approx(0.25, rel=1e-9)
         assert cov.var_p == pytest.approx(1.0, rel=1e-9)
         assert cov.det == pytest.approx(0.25, rel=1e-9)
 
     def test_sech_state_closed_moments(self):
         spec = ModifiedPoschlTeller(1.0, 1.0)
-        cov = covariance_of(sample_ground_state(spec, auto_grid(spec)))
+        cov = covariance_of(sized_ground_state(spec))
         assert cov.var_x == pytest.approx(math.pi**2 / 12.0, rel=1e-8)
         assert cov.var_p == pytest.approx(1.0 / 3.0, rel=1e-8)
         var_x_mp, var_p_mp = sech_state_moments(1.0)
@@ -257,14 +250,14 @@ class TestCovariance:
 
     def test_general_sech_power_against_quadrature(self):
         spec = ModifiedPoschlTeller(3.0, 1.0)  # s = 2
-        cov = covariance_of(sample_ground_state(spec, auto_grid(spec)))
+        cov = covariance_of(sized_ground_state(spec))
         var_x_mp, var_p_mp = sech_state_moments(spec.s)
         assert cov.var_x == pytest.approx(var_x_mp, rel=1e-8)
         assert cov.var_p == pytest.approx(var_p_mp, rel=1e-8)
 
     def test_morse_closed_moments(self):
         spec = Morse(1.0, 1.0)
-        cov = covariance_of(sample_ground_state(spec, auto_grid(spec)))
+        cov = covariance_of(sized_ground_state(spec))
         var_x, var_p = morse_closed_moments(1.0, 1.0)
         assert cov.var_x == pytest.approx(var_x, rel=1e-7)
         assert cov.var_p == pytest.approx(var_p, rel=1e-7)
@@ -284,29 +277,29 @@ class TestCovariance:
 
     @pytest.mark.parametrize("spec", SMALL_CATALOG)
     def test_heisenberg_bound(self, spec):
-        cov = covariance_of(sample_ground_state(spec, auto_grid(spec)))
+        cov = covariance_of(sized_ground_state(spec))
         assert cov.det >= 0.25 - 1e-6
 
     @pytest.mark.parametrize("spec", EVEN_SPECS)
     def test_parity_zero_mean(self, spec):
-        cov = covariance_of(sample_ground_state(spec, auto_grid(spec)))
+        cov = covariance_of(sized_ground_state(spec))
         assert abs(cov.mean_x) <= 1e-8
 
 
 class TestOverlap:
     def test_self_overlap_unity(self):
         spec = ModifiedPoschlTeller(1.0, 1.0)
-        wf = sample_ground_state(spec, auto_grid(spec))
+        wf = sized_ground_state(spec)
         assert overlap(wf, wf) == pytest.approx(1.0, abs=1e-9)
 
     def test_gaussian_pair_closed_form(self):
-        wf1 = sample_ground_state(Harmonic(1.0), auto_grid(Harmonic(1.0)))
-        wf4 = sample_ground_state(Harmonic(4.0), auto_grid(Harmonic(4.0)))
+        wf1 = sized_ground_state(Harmonic(1.0))
+        wf4 = sized_ground_state(Harmonic(4.0))
         expected = math.sqrt(2.0 * math.sqrt(4.0) / 5.0)
         assert resampled_overlap(wf1, wf4) == pytest.approx(expected, abs=1e-5)
 
     def test_gaussian_pair_same_grid_tight(self):
-        grid = auto_grid(Harmonic(1.0))
+        grid = sized_ground_state(Harmonic(1.0)).grid
         wf1 = sample_ground_state(Harmonic(1.0), grid)
         wf4 = sample_ground_state(Harmonic(4.0), grid)
         expected = math.sqrt(2.0 * math.sqrt(4.0) / 5.0)
@@ -342,7 +335,7 @@ class TestOverlap:
 class TestRichardsonSelfConsistency:
     @pytest.mark.parametrize("spec", SMALL_CATALOG)
     def test_halving_stability(self, spec):
-        grid = auto_grid(spec)
+        grid = sized_ground_state(spec).grid
         fine = grid.refined()
         cov_c = covariance_of(sample_ground_state(spec, grid))
         cov_f = covariance_of(sample_ground_state(spec, fine))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nonlinosc.errors import GridError, SpecError, TruncationError, UnsupportedSpecError
-from nonlinosc.numerics import Grid, auto_grid, overlap, sample_ground_state
+from nonlinosc.numerics import Grid, overlap, sample_ground_state, sized_ground_state
 from nonlinosc.oracle import (
     EigenResult,
     FockState,
@@ -20,7 +20,6 @@ from nonlinosc.potentials import (
     ModifiedIsotonic,
     ModifiedPoschlTeller,
     Morse,
-    ground_energy,
 )
 from nonlinosc.perturbation import PerturbativeState, perturbed_variances
 
@@ -51,17 +50,17 @@ def h_scale(spec, grid):
 
 class TestFdGroundState:
     def test_harmonic_energy(self):
-        result = fd_ground_state(Harmonic(1.0), auto_grid(Harmonic(1.0)))
+        result = fd_ground_state(Harmonic(1.0), sized_ground_state(Harmonic(1.0)).grid)
         assert result.energy == pytest.approx(0.5, abs=1e-6)
 
     def test_mpt_energy(self):
         spec = ModifiedPoschlTeller(1.0, 1.0)
-        result = fd_ground_state(spec, auto_grid(spec))
+        result = fd_ground_state(spec, sized_ground_state(spec).grid)
         assert result.energy == pytest.approx(-0.5, abs=1e-5)
 
     def test_mio_energy_at_zero(self):
         spec = ModifiedIsotonic(8.0)
-        result = fd_ground_state(spec, auto_grid(spec))
+        result = fd_ground_state(spec, sized_ground_state(spec).grid)
         assert result.energy == pytest.approx(0.0, abs=1e-5)
 
     def test_morse_energy_reading_adjudication(self):
@@ -69,7 +68,7 @@ class TestFdGroundState:
         # the linear-in-alpha variant misses by a wide margin.
         spec = Morse(1.0, 0.5)
         n = spec.n_index
-        result = fd_ground_state(spec, auto_grid(spec))
+        result = fd_ground_state(spec, sized_ground_state(spec).grid)
         quadratic = -0.5 * spec.alpha**2 * n**2
         linear = -0.5 * spec.alpha * n**2
         assert result.energy == pytest.approx(quadratic, abs=1e-5)
@@ -77,7 +76,7 @@ class TestFdGroundState:
 
     def test_wavefunction_normalized_and_positive(self):
         spec = ModifiedPoschlTeller(1.0, 1.0)
-        result = fd_ground_state(spec, auto_grid(spec))
+        result = fd_ground_state(spec, sized_ground_state(spec).grid)
         wf = result.wavefunction
         assert wf.normalized
         assert wf.amplitude[np.argmax(np.abs(wf.amplitude))] > 0.0
@@ -89,7 +88,7 @@ class TestFdGroundState:
 
     @pytest.mark.parametrize("spec", STANDARD_SET)
     def test_residual_bound(self, spec):
-        grid = auto_grid(spec)
+        grid = sized_ground_state(spec).grid
         result = fd_ground_state(spec, grid)
         # Spec bound, with a machine-precision floor for eigenvalues near 0
         # (|E| ~ 1e-5 makes 1e-8 |E| unreachable in float64).
@@ -101,9 +100,8 @@ class TestFdGroundState:
 
     @pytest.mark.parametrize("spec", STANDARD_SET)
     def test_overlap_with_analytic_state(self, spec):
-        grid = auto_grid(spec)
-        fd = fd_ground_state(spec, grid)
-        analytic = sample_ground_state(spec, grid)
+        analytic = sized_ground_state(spec)
+        fd = fd_ground_state(spec, analytic.grid)
         assert overlap(analytic, fd.wavefunction) >= 1.0 - 1e-6
 
     @pytest.mark.parametrize(
@@ -111,26 +109,27 @@ class TestFdGroundState:
         [Harmonic(1.0), Morse(1.0, 1.0), ModifiedPoschlTeller(1.0, 1.0), ModifiedIsotonic(2.0)],
     )
     def test_second_order_convergence(self, spec):
-        grid = auto_grid(spec)
-        exact = ground_energy(spec)
+        grid = sized_ground_state(spec).grid
+        exact = spec.energy()
         err_coarse = fd_ground_state(spec, grid).energy - exact
         err_fine = fd_ground_state(spec, grid.refined()).energy - exact
         ratio = err_coarse / err_fine
         assert 4.0 * 0.8 <= ratio <= 4.0 * 1.2
 
     def test_iterations_reported(self):
-        result = fd_ground_state(Harmonic(1.0), auto_grid(Harmonic(1.0)))
+        result = fd_ground_state(Harmonic(1.0), sized_ground_state(Harmonic(1.0)).grid)
         assert 1 <= result.iterations <= 30
 
     def test_quartic_perturbed_matches_second_order_energy(self):
         # Quartic-only perturbation at omega = 1: second-order theory gives
         # E = 1/2 + (3/4) eps4 - (21/8) eps4^2 with matrix elements
-        # <2|x^4|0> = 3/sqrt(2) and <4|x^4|0> = sqrt(24)/4.
+        # <2|x^4|0> = 3/sqrt(2) and <4|x^4|0> = sqrt(24)/4. The perturbed
+        # state has no closed amplitude; its harmonic part sizes the grid.
         from nonlinosc.potentials import PerturbedHarmonic
 
         eps4 = 0.02
         spec = PerturbedHarmonic(1.0, 0.0, eps4)
-        result = fd_ground_state(spec, auto_grid(spec))
+        result = fd_ground_state(spec, sized_ground_state(Harmonic(1.0)).grid)
         first_order = 0.5 + 0.75 * eps4
         second_order = first_order - 2.625 * eps4**2
         assert result.energy == pytest.approx(second_order, abs=5e-4)
@@ -145,7 +144,7 @@ class TestEigenvalueAgainstLapack:
     )
     def test_energy_matches_lapack(self, spec, n_points):
         linalg = pytest.importorskip("scipy.linalg")
-        grid = auto_grid(spec, n_points=n_points)
+        grid = sized_ground_state(spec, n_points=n_points).grid
         diag, off = _tridiagonal_hamiltonian(spec, grid)
         reference = linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
         energy = fd_ground_state(spec, grid).energy
@@ -154,7 +153,7 @@ class TestEigenvalueAgainstLapack:
     @pytest.mark.parametrize("spec", [FellowsSmith(-0.5), FellowsSmith(-0.9)])
     def test_nothing_below_near_degenerate_ground_state(self, spec):
         # Double and triple wells: the energy returned is the lowest eigenvalue.
-        grid = auto_grid(spec)
+        grid = sized_ground_state(spec).grid
         diag, off = _tridiagonal_hamiltonian(spec, grid)
         energy = fd_ground_state(spec, grid).energy
         assert _sturm_count_below(diag, off, energy - 4.0 * _EPS * h_scale(spec, grid)) == 0
@@ -261,7 +260,7 @@ class TestFockCovariance:
 
 class TestEigenResultType:
     def test_immutable(self):
-        result = fd_ground_state(Harmonic(1.0), auto_grid(Harmonic(1.0)))
+        result = fd_ground_state(Harmonic(1.0), sized_ground_state(Harmonic(1.0)).grid)
         assert isinstance(result, EigenResult)
         with pytest.raises(AttributeError):
             result.energy = 0.0

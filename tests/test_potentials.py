@@ -8,7 +8,7 @@ import pytest
 from nonlinosc import potentials, specfun
 from nonlinosc.errors import DomainError, SpecError, UnsupportedSpecError
 from nonlinosc.measures import measure_report
-from nonlinosc.numerics import auto_grid, first_derivative, sample_ground_state
+from nonlinosc.numerics import first_derivative, sized_ground_state
 from nonlinosc.potentials import (
     P_MINUS,
     P_PLUS,
@@ -21,11 +21,9 @@ from nonlinosc.potentials import (
     WellRegion,
     evaluate_potential,
     fellows_smith_well_structure,
-    ground_energy,
     ground_state_amplitude,
     morse_bound_state_count,
     parse_potential_spec,
-    reference_frequency,
     sweep_axes,
     with_parameter,
 )
@@ -112,7 +110,7 @@ class TestGroundState:
         from nonlinosc.oracle import fd_ground_state
 
         spec = Morse(1.0, 1.0)
-        grid = auto_grid(spec)
+        grid = sized_ground_state(spec).grid
         fd = fd_ground_state(spec, grid)
         x = grid.points()
         i0 = int(np.argmin(np.abs(x)))
@@ -134,32 +132,31 @@ class TestGroundState:
 
     @pytest.mark.parametrize("spec", CATALOG)
     def test_decay_at_infinity(self, spec):
-        grid = auto_grid(spec)
-        wf = sample_ground_state(spec, grid)
+        wf = sized_ground_state(spec)
         assert wf.tail_ratio <= 1e-7
 
 
 class TestReferenceFrequency:
     def test_morse(self):
-        assert reference_frequency(Morse(0.5, 1.0)) == pytest.approx(1.0, rel=1e-14)
+        assert Morse(0.5, 1.0).omega_r() == pytest.approx(1.0, rel=1e-14)
 
     def test_mio_sqrt37(self):
-        assert reference_frequency(ModifiedIsotonic(1.0)) == pytest.approx(
+        assert ModifiedIsotonic(1.0).omega_r() == pytest.approx(
             math.sqrt(37.0), rel=1e-14
         )
 
     def test_fellows_smith_absent_below_p_plus(self):
-        assert reference_frequency(FellowsSmith(-0.6)) is None
-        assert reference_frequency(FellowsSmith(-0.9)) is None
+        assert FellowsSmith(-0.6).omega_r() is None
+        assert FellowsSmith(-0.9).omega_r() is None
 
     def test_fellows_smith_present_in_single_well(self):
         p = -0.1
         expected = math.sqrt(1.0 + 8.0 * p * (1.0 + p))
-        assert reference_frequency(FellowsSmith(p)) == pytest.approx(expected, rel=1e-14)
+        assert FellowsSmith(p).omega_r() == pytest.approx(expected, rel=1e-14)
 
     def test_harmonic_and_perturbed(self):
-        assert reference_frequency(Harmonic(3.0)) == 3.0
-        assert reference_frequency(PerturbedHarmonic(2.0, 0.1, 0.0)) == 2.0
+        assert Harmonic(3.0).omega_r() == 3.0
+        assert PerturbedHarmonic(2.0, 0.1, 0.0).omega_r() == 2.0
 
     @pytest.mark.parametrize(
         "spec",
@@ -169,29 +166,29 @@ class TestReferenceFrequency:
     def test_curvature_at_minimum_matches(self, spec):
         # second finite difference of V at its (x = 0) global minimum
         curvature = second_difference(lambda x: evaluate_potential(spec, x), 0.0)
-        assert curvature == pytest.approx(reference_frequency(spec) ** 2, rel=1e-4)
+        assert curvature == pytest.approx(spec.omega_r() ** 2, rel=1e-4)
 
 
 class TestGroundEnergy:
     def test_mpt_unit_case(self):
-        assert ground_energy(ModifiedPoschlTeller(1.0, 1.0)) == pytest.approx(-0.5, rel=1e-13)
+        assert ModifiedPoschlTeller(1.0, 1.0).energy() == pytest.approx(-0.5, rel=1e-13)
 
     def test_fellows_smith(self):
-        assert ground_energy(FellowsSmith(-0.5)) == pytest.approx(1.0, rel=1e-14)
+        assert FellowsSmith(-0.5).energy() == pytest.approx(1.0, rel=1e-14)
 
     def test_morse_quadratic_alpha_reading(self):
         n = math.sqrt(2.0) - 0.5
-        assert ground_energy(Morse(1.0, 1.0)) == pytest.approx(-0.5 * n**2, rel=1e-13)
+        assert Morse(1.0, 1.0).energy() == pytest.approx(-0.5 * n**2, rel=1e-13)
 
     def test_harmonic(self):
-        assert ground_energy(Harmonic(3.0)) == pytest.approx(1.5)
+        assert Harmonic(3.0).energy() == pytest.approx(1.5)
 
     def test_mio(self):
-        assert ground_energy(ModifiedIsotonic(8.0)) == pytest.approx(0.0, abs=1e-15)
+        assert ModifiedIsotonic(8.0).energy() == pytest.approx(0.0, abs=1e-15)
 
     def test_perturbed_unsupported(self):
         with pytest.raises(UnsupportedSpecError):
-            ground_energy(PerturbedHarmonic(1.0, 0.0, 0.1))
+            PerturbedHarmonic(1.0, 0.0, 0.1).energy()
 
 
 class TestMorseBoundStateCount:
@@ -265,7 +262,6 @@ class TestSpecValidation:
     def test_perturbative_guard(self):
         with pytest.raises(SpecError):
             PerturbedHarmonic(1.0, 0.6, 0.0)
-        PerturbedHarmonic(1.0, 0.6, 0.0, eps_guard=0.7)
 
 
 # One text form per family.
@@ -304,7 +300,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("text,expected", FAMILY_TEXTS)
     def test_sweep_axes_are_fields_without_eps_guard(self, text, expected):
-        fields = tuple(f.name for f in dataclasses.fields(expected) if f.name != "eps_guard")
+        fields = tuple(f.name for f in dataclasses.fields(expected))
         assert sweep_axes(expected) == fields == FAMILY_KEYS[text.partition(":")[0]][0]
 
     @pytest.mark.parametrize("text,expected", FAMILY_TEXTS)
@@ -344,10 +340,6 @@ class TestParsing:
         assert spec == Morse(1.0, 0.7)
         with pytest.raises(SpecError):
             with_parameter(Morse(1.0, 1.0), "omega", 0.7)
-
-    def test_with_parameter_keeps_eps_guard(self):
-        spec = with_parameter(PerturbedHarmonic(1.0, 0.6, 0.0, eps_guard=0.7), "eps4", 0.1)
-        assert spec == PerturbedHarmonic(1.0, 0.6, 0.1, eps_guard=0.7)
 
     def test_sweep_axes(self):
         assert sweep_axes(ModifiedIsotonic(1.0)) == ("a",)
@@ -440,8 +432,8 @@ class TestSchrodingerConsistency:
         # The analytic amplitude must solve the eigenproblem of its own
         # potential: [-phi''/2 + V phi]/phi - E_0 small wherever phi is
         # appreciable.
-        grid = auto_grid(spec, n_points=8193)
-        wf = sample_ground_state(spec, grid)
+        wf = sized_ground_state(spec, n_points=8193)
+        grid = wf.grid
         x = grid.points()
         v = np.asarray(evaluate_potential(spec, x))
         d2 = fourth_order_second_derivative(wf.amplitude, grid.spacing)
@@ -450,7 +442,7 @@ class TestSchrodingerConsistency:
         mask = np.abs(wf.amplitude[inner]) > 1e-6 * peak
         residual = (
             -0.5 * d2[inner][mask] + v[inner][mask] * wf.amplitude[inner][mask]
-        ) / wf.amplitude[inner][mask] - ground_energy(spec)
+        ) / wf.amplitude[inner][mask] - spec.energy()
         probes = residual[:: max(1, residual.size // 50)]
         assert probes.size >= 50
         assert float(np.max(np.abs(probes))) < 1e-4
@@ -458,8 +450,8 @@ class TestSchrodingerConsistency:
     def test_morse_decay_slopes(self):
         spec = Morse(1.0, 1.0)
         n = spec.n_index
-        grid = auto_grid(spec)
-        wf = sample_ground_state(spec, grid)
+        wf = sized_ground_state(spec)
+        grid = wf.grid
         x = grid.points()
         log_amp = np.log(np.maximum(wf.amplitude, 1e-300))
         slope = first_derivative(log_amp, grid.spacing)

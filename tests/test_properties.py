@@ -40,15 +40,21 @@ MORSE_FRACTION = st.one_of(
 )
 
 
-def check_measure(text: str, *flags: str, blank: tuple[str, ...] = ()) -> dict | None:
+def check_measure(
+    text: str, *flags: str, blank: tuple[str, ...] = (), names: tuple[str, ...] = ()
+) -> dict | None:
     """The report of a run that exits 0, None for one that exits 2; fields
-    named in ``blank`` must be empty, every other one finite."""
+    named in ``blank`` must be empty, every other one finite. With
+    ``names``, an exit 2 prints one error line that names one of them."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["measure", "--potential", text, "--format", "json", *flags])
     if code == 2:
         assert out.getvalue() == ""
-        assert err.getvalue().splitlines()[-1].startswith("error: ")
+        lines = err.getvalue().splitlines()
+        assert lines[-1].startswith("error: ")
+        if names:
+            assert len(lines) == 1 and any(name in lines[0] for name in names), (text, lines)
         return None
     assert code == 0, (text, code, err.getvalue())
     report = json.loads(out.getvalue())
@@ -119,3 +125,30 @@ def test_fellows_smith(p, tail):
         blank = ("eta_b", "omega_r", "fidelity_to_reference") if p < P_PLUS else ()
         report = check_measure(f"fs:p={p!r}", "--tail", repr(tail), blank=blank)
         assert report is not None, (p, tail)
+
+
+@SETTINGS
+@given(
+    omega=log_uniform(-300.0, 300.0),
+    eps3=st.floats(min_value=-0.5, max_value=0.5),
+    eps4=st.floats(min_value=-0.5, max_value=0.5),
+)
+# |eps| <= 1/2 alone admits the next three: the variances overflow at
+# |alpha| ~ 1e75 and 1e150, and omega = 1e-3 reports eta_b = 0.999999.
+@example(omega=1e-50, eps3=0.5, eps4=0.5)
+@example(omega=1e-100, eps3=0.5, eps4=0.5)
+@example(omega=1e-3, eps3=0.5, eps4=0.5)
+@example(omega=1.0, eps3=0.5, eps4=-0.5)  # the guard's edge: a full report
+def test_pert(omega, eps3, eps4):
+    report = check_measure(
+        f"pert:omega={omega!r},eps3={eps3!r},eps4={eps4!r}", names=("omega", "alpha")
+    )
+    if omega == 1.0:
+        assert report is not None
+    if report is not None:
+        # The guard bounds N = 1 + alpha1^2 + alpha2^2 by 25/16, so
+        # eta_b = sqrt(1 - N^{-1/2}) <= sqrt(1/5) and the fidelity 1/N >= 16/25;
+        # the slack covers the 12-digit rounding of the output.
+        assert report["eta_b"] <= math.sqrt(0.2) * (1.0 + 1e-11), (omega, eps3, eps4, report)
+        assert report["fidelity_to_reference"] >= 0.64 * (1.0 - 1e-11), (omega, eps3, eps4, report)
+        assert report["det_sigma"] >= 0.25, (omega, eps3, eps4, report)
