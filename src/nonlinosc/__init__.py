@@ -18,7 +18,6 @@ from .errors import (
     NormalizationError,
     SpecError,
     TruncationError,
-    UnphysicalCovarianceError,
     UnsupportedSpecError,
 )
 from .measures import (
@@ -33,7 +32,6 @@ from .numerics import (
     Grid,
     SampledWavefunction,
     covariance_of,
-    normalize,
     overlap,
     sample_ground_state,
     simpson_integral,
@@ -62,7 +60,6 @@ from .potentials import (
     PerturbedHarmonic,
     PotentialSpec,
     WellRegion,
-    WellStructure,
     evaluate_potential,
     fellows_smith_well_structure,
     ground_state_amplitude,
@@ -101,10 +98,8 @@ __all__ = [
     "ScatterRecord",
     "SpecError",
     "TruncationError",
-    "UnphysicalCovarianceError",
     "UnsupportedSpecError",
     "WellRegion",
-    "WellStructure",
     "alpha_coefficients",
     "count_negative_eigenvalues",
     "covariance_of",
@@ -120,7 +115,6 @@ __all__ = [
     "ground_state_amplitude",
     "measure_report",
     "morse_bound_state_count",
-    "normalize",
     "overlap",
     "parametric_curve",
     "parse_potential_spec",

@@ -36,12 +36,7 @@ from .numerics import (
 )
 from .oracle import fd_ground_state
 from .perturbation import parametric_curve, scatter_sample
-from .potentials import (
-    PerturbedHarmonic,
-    parse_potential_params,
-    parse_potential_spec,
-    require_sweep_axis,
-)
+from .potentials import parse_potential_params, parse_potential_spec, require_sweep_axis
 from .specfun import entropy_h
 
 _HANDLED_ERRORS = (
@@ -154,6 +149,8 @@ def _run_curve(args: argparse.Namespace) -> int:
     lo, hi = args.sweep_from, args.sweep_to
     if not (0.0 <= lo < hi < 1.0):
         raise SpecError(f"curve range must satisfy 0 <= from < to < 1, got [{lo}, {hi}]")
+    if args.points < 2:
+        raise SpecError(f"curve needs at least 2 points, got {args.points}")
     values = np.linspace(lo, hi, args.points)
     rows = []
     for value in values:
@@ -168,9 +165,6 @@ def _run_curve(args: argparse.Namespace) -> int:
 
 def _run_oracle_check(args: argparse.Namespace) -> int:
     spec = parse_potential_spec(args.potential)
-    if isinstance(spec, PerturbedHarmonic):
-        raise SpecError("oracle-check compares analytic ground states; "
-                        "the perturbed harmonic oscillator has none")
     analytic = sized_ground_state(spec, args.tail, args.grid_points)
     result = fd_ground_state(spec, analytic.grid)
     e_analytic = spec.energy()

@@ -30,11 +30,7 @@ class IncompatibleDomainError(GridError):
 
 
 class NormalizationError(ValueError):
-    """Wavefunction has zero norm or is not normalized where required."""
-
-
-class UnphysicalCovarianceError(ValueError):
-    """Covariance matrix violates the pure-state Heisenberg bound."""
+    """Wavefunction has zero or non-finite norm, or is no longer normalized."""
 
 
 class TruncationError(RuntimeError):

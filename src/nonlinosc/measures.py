@@ -134,14 +134,11 @@ def _perturbative_report(spec: PerturbedHarmonic) -> MeasureReport:
     state = alpha_coefficients(spec.eps3, spec.eps4, spec.omega)
     var_q, var_p = perturbed_variances(state)
     det = var_q * var_p
-    # First-order ground energy: omega/2 + eps4 <0|x^4|0> (the cubic term
-    # enters only at second order).
-    energy = 0.5 * spec.omega + spec.eps4 * 0.75 / spec.omega**2
     return MeasureReport(
         eta_b=eta_b_perturbative(state),
         eta_ng=eta_ng_perturbative(state),
         omega_r=spec.omega,
-        ground_energy=energy,
+        ground_energy=spec.energy(),
         det_sigma=det,
         fidelity_to_reference=1.0 / state.norm_n,
         diagnostics=ReportDiagnostics(grid=None, norm_defect=0.0, tail_ratio=0.0),

@@ -11,7 +11,7 @@ stencil order more accurate than the second-derivative form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -81,12 +81,23 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class SampledWavefunction:
-    """Real amplitude tabulated on a grid."""
+    """Real amplitude tabulated on a grid, normalized when it is built.
+
+    The amplitude passed in is rescaled so its Simpson norm is exactly 1;
+    norm_defect records |1 - norm| of the amplitude as given. A zero or
+    non-finite norm raises NormalizationError.
+    """
 
     grid: Grid
     amplitude: np.ndarray
-    normalized: bool
-    norm_defect: float
+    norm_defect: float = field(init=False)
+
+    def __post_init__(self):
+        norm_sq = simpson_integral(self.amplitude**2, self.grid.spacing)
+        if not (math.isfinite(norm_sq) and norm_sq > 0.0):
+            raise NormalizationError(f"cannot normalize wavefunction with norm^2 = {norm_sq!r}")
+        object.__setattr__(self, "amplitude", self.amplitude / math.sqrt(norm_sq))
+        object.__setattr__(self, "norm_defect", abs(1.0 - math.sqrt(norm_sq)))
 
     @cached_property
     def tail_ratio(self) -> float:
@@ -224,30 +235,11 @@ def _normalized_sample(grid: Grid, log_amp: np.ndarray) -> SampledWavefunction:
     """
     peak = float(np.max(log_amp))
     amplitude = np.exp(log_amp - peak) if abs(peak) > 300.0 else np.exp(log_amp)
-    return normalize(SampledWavefunction(grid, amplitude, normalized=False, norm_defect=0.0))
-
-
-def normalize(wf: SampledWavefunction) -> SampledWavefunction:
-    """Rescale so the Simpson norm is exactly 1; records the norm defect."""
-    norm_sq = simpson_integral(wf.amplitude**2, wf.grid.spacing)
-    if not (math.isfinite(norm_sq) and norm_sq > 0.0):
-        raise NormalizationError(f"cannot normalize wavefunction with norm^2 = {norm_sq!r}")
-    return SampledWavefunction(
-        grid=wf.grid,
-        amplitude=wf.amplitude / math.sqrt(norm_sq),
-        normalized=True,
-        norm_defect=abs(1.0 - math.sqrt(norm_sq)),
-    )
-
-
-def _require_normalized(wf: SampledWavefunction) -> None:
-    if not wf.normalized:
-        raise NormalizationError("operation requires a normalized wavefunction")
+    return SampledWavefunction(grid, amplitude)
 
 
 def covariance_of(wf: SampledWavefunction) -> CovarianceMatrix:
     """Canonical (x, p) covariance of a real normalized wavefunction."""
-    _require_normalized(wf)
     x = wf.grid.points()
     h = wf.grid.spacing
     density = wf.amplitude**2
@@ -264,8 +256,6 @@ def covariance_of(wf: SampledWavefunction) -> CovarianceMatrix:
 def overlap(wf1: SampledWavefunction, wf2: SampledWavefunction) -> float:
     """Position-space overlap integral of two normalized wavefunctions
     sampled on the same grid."""
-    _require_normalized(wf1)
-    _require_normalized(wf2)
     if wf1.grid != wf2.grid:
         raise IncompatibleDomainError(f"overlap needs one grid, got {wf1.grid} and {wf2.grid}")
     return simpson_integral(wf1.amplitude * wf2.amplitude, wf1.grid.spacing)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridError, SpecError, TruncationError, UnsupportedSpecError
-from .numerics import CovarianceMatrix, Grid, SampledWavefunction, normalize
+from .numerics import CovarianceMatrix, Grid, SampledWavefunction
 from .potentials import ModifiedPoschlTeller, Morse, PotentialSpec, evaluate_potential
 
 _EPS = np.finfo(float).eps
@@ -122,9 +122,7 @@ def fd_ground_state(spec: PotentialSpec, grid: Grid) -> EigenResult:
     amplitude[1:-1] = best_vec
     if amplitude[np.argmax(np.abs(amplitude))] < 0.0:
         amplitude = -amplitude
-    wavefunction = normalize(
-        SampledWavefunction(grid, amplitude, normalized=False, norm_defect=0.0)
-    )
+    wavefunction = SampledWavefunction(grid, amplitude)
     peak = float(np.max(np.abs(wavefunction.amplitude)))
     near_edge = max(
         float(np.max(np.abs(wavefunction.amplitude[1:4]))),
@@ -155,11 +153,6 @@ def _sturm_counter(diag: np.ndarray, off: np.ndarray):
         return count
 
     return count_below
-
-
-def _sturm_count_below(diag: np.ndarray, off: np.ndarray, value: float) -> int:
-    """Eigenvalues of the tridiagonal matrix strictly below ``value``."""
-    return _sturm_counter(diag, off)(value)
 
 
 def _lowest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
@@ -213,7 +206,7 @@ def count_negative_eigenvalues(spec: PotentialSpec, grid: Grid) -> int:
     counts = []
     for g in (grid, grid.refined()):
         diag, off = _tridiagonal_hamiltonian(spec, g)
-        counts.append(_sturm_count_below(diag, off, 0.0))
+        counts.append(_sturm_counter(diag, off)(0.0))
     if counts[0] != counts[1]:
         raise ConvergenceError(
             f"bound-state count not converged: {counts[0]} vs {counts[1]} under "

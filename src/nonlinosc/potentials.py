@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
-from functools import cached_property
 from typing import ClassVar, Union, get_args
 
 import numpy as np
@@ -45,9 +44,8 @@ class _Family:
     e-foldings; ``sized_ground_state`` samples each grid in full, so a
     seed that meets the tail costs one evaluation, each growth step one
     more). Its dataclass fields are its parse keys and sweep axes. A
-    family with a printed normalization keeps its constant log prefactor
-    in the cached ``_log_prefactor``, computed once per instance; MIO has
-    none.
+    family with a printed normalization adds its constant log prefactor
+    in ``log_amplitude``; MIO has none.
     """
 
     kind: ClassVar[str]
@@ -72,12 +70,9 @@ class Harmonic(_Family):
     def potential(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * self.omega**2 * x**2
 
-    @cached_property
-    def _log_prefactor(self) -> float:
-        return 0.25 * math.log(self.omega / math.pi)
-
     def log_amplitude(self, x: np.ndarray) -> np.ndarray:
-        return self._log_prefactor - 0.5 * self.omega * x**2
+        log_prefactor = 0.25 * math.log(self.omega / math.pi)
+        return log_prefactor - 0.5 * self.omega * x**2
 
     def omega_r(self) -> float:
         return self.omega
@@ -126,20 +121,16 @@ class Morse(_Family):
         with np.errstate(over="ignore"):
             return self.D * (np.exp(-2.0 * self.alpha * x) - 2.0 * np.exp(-self.alpha * x))
 
-    @cached_property
-    def _log_prefactor(self) -> float:
+    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
         n = self.n_index
-        return (
+        log_prefactor = (
             0.5 * math.log(2.0)
             + n * math.log(2.0 * n + 1.0)
             + 0.5 * (math.log(n) + math.log(self.alpha) - math.log(2.0) - log_gamma(n + 1.0))
         )
-
-    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
-        n = self.n_index
         with np.errstate(over="ignore"):
             decay = np.exp(-self.alpha * x)
-        return self._log_prefactor - self.alpha * n * x - (n + 0.5) * decay
+        return log_prefactor - self.alpha * n * x - (n + 0.5) * decay
 
     def omega_r(self) -> float:
         return math.sqrt(2.0 * self.D) * self.alpha
@@ -190,17 +181,14 @@ class ModifiedPoschlTeller(_Family):
     def potential(self, x: np.ndarray) -> np.ndarray:
         return -self.D / np.cosh(self.alpha * x) ** 2
 
-    @cached_property
-    def _log_prefactor(self) -> float:
+    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
         s = self.s
-        return -0.25 * math.log(math.pi) + 0.5 * (
+        log_prefactor = -0.25 * math.log(math.pi) + 0.5 * (
             math.log(self.alpha) + log_gamma(0.5 + s) - log_gamma(s)
         )
-
-    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
         u = np.abs(self.alpha * x)
         log_cosh = u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0)
-        return self._log_prefactor - self.s * log_cosh
+        return log_prefactor - s * log_cosh
 
     def omega_r(self) -> float:
         return math.sqrt(2.0 * self.D) * self.alpha
@@ -281,18 +269,15 @@ class FellowsSmith(_Family):
         ratio = np.exp(log_phi3 - log_phi1)
         return -2.0 * p + 0.5 * z + 4.0 * (1.0 + p) * z * ratio * ((1.0 + p) * ratio - 1.0)
 
-    @cached_property
-    def _log_prefactor(self) -> float:
+    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
         p = self.p
-        return (
+        log_prefactor = (
             -0.25 * math.log(math.pi)
             + 0.5 * (p * math.log(2.0) - log_gamma(1.0 + p))
             + log_gamma(1.0 + p / 2.0)
         )
-
-    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
         z = x * x
-        return self._log_prefactor + 0.5 * z - kummer_phi_log_grid((1.0 + self.p) / 2.0, 0.5, z)
+        return log_prefactor + 0.5 * z - kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
 
     def omega_r(self) -> float | None:
         """None below p+: the curvature at x = 0 vanishes at p+ and turns
@@ -324,6 +309,11 @@ class FellowsSmith(_Family):
         return 1.1 * w, 1.1 * w
 
 
+_PERTURBED_UNSUPPORTED = (
+    "perturbed-harmonic ground state is a number-basis expansion; use the perturbation module"
+)
+
+
 @dataclass(frozen=True)
 class PerturbedHarmonic(_Family):
     """V(x) = omega^2 x^2 / 2 + eps3 x^3 + eps4 x^4, treated perturbatively.
@@ -331,6 +321,9 @@ class PerturbedHarmonic(_Family):
     The perturbative guard of ``alpha_coefficients`` (|alpha1|, |alpha2|
     bounded; |eps| <= 1/2 at omega = 1) keeps inputs inside the regime
     where the first-order three-term ground-state expansion is meaningful.
+    The state has no position-space amplitude: ``log_amplitude`` and
+    ``seed_halfwidths`` raise UnsupportedSpecError, and ``measure_report``
+    takes the perturbative route.
     """
 
     omega: float
@@ -348,18 +341,18 @@ class PerturbedHarmonic(_Family):
         return 0.5 * self.omega**2 * x**2 + self.eps3 * x**3 + self.eps4 * x**4
 
     def log_amplitude(self, x: np.ndarray) -> np.ndarray:
-        raise UnsupportedSpecError(
-            "perturbed-harmonic ground state is a number-basis expansion; "
-            "use the perturbation module"
-        )
+        raise UnsupportedSpecError(_PERTURBED_UNSUPPORTED)
 
     def omega_r(self) -> float:
         return self.omega
 
     def energy(self) -> float:
-        raise UnsupportedSpecError(
-            "perturbed-harmonic energy is perturbative; use the perturbation module"
-        )
+        # First-order ground energy: omega/2 + eps4 <0|x^4|0> (the cubic term
+        # enters only at second order).
+        return 0.5 * self.omega + self.eps4 * 0.75 / self.omega**2
+
+    def seed_halfwidths(self, depth: float) -> tuple[float, float]:
+        raise UnsupportedSpecError(_PERTURBED_UNSUPPORTED)
 
 
 PotentialSpec = Union[
@@ -375,15 +368,9 @@ class WellRegion(Enum):
     TRIPLE_WELL = "triple"
 
 
-@dataclass(frozen=True)
-class WellStructure:
-    region: WellRegion
-    p_plus: float = P_PLUS
-    p_minus: float = P_MINUS
-
-
-def fellows_smith_well_structure(p: float) -> WellStructure:
-    """Classify the well structure for p in (-1, 0].
+def fellows_smith_well_structure(p: float) -> WellRegion:
+    """Classify the well structure for p in (-1, 0]; the region boundaries
+    are P_PLUS and P_MINUS.
 
     Boundary values belong to the closed interval of the shallower
     structure: p+ is single-well, p- is double-well.
@@ -391,10 +378,10 @@ def fellows_smith_well_structure(p: float) -> WellStructure:
     if not (math.isfinite(p) and -1.0 < p <= 0.0):
         raise DomainError(f"well structure defined for p in (-1, 0], got {p!r}")
     if p >= P_PLUS:
-        return WellStructure(WellRegion.SINGLE_WELL)
+        return WellRegion.SINGLE_WELL
     if p >= P_MINUS:
-        return WellStructure(WellRegion.DOUBLE_WELL)
-    return WellStructure(WellRegion.TRIPLE_WELL)
+        return WellRegion.DOUBLE_WELL
+    return WellRegion.TRIPLE_WELL
 
 
 def morse_bound_state_count(D: float, alpha: float) -> int:

@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 
-from nonlinosc.errors import DomainError, UnphysicalCovarianceError
+from nonlinosc.errors import DomainError
 from nonlinosc.numerics import CovarianceMatrix, SampledWavefunction, simpson_integral
 
 mp.mp.dps = 40
@@ -149,6 +149,10 @@ def wigner_normalization_check(state, half_extent_sigmas: float = 8.0, n: int = 
             values[i, j] = wigner_gaussian(state, (xv, pv))
     inner = np.trapezoid(values, ps, axis=1)
     return float(np.trapezoid(inner, xs))
+
+
+class UnphysicalCovarianceError(ValueError):
+    """Covariance matrix violates the pure-state Heisenberg bound."""
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,13 @@ class TestCurve:
             assert cells[1] == ""
             assert float(cells[2]) > 0.0
 
+    @pytest.mark.parametrize("points", ["-1", "0", "1"])
+    def test_fewer_than_two_points_exits_2(self, capsys, points):
+        code, out, err = run_cli(capsys, "curve", "--points", points)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: curve needs at least 2 points, got {points}"]
+
 
 class TestOracleCheck:
     def test_mpt_passes(self, capsys):
@@ -304,6 +311,15 @@ class TestOracleCheck:
         header, row = out.strip().split("\n")
         fields = dict(zip(header.split(","), row.split(",")))
         assert abs(float(fields["e_fd"])) <= 1e-5
+
+    def test_perturbed_has_no_analytic_state(self, capsys):
+        code, out, err = run_cli(capsys, "oracle-check", "--potential", "pert:omega=1,eps3=0.1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: perturbed-harmonic ground state is a number-basis expansion; "
+            "use the perturbation module"
+        ]
 
     def test_morse_adjudicates_energy_reading(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-check", "--potential", "morse:D=1,alpha=0.5")

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from nonlinosc.errors import UnphysicalCovarianceError
 from nonlinosc.measures import eta_bures, eta_ng, measure_report
 from nonlinosc.numerics import (
     CovarianceMatrix,
     Grid,
     SampledWavefunction,
     covariance_of,
-    normalize,
     overlap,
     sample_ground_state,
     sized_ground_state,
@@ -27,6 +25,7 @@ from nonlinosc.potentials import (
 from nonlinosc.specfun import entropy_h
 
 from helpers import (
+    UnphysicalCovarianceError,
     bures_distance,
     mio_reference_fidelity,
     reference_gaussian,
@@ -49,8 +48,8 @@ class TestFidelityAndBures:
     def test_opposite_parity(self):
         grid = Grid(-12.0, 12.0, 4097)
         x = grid.points()
-        even = normalize(SampledWavefunction(grid, np.exp(-(x**2) / 2.0), False, 0.0))
-        odd = normalize(SampledWavefunction(grid, x * np.exp(-(x**2) / 2.0), False, 0.0))
+        even = SampledWavefunction(grid, np.exp(-(x**2) / 2.0))
+        odd = SampledWavefunction(grid, x * np.exp(-(x**2) / 2.0))
         assert overlap(even, odd) ** 2 == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("f,expected", [(1.0, 0.0), (0.0, math.sqrt(2.0)), (0.25, 1.0)])
@@ -241,9 +240,7 @@ class TestSymplecticInvariance:
     def test_displaced_gaussian_scores_zero(self):
         grid = Grid(-10.0, 16.0, 4097)
         x = grid.points()
-        wf = normalize(
-            SampledWavefunction(grid, np.exp(-((x - 3.0) ** 2) / 2.0), False, 0.0)
-        )
+        wf = SampledWavefunction(grid, np.exp(-((x - 3.0) ** 2) / 2.0))
         det = covariance_of(wf).det
         assert entropy_h(math.sqrt(det)) <= 1e-6
 

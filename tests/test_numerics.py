@@ -10,6 +10,7 @@ from nonlinosc.errors import (
     GridGrowthExhaustedError,
     IncompatibleDomainError,
     NormalizationError,
+    UnsupportedSpecError,
 )
 from nonlinosc.measures import measure_report
 from nonlinosc.numerics import (
@@ -18,7 +19,6 @@ from nonlinosc.numerics import (
     SampledWavefunction,
     _simpson_weights,
     covariance_of,
-    normalize,
     overlap,
     sample_ground_state,
     simpson_integral,
@@ -30,6 +30,7 @@ from nonlinosc.potentials import (
     ModifiedIsotonic,
     ModifiedPoschlTeller,
     Morse,
+    PerturbedHarmonic,
 )
 
 from helpers import morse_closed_moments, resampled_overlap, sech_state_moments
@@ -46,7 +47,7 @@ SMALL_CATALOG = EVEN_SPECS + [Morse(1.0, 1.0), Morse(1.0, 2.0)]
 def gaussian_wavefunction(grid: Grid, center: float = 0.0, width_sq: float = 1.0):
     x = grid.points()
     amp = np.exp(-((x - center) ** 2) / (4.0 * width_sq))
-    return normalize(SampledWavefunction(grid, amp, normalized=False, norm_defect=0.0))
+    return SampledWavefunction(grid, amp)
 
 
 class TestGrid:
@@ -203,6 +204,10 @@ class TestSizedGroundState:
         assert report.diagnostics.grid == kept.grid
         assert report.det_sigma == covariance_of(public).det
 
+    def test_perturbed_harmonic_is_unsupported(self):
+        with pytest.raises(UnsupportedSpecError, match="number-basis expansion"):
+            sized_ground_state(PerturbedHarmonic(1.0))
+
     @pytest.mark.parametrize("n_points", [129, 513, 1025, 4097, 8193])
     def test_cap_accepts_near_threshold_morse_at_every_point_count(self, n_points):
         wf = sized_ground_state(Morse(1.0, 2.7), n_points=n_points)
@@ -213,22 +218,23 @@ class TestSizedGroundState:
 class TestNormalize:
     def test_idempotent(self):
         wf = gaussian_wavefunction(Grid(-10.0, 10.0, 2049))
-        again = normalize(wf)
+        again = SampledWavefunction(wf.grid, wf.amplitude)
         assert np.allclose(again.amplitude, wf.amplitude, rtol=1e-12, atol=0.0)
         assert again.norm_defect <= 1e-8
 
     def test_scaling_by_half(self):
         grid = Grid(-10.0, 10.0, 2049)
         wf = gaussian_wavefunction(grid)
-        doubled = SampledWavefunction(grid, 2.0 * wf.amplitude, False, 0.0)
-        renorm = normalize(doubled)
-        assert np.allclose(renorm.amplitude, doubled.amplitude / 2.0, rtol=1e-13)
+        doubled = 2.0 * wf.amplitude
+        renorm = SampledWavefunction(grid, doubled)
+        assert np.allclose(renorm.amplitude, doubled / 2.0, rtol=1e-13)
         assert renorm.norm_defect == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_norm_raises(self):
-        wf = SampledWavefunction(Grid(-1.0, 1.0, 201), np.zeros(201), False, 0.0)
         with pytest.raises(NormalizationError):
-            normalize(wf)
+            SampledWavefunction(Grid(-1.0, 1.0, 201), np.zeros(201))
+        with pytest.raises(NormalizationError):
+            SampledWavefunction(Grid(-1.0, 1.0, 201), np.full(201, np.inf))
 
 
 class TestCovariance:
@@ -271,7 +277,8 @@ class TestCovariance:
         assert cov.cov_xp == 0.0
 
     def test_requires_normalized(self):
-        wf = SampledWavefunction(Grid(-5.0, 5.0, 257), np.ones(257), False, 0.0)
+        wf = gaussian_wavefunction(Grid(-5.0, 5.0, 257))
+        wf.amplitude[:] *= 2.0
         with pytest.raises(NormalizationError):
             covariance_of(wf)
 
@@ -308,8 +315,8 @@ class TestOverlap:
     def test_parity_orthogonality(self):
         grid = Grid(-12.0, 12.0, 4097)
         x = grid.points()
-        even = normalize(SampledWavefunction(grid, np.exp(-(x**2) / 2.0), False, 0.0))
-        odd = normalize(SampledWavefunction(grid, x * np.exp(-(x**2) / 2.0), False, 0.0))
+        even = SampledWavefunction(grid, np.exp(-(x**2) / 2.0))
+        odd = SampledWavefunction(grid, x * np.exp(-(x**2) / 2.0))
         assert overlap(even, odd) == pytest.approx(0.0, abs=1e-9)
 
     def test_mismatched_grids_raise(self):
@@ -323,13 +330,6 @@ class TestOverlap:
         right = gaussian_wavefunction(Grid(10.0, 30.0, 513), center=20.0)
         with pytest.raises(IncompatibleDomainError):
             overlap(left, right)
-
-    def test_requires_normalized(self):
-        grid = Grid(-5.0, 5.0, 257)
-        raw = SampledWavefunction(grid, np.ones(257), False, 0.0)
-        wf = gaussian_wavefunction(grid)
-        with pytest.raises(NormalizationError):
-            overlap(raw, wf)
 
 
 class TestRichardsonSelfConsistency:

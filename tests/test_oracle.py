@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from nonlinosc.errors import GridError, SpecError, TruncationError, UnsupportedSpecError
-from nonlinosc.numerics import Grid, overlap, sample_ground_state, sized_ground_state
+from nonlinosc.numerics import (
+    Grid,
+    overlap,
+    sample_ground_state,
+    simpson_integral,
+    sized_ground_state,
+)
 from nonlinosc.oracle import (
     EigenResult,
     FockState,
-    _sturm_count_below,
+    _sturm_counter,
     _tridiagonal_hamiltonian,
     count_negative_eigenvalues,
     fd_ground_state,
@@ -78,7 +84,7 @@ class TestFdGroundState:
         spec = ModifiedPoschlTeller(1.0, 1.0)
         result = fd_ground_state(spec, sized_ground_state(spec).grid)
         wf = result.wavefunction
-        assert wf.normalized
+        assert simpson_integral(wf.amplitude**2, wf.grid.spacing) == pytest.approx(1.0, abs=1e-12)
         assert wf.amplitude[np.argmax(np.abs(wf.amplitude))] > 0.0
         assert wf.amplitude[0] == 0.0 and wf.amplitude[-1] == 0.0
 
@@ -156,7 +162,7 @@ class TestEigenvalueAgainstLapack:
         grid = sized_ground_state(spec).grid
         diag, off = _tridiagonal_hamiltonian(spec, grid)
         energy = fd_ground_state(spec, grid).energy
-        assert _sturm_count_below(diag, off, energy - 4.0 * _EPS * h_scale(spec, grid)) == 0
+        assert _sturm_counter(diag, off)(energy - 4.0 * _EPS * h_scale(spec, grid)) == 0
 
 
 class TestCountNegativeEigenvalues:

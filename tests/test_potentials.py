@@ -186,9 +186,9 @@ class TestGroundEnergy:
     def test_mio(self):
         assert ModifiedIsotonic(8.0).energy() == pytest.approx(0.0, abs=1e-15)
 
-    def test_perturbed_unsupported(self):
-        with pytest.raises(UnsupportedSpecError):
-            PerturbedHarmonic(1.0, 0.0, 0.1).energy()
+    def test_perturbed_is_the_report_energy(self):
+        spec = PerturbedHarmonic(2.0, 0.3, 0.1)
+        assert spec.energy() == measure_report(spec).ground_energy
 
 
 class TestMorseBoundStateCount:
@@ -212,22 +212,25 @@ class TestMorseBoundStateCount:
 
 class TestWellStructure:
     def test_single(self):
-        assert fellows_smith_well_structure(-0.1).region is WellRegion.SINGLE_WELL
+        assert fellows_smith_well_structure(-0.1) is WellRegion.SINGLE_WELL
 
     def test_double(self):
-        assert fellows_smith_well_structure(-0.6).region is WellRegion.DOUBLE_WELL
+        assert fellows_smith_well_structure(-0.6) is WellRegion.DOUBLE_WELL
 
     def test_triple(self):
-        assert fellows_smith_well_structure(-0.9).region is WellRegion.TRIPLE_WELL
+        assert fellows_smith_well_structure(-0.9) is WellRegion.TRIPLE_WELL
 
     def test_boundaries_closed_upward(self):
-        assert fellows_smith_well_structure(P_PLUS).region is WellRegion.SINGLE_WELL
-        assert fellows_smith_well_structure(P_MINUS).region is WellRegion.DOUBLE_WELL
+        assert fellows_smith_well_structure(P_PLUS) is WellRegion.SINGLE_WELL
+        assert fellows_smith_well_structure(P_MINUS) is WellRegion.DOUBLE_WELL
 
     def test_boundary_constants_carried(self):
-        ws = fellows_smith_well_structure(-0.3)
-        assert ws.p_plus == pytest.approx(-0.5 + math.sqrt(2.0) / 4.0)
-        assert ws.p_minus == pytest.approx(-0.5 - math.sqrt(2.0) / 4.0)
+        assert P_PLUS == pytest.approx(-0.5 + math.sqrt(2.0) / 4.0)
+        assert P_MINUS == pytest.approx(-0.5 - math.sqrt(2.0) / 4.0)
+        below_plus = fellows_smith_well_structure(math.nextafter(P_PLUS, -1.0))
+        below_minus = fellows_smith_well_structure(math.nextafter(P_MINUS, -1.0))
+        assert below_plus is WellRegion.DOUBLE_WELL
+        assert below_minus is WellRegion.TRIPLE_WELL
 
     @pytest.mark.parametrize("p", [0.1, -1.0, -1.5])
     def test_domain(self, p):
@@ -368,8 +371,8 @@ class TestFellowsSmithSeed:
 
 
 class TestPrefactorCache:
-    """Each spec instance computes its constant log prefactor once, on first
-    use; only the Fellows-Smith family evaluates Kummer Phi."""
+    """Each family adds its constant log prefactor where it samples; only
+    the Fellows-Smith family evaluates Kummer Phi."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -420,8 +423,6 @@ class TestPrefactorCache:
         before = spec.log_amplitude(x)
         other = with_parameter(spec, axis, value)
         fresh = type(spec)(**{**dataclasses.asdict(spec), axis: value})
-        assert other._log_prefactor == fresh._log_prefactor
-        assert other._log_prefactor != spec._log_prefactor
         assert other.log_amplitude(x).tobytes() == fresh.log_amplitude(x).tobytes()
         assert spec.log_amplitude(x).tobytes() == before.tobytes()
 
