@@ -7,120 +7,53 @@ relative-entropy non-Gaussianity of the ground state. The package ships a
 catalog of exactly solvable anharmonic potentials, closed-form results for
 weakly perturbed harmonic oscillators, and an independent finite-difference
 Schrodinger solver used as a verification oracle.
+
+Importing the package loads none of its modules (and so no numpy): each
+exported name imports its defining module on first access.
 """
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    GridError,
-    GridGrowthExhaustedError,
-    IncompatibleDomainError,
-    NormalizationError,
-    SpecError,
-    TruncationError,
-    UnsupportedSpecError,
-)
-from .measures import (
-    MeasureReport,
-    ReportDiagnostics,
-    eta_bures,
-    eta_ng,
-    measure_report,
-)
-from .numerics import (
-    CovarianceMatrix,
-    Grid,
-    SampledWavefunction,
-    covariance_of,
-    overlap,
-    sample_ground_state,
-    simpson_integral,
-    sized_ground_state,
-)
-from .oracle import EigenResult, FockState, count_negative_eigenvalues, fd_ground_state, fock_covariance
-from .perturbation import (
-    CurvePoint,
-    PerturbativeState,
-    ScatterRecord,
-    alpha_coefficients,
-    eta_b_perturbative,
-    eta_ng_perturbative,
-    parametric_curve,
-    perturbed_variances,
-    scatter_sample,
-)
-from .potentials import (
-    P_MINUS,
-    P_PLUS,
-    FellowsSmith,
-    Harmonic,
-    ModifiedIsotonic,
-    ModifiedPoschlTeller,
-    Morse,
-    PerturbedHarmonic,
-    PotentialSpec,
-    WellRegion,
-    evaluate_potential,
-    fellows_smith_well_structure,
-    ground_state_amplitude,
-    morse_bound_state_count,
-    parse_potential_spec,
-)
-from .specfun import entropy_h
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "CovarianceMatrix",
-    "CurvePoint",
-    "DomainError",
-    "EigenResult",
-    "FellowsSmith",
-    "FockState",
-    "Grid",
-    "GridError",
-    "GridGrowthExhaustedError",
-    "Harmonic",
-    "IncompatibleDomainError",
-    "MeasureReport",
-    "ModifiedIsotonic",
-    "ModifiedPoschlTeller",
-    "Morse",
-    "NormalizationError",
-    "P_MINUS",
-    "P_PLUS",
-    "PerturbativeState",
-    "PerturbedHarmonic",
-    "PotentialSpec",
-    "ReportDiagnostics",
-    "SampledWavefunction",
-    "ScatterRecord",
-    "SpecError",
-    "TruncationError",
-    "UnsupportedSpecError",
-    "WellRegion",
-    "alpha_coefficients",
-    "count_negative_eigenvalues",
-    "covariance_of",
-    "entropy_h",
-    "eta_b_perturbative",
-    "eta_bures",
-    "eta_ng",
-    "eta_ng_perturbative",
-    "evaluate_potential",
-    "fd_ground_state",
-    "fellows_smith_well_structure",
-    "fock_covariance",
-    "ground_state_amplitude",
-    "measure_report",
-    "morse_bound_state_count",
-    "overlap",
-    "parametric_curve",
-    "parse_potential_spec",
-    "perturbed_variances",
-    "sample_ground_state",
-    "scatter_sample",
-    "simpson_integral",
-    "sized_ground_state",
-]
+_EXPORTS = {
+    "errors": (
+        "ConvergenceError", "DomainError", "GridError", "GridGrowthExhaustedError",
+        "IncompatibleDomainError", "NormalizationError", "SpecError", "TruncationError",
+        "UnsupportedSpecError",
+    ),
+    "measures": ("MeasureReport", "ReportDiagnostics", "measure_report"),
+    "numerics": (
+        "CovarianceMatrix", "Grid", "SampledWavefunction", "covariance_of", "overlap",
+        "sample_ground_state", "simpson_integral", "sized_ground_state",
+    ),
+    "oracle": ("EigenResult", "FockState", "fd_ground_state", "fock_covariance"),
+    "perturbation": (
+        "CurvePoint", "PerturbativeState", "ScatterRecord", "alpha_coefficients",
+        "eta_b_perturbative", "eta_ng_perturbative", "parametric_curve",
+        "perturbed_variances", "scatter_sample",
+    ),
+    "potentials": (
+        "P_MINUS", "P_PLUS", "FellowsSmith", "Harmonic", "ModifiedIsotonic",
+        "ModifiedPoschlTeller", "Morse", "PerturbedHarmonic", "PotentialSpec", "WellRegion",
+        "evaluate_potential", "fellows_smith_well_structure", "ground_state_amplitude",
+        "parse_potential_spec",
+    ),
+    "specfun": ("entropy_h",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

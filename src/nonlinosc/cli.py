@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+
+# BLAS work here is vector dots; an OpenBLAS worker thread would only spin through start-up.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -71,28 +71,6 @@ def _edge_warnings(spec: PotentialSpec, wf: SampledWavefunction, target_tail: fl
     return tuple(warnings)
 
 
-def eta_bures(
-    spec: PotentialSpec,
-    target_tail: float = DEFAULT_TARGET_TAIL,
-    n_points: int = DEFAULT_N_POINTS,
-) -> float | None:
-    """Renormalized Bures distance to the reference harmonic ground state.
-
-    None when no reference frequency exists. The perturbed harmonic
-    oscillator uses its closed form sqrt(1 - N^{-1/2}).
-    """
-    return measure_report(spec, target_tail, n_points).eta_b
-
-
-def eta_ng(
-    spec: PotentialSpec,
-    target_tail: float = DEFAULT_TARGET_TAIL,
-    n_points: int = DEFAULT_N_POINTS,
-) -> float:
-    """Entropic non-Gaussianity of the ground state: h(sqrt(det sigma))."""
-    return measure_report(spec, target_tail, n_points).eta_ng
-
-
 def measure_report(
     spec: PotentialSpec,
     target_tail: float = DEFAULT_TARGET_TAIL,

@@ -11,7 +11,7 @@ stencil order more accurate than the second-derivative form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -74,10 +74,6 @@ class Grid:
         nodes.flags.writeable = False
         return nodes
 
-    def refined(self) -> "Grid":
-        """Same extent with halved spacing."""
-        return replace(self, n_points=2 * self.n_points - 1)
-
 
 @dataclass(frozen=True, eq=False)
 class SampledWavefunction:
@@ -124,6 +120,9 @@ class CovarianceMatrix:
     mean_p: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("<x^2>", self.var_x), ("<p^2>", self.var_p)):
+            if not math.isfinite(value):
+                raise GridError(f"{name} = {value} overflowed the float range")
         if not (self.var_x > 0.0 and self.var_p > 0.0):
             raise GridError(
                 f"covariance requires positive variances, got ({self.var_x}, {self.var_p})"
@@ -249,7 +248,8 @@ def covariance_of(wf: SampledWavefunction) -> CovarianceMatrix:
     mean_x = simpson_integral(x * density, h)
     var_x = simpson_integral(x**2 * density, h) - mean_x**2
     derivative = first_derivative(wf.amplitude, h)
-    var_p = simpson_integral(derivative**2, h)
+    with np.errstate(over="ignore"):  # CovarianceMatrix rejects an overflowed <p^2>
+        var_p = simpson_integral(derivative**2, h)
     return CovarianceMatrix(var_x=var_x, var_p=var_p, mean_x=mean_x)
 
 

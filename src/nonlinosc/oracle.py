@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GridError, SpecError, TruncationError, UnsupportedSpecError
+from .errors import ConvergenceError, GridError, SpecError, TruncationError
 from .numerics import CovarianceMatrix, Grid, SampledWavefunction
-from .potentials import ModifiedPoschlTeller, Morse, PotentialSpec, evaluate_potential
+from .potentials import PotentialSpec, evaluate_potential
 
 _EPS = np.finfo(float).eps
 
@@ -190,29 +190,6 @@ def _ldl_solve(lower: list[float], pivots: list[float], rhs: np.ndarray) -> np.n
     for i in range(len(lower) - 1, -1, -1):
         x[i] -= lower[i] * x[i + 1]
     return np.array(x)
-
-
-def count_negative_eigenvalues(spec: PotentialSpec, grid: Grid) -> int:
-    """Bound states of a potential vanishing at +infinity (Morse, MPT).
-
-    Sturm count of eigenvalues below zero, re-checked on a spacing-halved
-    grid; a mismatch means the discretization has not converged.
-    """
-    if not isinstance(spec, (Morse, ModifiedPoschlTeller)):
-        raise UnsupportedSpecError(
-            "negative-eigenvalue counting needs V -> 0 at +infinity; confining "
-            "potentials have no natural zero threshold"
-        )
-    counts = []
-    for g in (grid, grid.refined()):
-        diag, off = _tridiagonal_hamiltonian(spec, g)
-        counts.append(_sturm_counter(diag, off)(0.0))
-    if counts[0] != counts[1]:
-        raise ConvergenceError(
-            f"bound-state count not converged: {counts[0]} vs {counts[1]} under "
-            "grid refinement"
-        )
-    return counts[0]
 
 
 def _ladder_matrices(omega: float, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -384,21 +384,6 @@ def fellows_smith_well_structure(p: float) -> WellRegion:
     return WellRegion.TRIPLE_WELL
 
 
-def morse_bound_state_count(D: float, alpha: float) -> int:
-    """Number of Morse bound states for raw parameters D, alpha > 0.
-
-    Levels n = 0, 1, ... exist while n < N with N = sqrt(2D)/alpha - 1/2,
-    so the count is ceil(N) for N > 0 (an integer N contributes no level at
-    n = N) and 0 once alpha reaches 2 sqrt(2D).
-    """
-    _require_finite_positive("D", D)
-    _require_finite_positive("alpha", alpha)
-    n_index = math.sqrt(2.0 * D) / alpha - 0.5
-    if n_index <= 0.0:
-        return 0
-    return int(math.ceil(n_index))
-
-
 def evaluate_potential(spec: PotentialSpec, x):
     """V(x) for a catalog potential; accepts scalars or numpy arrays."""
     x_arr = np.asarray(x, dtype=float)

@@ -4,19 +4,21 @@ The oracles are deliberately decoupled from the package's own evaluation
 paths: Stirling series for Gamma, exact-rational series for the confluent
 hypergeometric function, mpmath quadrature for moments, and plain
 finite differences for local energies. The Gaussian-state, Bures-distance,
-Gamma and resampled-overlap aids at the end serve tests only; no package
-path needs them.
+Gamma, resampled-overlap, grid-refinement and bound-state-count aids at the
+end serve tests only; no package path needs them.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 
-from nonlinosc.errors import DomainError
-from nonlinosc.numerics import CovarianceMatrix, SampledWavefunction, simpson_integral
+from nonlinosc.errors import ConvergenceError, DomainError, UnsupportedSpecError
+from nonlinosc.numerics import CovarianceMatrix, Grid, SampledWavefunction, simpson_integral
+from nonlinosc.oracle import _sturm_counter, _tridiagonal_hamiltonian
+from nonlinosc.potentials import ModifiedPoschlTeller, Morse
 
 mp.mp.dps = 40
 
@@ -215,3 +217,43 @@ def resampled_overlap(wf1: SampledWavefunction, wf2: SampledWavefunction) -> flo
     a1 = np.interp(common, g1.points(), wf1.amplitude, left=0.0, right=0.0)
     a2 = np.interp(common, g2.points(), wf2.amplitude, left=0.0, right=0.0)
     return simpson_integral(a1 * a2, common[1] - common[0])
+
+
+def refined(grid: Grid) -> Grid:
+    """Same extent with halved spacing."""
+    return replace(grid, n_points=2 * grid.n_points - 1)
+
+
+def morse_bound_state_count(D: float, alpha: float) -> int:
+    """Number of Morse bound states for D, alpha > 0.
+
+    Levels n = 0, 1, ... exist while n < N with N = sqrt(2D)/alpha - 1/2,
+    so the count is ceil(N) for N > 0 (an integer N contributes no level at
+    n = N) and 0 once alpha reaches 2 sqrt(2D).
+    """
+    n_index = math.sqrt(2.0 * D) / alpha - 0.5
+    return max(0, math.ceil(n_index))
+
+
+def count_negative_eigenvalues(spec, grid: Grid) -> int:
+    """Bound states of a potential vanishing at +infinity (Morse, MPT).
+
+    Sturm count of the finite-difference Hamiltonian's eigenvalues below
+    zero, re-checked on a spacing-halved grid; a mismatch means the
+    discretization has not converged.
+    """
+    if not isinstance(spec, (Morse, ModifiedPoschlTeller)):
+        raise UnsupportedSpecError(
+            "negative-eigenvalue counting needs V -> 0 at +infinity; confining "
+            "potentials have no natural zero threshold"
+        )
+    counts = []
+    for g in (grid, refined(grid)):
+        diag, off = _tridiagonal_hamiltonian(spec, g)
+        counts.append(_sturm_counter(diag, off)(0.0))
+    if counts[0] != counts[1]:
+        raise ConvergenceError(
+            f"bound-state count not converged: {counts[0]} vs {counts[1]} under "
+            "grid refinement"
+        )
+    return counts[0]

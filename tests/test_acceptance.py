@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nonlinosc.cli import main as cli_main
-from nonlinosc.measures import eta_ng as eta_ng_of, measure_report
+from nonlinosc.measures import measure_report
 from nonlinosc.numerics import overlap, sized_ground_state
 from nonlinosc.oracle import FockState, fd_ground_state, fock_covariance
 from nonlinosc.perturbation import (
@@ -130,8 +130,8 @@ def test_criterion_5_morse_trends():
         for j in range(len(alphas)):
             assert strictly_decreasing([table[d][j].eta_b for d in d_values]), alphas[j]
             assert strictly_decreasing([table[d][j].eta_ng for d in d_values]), alphas[j]
-        assert eta_ng_of(Morse(1.0, 0.01)) <= 0.01
-        assert eta_ng_of(Morse(1.0, 0.99 * 2.0 * math.sqrt(2.0))) >= 1.0
+        assert measure_report(Morse(1.0, 0.01)).eta_ng <= 0.01
+        assert measure_report(Morse(1.0, 0.99 * 2.0 * math.sqrt(2.0))).eta_ng >= 1.0
 
 
 def _mpt_curve(d: float, points: int = 28) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +164,7 @@ def test_criterion_6_mpt_superposition():
             for d2 in interpolants:
                 sup = max(sup, float(np.max(np.abs(interpolants[d1] - interpolants[d2]))))
         assert sup <= 1e-3, sup
-        assert eta_ng_of(ModifiedPoschlTeller(1.0, 1.0)) == pytest.approx(
+        assert measure_report(ModifiedPoschlTeller(1.0, 1.0)).eta_ng == pytest.approx(
             entropy_h(math.pi / 6.0), abs=1e-5
         )
 

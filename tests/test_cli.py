@@ -79,6 +79,18 @@ class TestMeasure:
             f"error: omega={float(omega)!r}: (2 omega)^1.5 or omega^2 under- or overflows"
         ]
 
+    def test_overflowing_kinetic_moment_is_one_error_line(self):
+        # In a fresh interpreter, so a numpy RuntimeWarning would reach stderr.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "nonlinosc.cli", "measure", "--potential", "harmonic:omega=1e300"],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == ["error: <p^2> = inf overflowed the float range"]
+
     def test_parse_error_nonzero_exit(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--potential", "nope:x=1")
         assert code != 0

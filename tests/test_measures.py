@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nonlinosc.measures import eta_bures, eta_ng, measure_report
+from nonlinosc.measures import measure_report
 from nonlinosc.numerics import (
     CovarianceMatrix,
     Grid,
@@ -66,40 +66,40 @@ class TestFidelityAndBures:
 class TestEtaBures:
     @pytest.mark.parametrize("omega", [0.5, 1.0, 4.0])
     def test_harmonic_zero(self, omega):
-        assert eta_bures(Harmonic(omega)) <= 1e-6
+        assert measure_report(Harmonic(omega)).eta_b <= 1e-6
 
     def test_small_alpha_morse_vanishing_trend(self):
         # The measure vanishes as alpha -> 0; the minimum-centered reference
         # leaves a residual ~0.33 sqrt(alpha) from the ground-state
         # displacement, so 0.05 is the honest small-alpha bound at 0.01.
-        values = [eta_bures(Morse(1.0, a)) for a in (0.005, 0.01, 0.05)]
+        values = [measure_report(Morse(1.0, a)).eta_b for a in (0.005, 0.01, 0.05)]
         assert values[1] <= 0.05
         assert values[0] < values[1] < values[2]
 
     def test_fellows_smith_absent_without_reference(self):
-        assert eta_bures(FellowsSmith(-0.6)) is None
-        assert eta_bures(FellowsSmith(-0.9)) is None
+        assert measure_report(FellowsSmith(-0.6)).eta_b is None
+        assert measure_report(FellowsSmith(-0.9)).eta_b is None
 
     def test_perturbed_closed_form(self):
         spec = PerturbedHarmonic(1.0, 0.0, 0.25)
         alpha2 = -0.125 * 3.0 / math.sqrt(2.0)
         expected = math.sqrt(1.0 - (1.0 + alpha2**2) ** -0.5)
-        assert eta_bures(spec) == pytest.approx(expected, rel=1e-12)
+        assert measure_report(spec).eta_b == pytest.approx(expected, rel=1e-12)
 
 
 class TestEtaNg:
     def test_harmonic_zero(self):
-        assert eta_ng(Harmonic(3.0)) <= 1e-6
+        assert measure_report(Harmonic(3.0)).eta_ng <= 1e-6
 
     def test_mpt_closed_form(self):
         # var_x = pi^2/12 and var_p = 1/3 give sqrt(det) = pi/6.
-        assert eta_ng(ModifiedPoschlTeller(1.0, 1.0)) == pytest.approx(
+        assert measure_report(ModifiedPoschlTeller(1.0, 1.0)).eta_ng == pytest.approx(
             entropy_h(math.pi / 6.0), abs=1e-5
         )
         assert entropy_h(math.pi / 6.0) == pytest.approx(0.1122893011, abs=1e-9)
 
     def test_morse_edge_grows_large(self):
-        assert eta_ng(Morse(1.0, 2.8)) > 1.0
+        assert measure_report(Morse(1.0, 2.8)).eta_ng > 1.0
 
     def test_perturbed_matches_fock_oracle(self):
         from nonlinosc.oracle import FockState, fock_covariance
@@ -109,7 +109,8 @@ class TestEtaNg:
 
         state = alpha_coefficients(spec.eps3, spec.eps4, spec.omega)
         cov = fock_covariance(FockState(np.array([1.0, state.alpha1, state.alpha2])))
-        assert eta_ng(spec) == pytest.approx(entropy_h(math.sqrt(cov.det)), abs=1e-12)
+        expected = entropy_h(math.sqrt(cov.det))
+        assert measure_report(spec).eta_ng == pytest.approx(expected, abs=1e-12)
 
 
 class TestMeasureReport:
@@ -235,7 +236,7 @@ class TestWignerGaussian:
 class TestSymplecticInvariance:
     @pytest.mark.parametrize("omega", [0.1, 1.0, 10.0])
     def test_frequency_invariance(self, omega):
-        assert eta_ng(Harmonic(omega)) <= 1e-6
+        assert measure_report(Harmonic(omega)).eta_ng <= 1e-6
 
     def test_displaced_gaussian_scores_zero(self):
         grid = Grid(-10.0, 16.0, 4097)

@@ -16,7 +16,6 @@ from nonlinosc.oracle import (
     FockState,
     _sturm_counter,
     _tridiagonal_hamiltonian,
-    count_negative_eigenvalues,
     fd_ground_state,
     fock_covariance,
 )
@@ -28,6 +27,8 @@ from nonlinosc.potentials import (
     Morse,
 )
 from nonlinosc.perturbation import PerturbativeState, perturbed_variances
+
+from helpers import count_negative_eigenvalues, morse_bound_state_count, refined
 
 _EPS = np.finfo(float).eps
 
@@ -118,7 +119,7 @@ class TestFdGroundState:
         grid = sized_ground_state(spec).grid
         exact = spec.energy()
         err_coarse = fd_ground_state(spec, grid).energy - exact
-        err_fine = fd_ground_state(spec, grid.refined()).energy - exact
+        err_fine = fd_ground_state(spec, refined(grid)).energy - exact
         ratio = err_coarse / err_fine
         assert 4.0 * 0.8 <= ratio <= 4.0 * 1.2
 
@@ -170,16 +171,12 @@ class TestCountNegativeEigenvalues:
         assert count_negative_eigenvalues(Morse(8.0, 1.0), Grid(-8.0, 60.0, 8193)) == 4
 
     def test_morse_matches_formula_count(self):
-        from nonlinosc.potentials import morse_bound_state_count
-
         assert morse_bound_state_count(1.0, 2.5) == 1
         assert count_negative_eigenvalues(Morse(1.0, 2.5), Grid(-3.0, 120.0, 8193)) == 1
 
     def test_beyond_limit_not_constructible(self):
         # alpha > 2 sqrt(2D) has no bound state; the potential type refuses
         # it and the closed-form count confirms zero.
-        from nonlinosc.potentials import morse_bound_state_count
-
         with pytest.raises(SpecError):
             Morse(1.0, 2.9)
         assert morse_bound_state_count(1.0, 2.9) == 0

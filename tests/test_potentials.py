@@ -22,13 +22,12 @@ from nonlinosc.potentials import (
     evaluate_potential,
     fellows_smith_well_structure,
     ground_state_amplitude,
-    morse_bound_state_count,
     parse_potential_spec,
     sweep_axes,
     with_parameter,
 )
 
-from helpers import fourth_order_second_derivative, second_difference
+from helpers import fourth_order_second_derivative, morse_bound_state_count, second_difference
 
 CATALOG = [
     Harmonic(1.0),
