@@ -34,9 +34,8 @@ _EXPORTS = {
         "perturbed_variances", "scatter_sample",
     ),
     "potentials": (
-        "P_MINUS", "P_PLUS", "FellowsSmith", "Harmonic", "ModifiedIsotonic",
-        "ModifiedPoschlTeller", "Morse", "PerturbedHarmonic", "PotentialSpec", "WellRegion",
-        "evaluate_potential", "fellows_smith_well_structure", "ground_state_amplitude",
+        "P_PLUS", "FellowsSmith", "Harmonic", "ModifiedIsotonic", "ModifiedPoschlTeller",
+        "Morse", "PerturbedHarmonic", "PotentialSpec", "evaluate_potential",
         "parse_potential_spec",
     ),
     "specfun": ("entropy_h",),

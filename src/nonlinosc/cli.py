@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -101,6 +102,8 @@ def _sweep_values(args: argparse.Namespace) -> np.ndarray:
     lo, hi, count = args.sweep_from, args.sweep_to, args.points
     if not lo < hi:
         raise SpecError(f"sweep range must be strictly increasing, got [{lo}, {hi}]")
+    if not math.isfinite(hi - lo):
+        raise SpecError(f"sweep range must have finite ends and a finite width, got [{lo}, {hi}]")
     if count < 2:
         raise SpecError(f"sweep needs at least 2 points, got {count}")
     if args.log_spacing:

@@ -6,8 +6,8 @@ Dirichlet ends: a symmetric tridiagonal matrix T. Sturm bisection finds its
 lowest eigenvalue; inverse iteration on the L D L^T factor of T shifted just
 below it, positive definite and so factored without pivoting, finds the
 eigenvector. Plain 3-point differencing is preferred over higher-order
-schemes because the tridiagonal structure admits exact Sturm counting and
-its second-order convergence is ample at the default grid sizes.
+schemes because the tridiagonal structure admits exact Sturm bisection
+and its second-order convergence is ample at the default grid sizes.
 """
 
 from __future__ import annotations
@@ -65,11 +65,23 @@ class FockState:
 
 
 def _tridiagonal_hamiltonian(spec: PotentialSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Interior-point diagonal and off-diagonal of the discretized H."""
+    """Interior-point diagonal and off-diagonal of the discretized H.
+
+    Raises GridError when V on the grid leaves the float range, whether in
+    numpy or in a family's Python-float parameter power (omega**2).
+    """
     x = grid.points()
     h = grid.spacing
-    v = np.asarray(evaluate_potential(spec, x[1:-1]), dtype=float)
-    diag = 1.0 / h**2 + v
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = np.asarray(evaluate_potential(spec, x[1:-1]), dtype=float)
+            diag = 1.0 / h**2 + v
+    except OverflowError:
+        diag = None
+    if diag is None or not np.all(np.isfinite(diag)):
+        raise GridError(
+            f"V(x) overflows the float range on the grid [{grid.x_min:.6g}, {grid.x_max:.6g}]"
+        )
     off = np.full(v.size - 1, -0.5 / h**2)
     return diag, off
 
@@ -136,33 +148,27 @@ def fd_ground_state(spec: PotentialSpec, grid: Grid) -> EigenResult:
     return EigenResult(energy, wavefunction, best_res, iterations)
 
 
-def _sturm_counter(diag: np.ndarray, off: np.ndarray):
-    """Counter of eigenvalues below a value: negative L D L^T pivots of T - value I
-    over Python floats, zero pivots nudged as in LAPACK's pivmin safeguard."""
-    tiny = max(_EPS * (float(np.max(np.abs(diag))) + 2.0 * float(np.max(np.abs(off)))) ** 2, 1e-300)
-    pairs = list(zip(diag.tolist(), [0.0] + (off * off).tolist()))
-
-    def count_below(value: float) -> int:
-        count, pivot = 0, 1.0
-        for d, b_sq in pairs:
-            pivot = (d - value) - b_sq / pivot
-            if pivot <= 0.0:
-                if pivot == 0.0:
-                    pivot = -tiny
-                count += 1
-        return count
-
-    return count_below
-
-
 def _lowest_eigenvalue(diag: np.ndarray, off: np.ndarray) -> float:
-    """Sturm bisection of the Gershgorin interval until the midpoint stops moving."""
+    """Sturm bisection of the Gershgorin interval until the midpoint stops moving.
+
+    Each step asks only whether an eigenvalue lies at or below the midpoint:
+    the L D L^T pivots of T - mid I, over Python floats, are all positive
+    unless one does, so the step stops at the first pivot that is not.
+    """
     radius = np.abs(np.append(off, 0.0)) + np.abs(np.insert(off, 0, 0.0))
     lo, hi = float(np.min(diag - radius)), float(np.max(diag + radius))
-    count_below = _sturm_counter(diag, off)
+    with np.errstate(over="ignore"):
+        off_sq = off * off
+    if not np.all(np.isfinite(off_sq)):
+        raise GridError("the squared off-diagonal of H overflows the float range; spacing too fine")
+    pairs = list(zip(diag.tolist(), [0.0] + off_sq.tolist()))
     while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if count_below(mid):
-            hi = mid
+        pivot = 1.0
+        for d, b_sq in pairs:
+            pivot = (d - mid) - b_sq / pivot
+            if not pivot > 0.0:
+                hi = mid
+                break
         else:
             lo = mid
     return mid

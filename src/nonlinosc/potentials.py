@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, fields, replace
-from enum import Enum
 from typing import ClassVar, Union, get_args
 
 import numpy as np
@@ -23,9 +22,8 @@ from .errors import DomainError, SpecError, UnsupportedSpecError
 from .perturbation import alpha_coefficients
 from .specfun import kummer_phi_log_grid, log_gamma
 
-# Well-structure boundaries of the supersymmetric-partner family.
+# Lower edge of the supersymmetric-partner family's single-well region.
 P_PLUS = -0.5 + math.sqrt(2.0) / 4.0
-P_MINUS = -0.5 - math.sqrt(2.0) / 4.0
 
 
 def _require_finite_positive(name: str, value: float) -> None:
@@ -362,28 +360,6 @@ PotentialSpec = Union[
 _FAMILIES = {cls.kind: cls for cls in get_args(PotentialSpec)}
 
 
-class WellRegion(Enum):
-    SINGLE_WELL = "single"
-    DOUBLE_WELL = "double"
-    TRIPLE_WELL = "triple"
-
-
-def fellows_smith_well_structure(p: float) -> WellRegion:
-    """Classify the well structure for p in (-1, 0]; the region boundaries
-    are P_PLUS and P_MINUS.
-
-    Boundary values belong to the closed interval of the shallower
-    structure: p+ is single-well, p- is double-well.
-    """
-    if not (math.isfinite(p) and -1.0 < p <= 0.0):
-        raise DomainError(f"well structure defined for p in (-1, 0], got {p!r}")
-    if p >= P_PLUS:
-        return WellRegion.SINGLE_WELL
-    if p >= P_MINUS:
-        return WellRegion.DOUBLE_WELL
-    return WellRegion.TRIPLE_WELL
-
-
 def evaluate_potential(spec: PotentialSpec, x):
     """V(x) for a catalog potential; accepts scalars or numpy arrays."""
     x_arr = np.asarray(x, dtype=float)
@@ -403,24 +379,6 @@ def ground_state_log_amplitude(spec: PotentialSpec, x) -> np.ndarray:
     renormalizes numerically.
     """
     return spec.log_amplitude(np.asarray(x, dtype=float))
-
-
-def ground_state_amplitude(spec: PotentialSpec, x):
-    """Analytic ground-state amplitude as printed, prefactor and all; for
-    MIO the unnormalized amplitude, with peak 1 at x = 0.
-
-    Raises OverflowError when the printed prefactor leaves the float range
-    (deep Morse wells, N >~ 120); the grid-sampling path is unaffected since
-    it renormalizes in log space.
-    """
-    log_amp = ground_state_log_amplitude(spec, x)
-    if np.any(log_amp > 709.0):
-        raise OverflowError(
-            "printed ground-state amplitude exceeds the float range; sample on a "
-            "grid and renormalize instead"
-        )
-    amp = np.exp(log_amp)
-    return amp if np.ndim(x) else float(amp)
 
 
 def parse_potential_spec(text: str) -> PotentialSpec:

@@ -14,13 +14,17 @@ from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
+import pytest
 
 from nonlinosc.errors import ConvergenceError, DomainError, UnsupportedSpecError
 from nonlinosc.numerics import CovarianceMatrix, Grid, SampledWavefunction, simpson_integral
-from nonlinosc.oracle import _sturm_counter, _tridiagonal_hamiltonian
+from nonlinosc.oracle import _tridiagonal_hamiltonian
 from nonlinosc.potentials import ModifiedPoschlTeller, Morse
 
 mp.mp.dps = 40
+
+# Upper edge of the Fellows-Smith triple-well region (p+ is in the package).
+P_MINUS = -0.5 - math.sqrt(2.0) / 4.0
 
 # Bernoulli numbers B_2..B_16 for the Stirling series.
 _BERNOULLI = [
@@ -235,11 +239,18 @@ def morse_bound_state_count(D: float, alpha: float) -> int:
     return max(0, math.ceil(n_index))
 
 
+def eigenvalues_at_or_below(diag: np.ndarray, off: np.ndarray, value: float) -> int:
+    """LAPACK's count of a symmetric tridiagonal matrix's eigenvalues <= value;
+    skips the calling test without SciPy."""
+    linalg = pytest.importorskip("scipy.linalg")
+    return linalg.eigvalsh_tridiagonal(diag, off, select="v", select_range=(-np.inf, value)).size
+
+
 def count_negative_eigenvalues(spec, grid: Grid) -> int:
     """Bound states of a potential vanishing at +infinity (Morse, MPT).
 
-    Sturm count of the finite-difference Hamiltonian's eigenvalues below
-    zero, re-checked on a spacing-halved grid; a mismatch means the
+    LAPACK's count of the finite-difference Hamiltonian's eigenvalues at or
+    below zero, re-checked on a spacing-halved grid; a mismatch means the
     discretization has not converged.
     """
     if not isinstance(spec, (Morse, ModifiedPoschlTeller)):
@@ -247,10 +258,8 @@ def count_negative_eigenvalues(spec, grid: Grid) -> int:
             "negative-eigenvalue counting needs V -> 0 at +infinity; confining "
             "potentials have no natural zero threshold"
         )
-    counts = []
-    for g in (grid, refined(grid)):
-        diag, off = _tridiagonal_hamiltonian(spec, g)
-        counts.append(_sturm_counter(diag, off)(0.0))
+    counts = [eigenvalues_at_or_below(*_tridiagonal_hamiltonian(spec, g), 0.0)
+              for g in (grid, refined(grid))]
     if counts[0] != counts[1]:
         raise ConvergenceError(
             f"bound-state count not converged: {counts[0]} vs {counts[1]} under "

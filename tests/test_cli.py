@@ -23,6 +23,16 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_fresh(*argv):
+    """Run the CLI in a fresh interpreter, so a numpy RuntimeWarning would reach stderr."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "nonlinosc.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
+    )
+
+
 class TestMeasure:
     def test_harmonic_json(self, capsys):
         code, out, _ = run_cli(
@@ -80,13 +90,7 @@ class TestMeasure:
         ]
 
     def test_overflowing_kinetic_moment_is_one_error_line(self):
-        # In a fresh interpreter, so a numpy RuntimeWarning would reach stderr.
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "nonlinosc.cli", "measure", "--potential", "harmonic:omega=1e300"],
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True, timeout=120,
-        )
+        done = run_fresh("measure", "--potential", "harmonic:omega=1e300")
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.splitlines() == ["error: <p^2> = inf overflowed the float range"]
@@ -237,6 +241,22 @@ class TestSweep:
         assert code != 0
         assert "strictly increasing" in err
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--from=-inf", "--to", "1"], ["--from", "1", "--to", "inf", "--log-spacing"],
+         ["--from=-1e308", "--to", "1e308"]],
+        ids=["infinite-start", "infinite-end-log", "overflowing-width"],
+    )
+    def test_non_finite_range_exits_2(self, capsys, bounds):
+        code, out, err = run_cli(
+            capsys, "sweep", "--potential", "harmonic:omega=1", "--axis", "omega",
+            *bounds, "--points", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: sweep range must have finite ends and a finite width")
+
     def test_base_value_of_swept_axis_is_not_checked(self, capsys):
         # alpha=3 has no Morse bound state, but only the swept values are used.
         code, out, _ = run_cli(
@@ -332,6 +352,16 @@ class TestOracleCheck:
             "error: perturbed-harmonic ground state is a number-basis expansion; "
             "use the perturbation module"
         ]
+
+    @pytest.mark.parametrize("omega", ["1e150", "1e300"])
+    def test_overflowing_hamiltonian_is_one_error_line(self, omega):
+        # omega**2 leaves the float range at 1e300; at 1e150 the square of
+        # the off-diagonal -1/(2 h^2) does.
+        done = run_fresh("oracle-check", "--potential", f"harmonic:omega={omega}")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: ") and "float range" in line
 
     def test_morse_adjudicates_energy_reading(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-check", "--potential", "morse:D=1,alpha=0.5")

@@ -14,7 +14,6 @@ from nonlinosc.numerics import (
 from nonlinosc.oracle import (
     EigenResult,
     FockState,
-    _sturm_counter,
     _tridiagonal_hamiltonian,
     fd_ground_state,
     fock_covariance,
@@ -28,7 +27,12 @@ from nonlinosc.potentials import (
 )
 from nonlinosc.perturbation import PerturbativeState, perturbed_variances
 
-from helpers import count_negative_eigenvalues, morse_bound_state_count, refined
+from helpers import (
+    count_negative_eigenvalues,
+    eigenvalues_at_or_below,
+    morse_bound_state_count,
+    refined,
+)
 
 _EPS = np.finfo(float).eps
 
@@ -163,7 +167,7 @@ class TestEigenvalueAgainstLapack:
         grid = sized_ground_state(spec).grid
         diag, off = _tridiagonal_hamiltonian(spec, grid)
         energy = fd_ground_state(spec, grid).energy
-        assert _sturm_counter(diag, off)(energy - 4.0 * _EPS * h_scale(spec, grid)) == 0
+        assert eigenvalues_at_or_below(diag, off, energy - 4.0 * _EPS * h_scale(spec, grid)) == 0
 
 
 class TestCountNegativeEigenvalues:

@@ -26,8 +26,11 @@ def test_export_list_matches_the_package():
 
 
 def test_unknown_name_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="no attribute 'eta_bures'"):
-        nonlinosc.eta_bures
+    # Deleted names stay deleted.
+    for name in ("eta_bures", "ground_state_amplitude", "fellows_smith_well_structure",
+                 "WellRegion", "P_MINUS"):
+        with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
+            getattr(nonlinosc, name)
 
 
 def _fresh(code: str, openblas_threads: str | None = None) -> str:

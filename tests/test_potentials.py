@@ -10,7 +10,6 @@ from nonlinosc.errors import DomainError, SpecError, UnsupportedSpecError
 from nonlinosc.measures import measure_report
 from nonlinosc.numerics import first_derivative, sized_ground_state
 from nonlinosc.potentials import (
-    P_MINUS,
     P_PLUS,
     FellowsSmith,
     Harmonic,
@@ -18,16 +17,18 @@ from nonlinosc.potentials import (
     ModifiedPoschlTeller,
     Morse,
     PerturbedHarmonic,
-    WellRegion,
     evaluate_potential,
-    fellows_smith_well_structure,
-    ground_state_amplitude,
     parse_potential_spec,
     sweep_axes,
     with_parameter,
 )
 
-from helpers import fourth_order_second_derivative, morse_bound_state_count, second_difference
+from helpers import (
+    P_MINUS,
+    fourth_order_second_derivative,
+    morse_bound_state_count,
+    second_difference,
+)
 
 CATALOG = [
     Harmonic(1.0),
@@ -93,7 +94,7 @@ class TestEvaluatePotential:
 
 class TestGroundState:
     def test_harmonic_amplitude_at_origin(self):
-        assert ground_state_amplitude(Harmonic(1.0), 0.0) == pytest.approx(
+        assert np.exp(Harmonic(1.0).log_amplitude(np.array([0.0])))[0] == pytest.approx(
             math.pi ** -0.25, rel=1e-13
         )
 
@@ -101,7 +102,7 @@ class TestGroundState:
         # s = (-1 + sqrt(1 + 8))/2 = 1, so the amplitude is proportional to sech.
         spec = ModifiedPoschlTeller(1.0, 1.0)
         x = np.array([0.0, 0.5, 1.5, 3.0])
-        amp = ground_state_amplitude(spec, x)
+        amp = np.exp(spec.log_amplitude(x))
         ratio = amp / amp[0]
         assert np.allclose(ratio, 1.0 / np.cosh(x), rtol=1e-12)
 
@@ -114,20 +115,14 @@ class TestGroundState:
         x = grid.points()
         i0 = int(np.argmin(np.abs(x)))
         i1 = int(np.argmin(np.abs(x - 1.0)))
-        analytic_ratio = ground_state_amplitude(spec, x[i1]) / ground_state_amplitude(spec, x[i0])
+        amp = np.exp(spec.log_amplitude(x[[i0, i1]]))
+        analytic_ratio = amp[1] / amp[0]
         fd_ratio = fd.wavefunction.amplitude[i1] / fd.wavefunction.amplitude[i0]
         assert analytic_ratio == pytest.approx(fd_ratio, abs=1e-5)
 
     def test_perturbed_harmonic_unsupported(self):
         with pytest.raises(UnsupportedSpecError):
-            ground_state_amplitude(PerturbedHarmonic(1.0, 0.1, 0.1), 0.0)
-
-    def test_deep_morse_prefactor_overflows(self):
-        # N = sqrt(2)/0.005 - 1/2 ~ 282: the printed prefactor tops 1e300.
-        with pytest.raises(OverflowError):
-            ground_state_amplitude(Morse(1.0, 0.005), 0.0)
-        # One order up in alpha the printed value is huge but representable.
-        assert math.isfinite(ground_state_amplitude(Morse(1.0, 0.01), 0.0))
+            PerturbedHarmonic(1.0, 0.1, 0.1).log_amplitude(np.array([0.0]))
 
     @pytest.mark.parametrize("spec", CATALOG)
     def test_decay_at_infinity(self, spec):
@@ -209,32 +204,36 @@ class TestMorseBoundStateCount:
         assert morse_bound_state_count(1.0, 2.9) == 0
 
 
+def fs_well_count(p: float) -> int:
+    """Strict local minima of the Fellows-Smith potential on [-6, 6]."""
+    v = FellowsSmith(p).potential(np.linspace(-6.0, 6.0, 4001))
+    return int(np.count_nonzero((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])))
+
+
 class TestWellStructure:
+    # p+- = -1/2 +- sqrt(2)/4 split (-1, 0] into single-, double- and
+    # triple-well regions of the potential itself.
     def test_single(self):
-        assert fellows_smith_well_structure(-0.1) is WellRegion.SINGLE_WELL
+        assert fs_well_count(-0.1) == 1
 
     def test_double(self):
-        assert fellows_smith_well_structure(-0.6) is WellRegion.DOUBLE_WELL
+        assert fs_well_count(-0.6) == 2
 
     def test_triple(self):
-        assert fellows_smith_well_structure(-0.9) is WellRegion.TRIPLE_WELL
+        assert fs_well_count(-0.9) == 3
 
     def test_boundaries_closed_upward(self):
-        assert fellows_smith_well_structure(P_PLUS) is WellRegion.SINGLE_WELL
-        assert fellows_smith_well_structure(P_MINUS) is WellRegion.DOUBLE_WELL
+        # Boundary values belong to the shallower structure.
+        assert fs_well_count(P_PLUS) == 1
+        assert fs_well_count(P_MINUS) == 2
 
     def test_boundary_constants_carried(self):
-        assert P_PLUS == pytest.approx(-0.5 + math.sqrt(2.0) / 4.0)
-        assert P_MINUS == pytest.approx(-0.5 - math.sqrt(2.0) / 4.0)
-        below_plus = fellows_smith_well_structure(math.nextafter(P_PLUS, -1.0))
-        below_minus = fellows_smith_well_structure(math.nextafter(P_MINUS, -1.0))
-        assert below_plus is WellRegion.DOUBLE_WELL
-        assert below_minus is WellRegion.TRIPLE_WELL
-
-    @pytest.mark.parametrize("p", [0.1, -1.0, -1.5])
-    def test_domain(self, p):
-        with pytest.raises(DomainError):
-            fellows_smith_well_structure(p)
+        # Both are the roots of the curvature 1 + 8p(1 + p) at x = 0, and a
+        # well appears just below each.
+        for boundary in (P_PLUS, P_MINUS):
+            assert 1.0 + 8.0 * boundary * (1.0 + boundary) == pytest.approx(0.0, abs=1e-15)
+        assert [fs_well_count(P_PLUS + d) for d in (1e-3, -1e-3)] == [1, 2]
+        assert [fs_well_count(P_MINUS + d) for d in (1e-3, -1e-3)] == [2, 3]
 
 
 class TestSpecValidation:

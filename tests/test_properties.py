@@ -11,15 +11,13 @@ import io
 import json
 import math
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nonlinosc.cli import main
 from nonlinosc.numerics import sized_ground_state
-from nonlinosc.potentials import P_MINUS, P_PLUS, FellowsSmith
+from nonlinosc.potentials import P_PLUS, FellowsSmith
 
-# Extreme parameters overflow numpy intermediates on their way to an error.
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+from helpers import P_MINUS
 
 FIELDS = ("eta_b", "eta_ng", "omega_r", "ground_energy", "det_sigma", "fidelity_to_reference")
 SETTINGS = settings(max_examples=40, deadline=None)
