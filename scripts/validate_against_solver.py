@@ -10,6 +10,7 @@ from nonlinosc.cli import main as cli_main
 
 CATALOG = [
     "harmonic:omega=1",
+    "harmonic:omega=1000",
     "morse:D=1,alpha=0.5",
     "morse:D=1,alpha=1",
     "morse:D=2,alpha=1.5",

@@ -19,15 +19,14 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "ConvergenceError", "DomainError", "GridError", "GridGrowthExhaustedError",
-        "IncompatibleDomainError", "NormalizationError", "SpecError", "TruncationError",
-        "UnsupportedSpecError",
+        "IncompatibleDomainError", "NormalizationError", "SpecError", "UnsupportedSpecError",
     ),
     "measures": ("MeasureReport", "ReportDiagnostics", "measure_report"),
     "numerics": (
         "CovarianceMatrix", "Grid", "SampledWavefunction", "covariance_of", "overlap",
         "sample_ground_state", "simpson_integral", "sized_ground_state",
     ),
-    "oracle": ("EigenResult", "FockState", "fd_ground_state", "fock_covariance"),
+    "oracle": ("EigenResult", "fd_ground_state"),
     "perturbation": (
         "CurvePoint", "PerturbativeState", "ScatterRecord", "alpha_coefficients",
         "eta_b_perturbative", "eta_ng_perturbative", "parametric_curve",

@@ -187,11 +187,12 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
         "eta_ng_fd": _round12(float(ng_fd)),
     }
     _emit(args, list(fields), [fields], {"potential": args.potential, **fields})
-    ok = fidelity >= 1.0 - 1e-5 and abs(result.energy - e_analytic) <= 1e-4
-    if not ok:
+    d_energy = abs(result.energy - e_analytic)
+    # The 3-point FD energy error scales with the energy, so the test is relative above |E| = 1.
+    if not (fidelity >= 1.0 - 1e-5 and d_energy <= 1e-4 * max(1.0, abs(e_analytic))):
         print(
             f"error: oracle mismatch for {args.potential}: "
-            f"|dE| = {abs(result.energy - e_analytic):.3g}, fidelity = {fidelity:.8f}",
+            f"|dE| = {d_energy:.3g}, fidelity = {fidelity:.8f}",
             file=sys.stderr,
         )
         return 1
@@ -271,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         # Checked for every command, including those that build no grid.
         require_grid_settings(args.tail, args.grid_points)
         return _DISPATCH[args.command](args)
-    except _HANDLED_ERRORS as exc:
+    except (*_HANDLED_ERRORS, OSError) as exc:  # OSError: the --out path cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

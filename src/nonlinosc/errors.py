@@ -32,6 +32,3 @@ class IncompatibleDomainError(GridError):
 class NormalizationError(ValueError):
     """Wavefunction has zero or non-finite norm, or is no longer normalized."""
 
-
-class TruncationError(RuntimeError):
-    """Number-basis state carries weight on the top of the truncated basis."""

@@ -1,7 +1,7 @@
-"""Independent verification engines: a finite-difference Schrodinger
-ground-state solver and a truncated number-basis moment calculator.
+"""Independent verification engine: a finite-difference Schrodinger
+ground-state solver.
 
-The solver discretizes H = -d^2/dx^2 / 2 + V with the 3-point Laplacian and
+It discretizes H = -d^2/dx^2 / 2 + V with the 3-point Laplacian and
 Dirichlet ends: a symmetric tridiagonal matrix T. Sturm bisection finds its
 lowest eigenvalue; inverse iteration on the L D L^T factor of T shifted just
 below it, positive definite and so factored without pivoting, finds the
@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, GridError, SpecError, TruncationError
-from .numerics import CovarianceMatrix, Grid, SampledWavefunction
+from .errors import ConvergenceError, GridError
+from .numerics import Grid, SampledWavefunction
 from .potentials import PotentialSpec, evaluate_potential
 
 _EPS = np.finfo(float).eps
@@ -32,36 +32,6 @@ class EigenResult:
     wavefunction: SampledWavefunction
     residual: float
     iterations: int
-
-
-@dataclass(frozen=True, eq=False)
-class FockState:
-    """Real amplitudes on number states |0> .. |dimension-1> at a frequency.
-
-    Coefficients are normalized on construction and zero-padded up to
-    ``dimension``.
-    """
-
-    coefficients: np.ndarray
-    omega: float = 1.0
-    dimension: int = 16
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float).ravel()
-        if self.dimension < 8:
-            raise SpecError(f"Fock dimension must be >= 8, got {self.dimension}")
-        if coeffs.size > self.dimension:
-            raise SpecError(
-                f"{coeffs.size} coefficients exceed dimension {self.dimension}"
-            )
-        if not (math.isfinite(self.omega) and self.omega > 0.0):
-            raise SpecError(f"Fock omega must be positive, got {self.omega!r}")
-        norm = float(np.linalg.norm(coeffs))
-        if norm == 0.0:
-            raise SpecError("Fock coefficients must not all vanish")
-        padded = np.zeros(self.dimension)
-        padded[: coeffs.size] = coeffs / norm
-        object.__setattr__(self, "coefficients", padded)
 
 
 def _tridiagonal_hamiltonian(spec: PotentialSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -196,45 +166,3 @@ def _ldl_solve(lower: list[float], pivots: list[float], rhs: np.ndarray) -> np.n
     for i in range(len(lower) - 1, -1, -1):
         x[i] -= lower[i] * x[i + 1]
     return np.array(x)
-
-
-def _ladder_matrices(omega: float, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    lowering = np.zeros((dim, dim))
-    idx = np.arange(1, dim)
-    lowering[idx - 1, idx] = np.sqrt(idx)
-    x_op = (lowering + lowering.T) / math.sqrt(2.0 * omega)
-    p_op = 1j * (lowering.T - lowering) * math.sqrt(omega / 2.0)
-    return x_op, p_op
-
-
-def fock_covariance(state: FockState) -> CovarianceMatrix:
-    """Exact canonical moments of a truncated number-basis state.
-
-    Builds x and p as ladder-operator matrices at the state's frequency and
-    contracts them against the coefficient vector. Raises if the state
-    carries weight on the top two basis states, where x^2/p^2 matrix
-    elements are truncated.
-    """
-    coeffs = state.coefficients
-    if float(np.max(np.abs(coeffs[-2:]))) > 1e-10:
-        raise TruncationError(
-            "amplitude on the top two basis states exceeds 1e-10; enlarge dimension"
-        )
-    occupied = int(np.max(np.nonzero(np.abs(coeffs) > 0.0)[0]))
-    if state.dimension < occupied + 4:
-        raise SpecError(
-            f"dimension {state.dimension} too small for occupation up to {occupied}; "
-            "need at least occupied + 4"
-        )
-    x_op, p_op = _ladder_matrices(state.omega, state.dimension)
-    c = coeffs.astype(complex)
-    xc = x_op @ c
-    pc = p_op @ c
-    mean_x = float(np.real(np.vdot(c, xc)))
-    mean_p = float(np.real(np.vdot(c, pc)))
-    var_x = float(np.real(np.vdot(xc, xc))) - mean_x**2
-    var_p = float(np.real(np.vdot(pc, pc))) - mean_p**2
-    cov_xp = 0.5 * float(np.real(np.vdot(xc, pc) + np.vdot(pc, xc))) - mean_x * mean_p
-    return CovarianceMatrix(
-        var_x=var_x, var_p=var_p, cov_xp=cov_xp, mean_x=mean_x, mean_p=mean_p
-    )

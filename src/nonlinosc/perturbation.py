@@ -5,7 +5,8 @@ The ground state of V = omega^2 x^2 / 2 + eps3 x^3 + eps4 x^4 is truncated
 to its three-term first-order expansion N^{-1/2} (|0> + alpha1 |1> +
 alpha2 |2>) with N = 1 + alpha1^2 + alpha2^2. Everything downstream
 (variances, both nonlinearity measures, the parametric curve) follows in
-closed form; the number-basis oracle cross-checks every formula.
+closed form; the tests check every formula against exact Gaussian moments
+of the three-term state in position space.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ class CurvePoint(NamedTuple):
     the value is None there. ``corrected`` is h(sqrt(1 + 24 t^2) / 2), the
     form that follows from the variance formulas via
     det sigma = (1 + 24 (alpha2^2/N)^2) / 4 and alpha2^2/N = -t, and is the
-    one the number-basis oracle confirms.
+    one the exact moments of the three-term state confirm.
     """
 
     printed: float | None

@@ -409,6 +409,8 @@ def parse_potential_params(text: str) -> tuple[type[PotentialSpec], dict[str, fl
         key = key.strip()
         if not eq or key not in keys:
             raise SpecError(f"unknown parameter {item!r} for potential {kind!r}")
+        if key in params:
+            raise SpecError(f"repeated parameter {key!r} in potential {text!r}")
         try:
             params[key] = float(value)
         except ValueError:

@@ -2,8 +2,9 @@
 
 The oracles are deliberately decoupled from the package's own evaluation
 paths: Stirling series for Gamma, exact-rational series for the confluent
-hypergeometric function, mpmath quadrature for moments, and plain
-finite differences for local energies. The Gaussian-state, Bures-distance,
+hypergeometric function, mpmath quadrature for moments, exact Gaussian
+moments for the three-term perturbative state, and plain finite
+differences for local energies. The Gaussian-state, Bures-distance,
 Gamma, resampled-overlap, grid-refinement and bound-state-count aids at the
 end serve tests only; no package path needs them.
 """
@@ -15,6 +16,7 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 from nonlinosc.errors import ConvergenceError, DomainError, UnsupportedSpecError
 from nonlinosc.numerics import CovarianceMatrix, Grid, SampledWavefunction, simpson_integral
@@ -120,6 +122,33 @@ def morse_closed_moments(D: float, alpha: float) -> tuple[float, float]:
     var_x = float(mp.polygamma(1, 2 * n)) / alpha**2
     var_p = alpha**2 * n / 2.0
     return var_x, var_p
+
+
+def _gaussian_mean(poly: Polynomial) -> float:
+    """Integral of poly(x) e^{-x^2} dx / sqrt(pi), from the exact moments
+    (k-1)!! / 2^{k/2} of even x^k (odd moments vanish)."""
+    return sum(
+        c * math.prod(range(k - 1, 0, -2)) / 2.0 ** (k // 2)
+        for k, c in enumerate(poly.coef) if k % 2 == 0
+    )
+
+
+def three_term_state(a1: float, a2: float) -> tuple[float, float, float]:
+    """(vacuum overlap, var_x, var_p) of (|0> + a1 |1> + a2 |2>) / sqrt(N) at omega = 1.
+
+    Integrates the position-space state psi ~ e^{-x^2/2} P(x) with
+    P = 1 - a2/sqrt(2) + sqrt(2) a1 x + sqrt(2) a2 x^2 against exact Gaussian
+    moments, independent of the closed-form alpha algebra. psi is real, so
+    <p> = 0 and <p^2> is the mean of psi'^2 = e^{-x^2} (P' - x P)^2.
+    """
+    root2 = math.sqrt(2.0)
+    p = Polynomial([1.0 - a2 / root2, root2 * a1, root2 * a2])
+    x = Polynomial([0.0, 1.0])
+    norm = _gaussian_mean(p**2)
+    mean_x = _gaussian_mean(x * p**2) / norm
+    var_x = _gaussian_mean(x**2 * p**2) / norm - mean_x**2
+    var_p = _gaussian_mean((p.deriv() - x * p) ** 2) / norm
+    return _gaussian_mean(p) / math.sqrt(norm), var_x, var_p
 
 
 def entropy_oracle(x: float) -> float:

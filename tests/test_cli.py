@@ -14,7 +14,7 @@ from nonlinosc.cli import main
 from nonlinosc.errors import SpecError
 from nonlinosc.measures import measure_report
 from nonlinosc.perturbation import parametric_curve
-from nonlinosc.potentials import parse_potential_spec, with_parameter
+from nonlinosc.potentials import Harmonic, parse_potential_spec, with_parameter
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +99,32 @@ class TestMeasure:
         code, _, err = run_cli(capsys, "measure", "--potential", "nope:x=1")
         assert code != 0
         assert "unknown potential" in err
+
+    @pytest.mark.parametrize(
+        "text,key",
+        [("morse:D=1,alpha=1,alpha=2", "alpha"), ("pert:omega=1,eps3=0.1,eps3=0.2", "eps3")],
+        ids=["morse", "pert"],
+    )
+    def test_repeated_parameter_exits_2(self, capsys, text, key):
+        for argv in (["measure"], ["sweep", "--axis", key, "--from", "0", "--to", "0.1"],
+                     ["oracle-check"]):
+            code, out, err = run_cli(capsys, *argv, "--potential", text)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [
+                f"error: repeated parameter {key!r} in potential {text!r}"
+            ]
+
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_path_exits_2(self, capsys, tmp_path, target):
+        path = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+        code, out, err = run_cli(
+            capsys, "measure", "--potential", "harmonic:omega=1", "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and str(path) in line
 
     def test_seed_is_scatter_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -362,6 +388,23 @@ class TestOracleCheck:
         assert done.stdout == ""
         [line] = done.stderr.splitlines()
         assert line.startswith("error: ") and "float range" in line
+
+    def test_energy_tolerance_is_relative(self, capsys):
+        # The FD energy is off by 3.3e-4 at E = 500: a relative error of 6.6e-7.
+        code, out, err = run_cli(capsys, "oracle-check", "--potential", "harmonic:omega=1000")
+        assert code == 0
+        assert err == ""
+        header, row = out.strip().split("\n")
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert abs(float(fields["e_diff"])) > 1e-4
+
+    def test_energy_off_by_relative_1e_3_is_a_mismatch(self, capsys, monkeypatch):
+        monkeypatch.setattr(Harmonic, "energy", lambda self: 0.5 * self.omega * (1.0 + 1e-3))
+        code, out, err = run_cli(capsys, "oracle-check", "--potential", "harmonic:omega=1000")
+        assert code == 1
+        assert out.startswith("e_analytic,")
+        [line] = err.splitlines()
+        assert line.startswith("error: oracle mismatch for harmonic:omega=1000: |dE| = 0.5")
 
     def test_morse_adjudicates_energy_reading(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-check", "--potential", "morse:D=1,alpha=0.5")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nonlinosc.errors import GridError, SpecError, TruncationError, UnsupportedSpecError
+from nonlinosc.errors import GridError, SpecError, UnsupportedSpecError
 from nonlinosc.numerics import (
     Grid,
     overlap,
@@ -13,10 +13,8 @@ from nonlinosc.numerics import (
 )
 from nonlinosc.oracle import (
     EigenResult,
-    FockState,
     _tridiagonal_hamiltonian,
     fd_ground_state,
-    fock_covariance,
 )
 from nonlinosc.potentials import (
     FellowsSmith,
@@ -32,6 +30,7 @@ from helpers import (
     eigenvalues_at_or_below,
     morse_bound_state_count,
     refined,
+    three_term_state,
 )
 
 _EPS = np.finfo(float).eps
@@ -195,74 +194,36 @@ class TestCountNegativeEigenvalues:
             count_negative_eigenvalues(ModifiedIsotonic(1.0), Grid(-10.0, 10.0, 1025))
 
 
-class TestFockState:
-    def test_normalizes_on_construction(self):
-        state = FockState(np.array([1.0, 1.0, 1.0, 1.0]))
-        assert float(np.sum(state.coefficients**2)) == pytest.approx(1.0, abs=1e-12)
-        assert state.coefficients.size == state.dimension
-
-    def test_rejects_zero_vector(self):
-        with pytest.raises(SpecError):
-            FockState(np.zeros(3))
-
-    def test_rejects_small_dimension(self):
-        with pytest.raises(SpecError):
-            FockState(np.array([1.0]), dimension=4)
-
-
 class TestFockCovariance:
+    """Exact moments of the three-term number-basis state against the
+    printed perturbative variances."""
+
     def test_vacuum(self):
-        cov = fock_covariance(FockState(np.array([1.0])))
-        assert cov.var_x == pytest.approx(0.5, abs=1e-14)
-        assert cov.var_p == pytest.approx(0.5, abs=1e-14)
-        assert cov.det == pytest.approx(0.25, abs=1e-14)
-
-    def test_first_fock_state(self):
-        cov = fock_covariance(FockState(np.array([0.0, 1.0])))
-        assert cov.var_x == pytest.approx(1.5, abs=1e-13)
-        assert cov.var_p == pytest.approx(1.5, abs=1e-13)
-
-    def test_vacuum_at_other_frequency(self):
-        cov = fock_covariance(FockState(np.array([1.0]), omega=4.0))
-        assert cov.var_x == pytest.approx(0.125, abs=1e-14)
-        assert cov.var_p == pytest.approx(2.0, abs=1e-14)
+        vacuum_overlap, var_x, var_p = three_term_state(0.0, 0.0)
+        assert vacuum_overlap == 1.0
+        assert var_x == pytest.approx(0.5, abs=1e-14)
+        assert var_p == pytest.approx(0.5, abs=1e-14)
 
     def test_matches_printed_variances_spot(self):
-        cov = fock_covariance(FockState(np.array([1.0, 0.0, -0.2])))
+        _, var_x, oracle_var_p = three_term_state(0.0, -0.2)
         var_q, var_p = perturbed_variances(PerturbativeState(0.0, -0.2))
-        assert cov.var_x == pytest.approx(var_q, abs=1e-12)
-        assert cov.var_p == pytest.approx(var_p, abs=1e-12)
+        assert var_x == pytest.approx(var_q, abs=1e-12)
+        assert oracle_var_p == pytest.approx(var_p, abs=1e-12)
 
     def test_matches_printed_variances_with_odd_part(self):
-        cov = fock_covariance(FockState(np.array([1.0, 0.3, 0.1])))
+        _, var_x, oracle_var_p = three_term_state(0.3, 0.1)
         var_q, var_p = perturbed_variances(PerturbativeState(0.3, 0.1))
-        assert cov.var_x == pytest.approx(var_q, abs=1e-12)
-        assert cov.var_p == pytest.approx(var_p, abs=1e-12)
-        assert cov.cov_xp == 0.0
-        assert cov.mean_p == 0.0
+        assert var_x == pytest.approx(var_q, abs=1e-12)
+        assert oracle_var_p == pytest.approx(var_p, abs=1e-12)
 
     def test_printed_variances_ensemble(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            a1, a2 = rng.uniform(-0.5, 0.5, 2)
-            cov = fock_covariance(FockState(np.array([1.0, a1, a2])))
-            var_q, var_p = perturbed_variances(PerturbativeState(float(a1), float(a2)))
-            assert cov.var_x == pytest.approx(var_q, abs=1e-12)
-            assert cov.var_p == pytest.approx(var_p, abs=1e-12)
-
-    def test_truncation_flagged(self):
-        coeffs = np.zeros(16)
-        coeffs[0] = 1.0
-        coeffs[15] = 1e-6
-        with pytest.raises(TruncationError):
-            fock_covariance(FockState(coeffs))
-
-    def test_dimension_precondition(self):
-        coeffs = np.zeros(8)
-        coeffs[0] = 1.0
-        coeffs[5] = 0.5
-        with pytest.raises(SpecError):
-            fock_covariance(FockState(coeffs, dimension=8))
+            a1, a2 = (float(v) for v in rng.uniform(-0.5, 0.5, 2))
+            _, var_x, oracle_var_p = three_term_state(a1, a2)
+            var_q, var_p = perturbed_variances(PerturbativeState(a1, a2))
+            assert var_x == pytest.approx(var_q, abs=1e-12)
+            assert oracle_var_p == pytest.approx(var_p, abs=1e-12)
 
 
 class TestEigenResultType:

@@ -28,7 +28,7 @@ def test_export_list_matches_the_package():
 def test_unknown_name_is_an_attribute_error():
     # Deleted names stay deleted.
     for name in ("eta_bures", "ground_state_amplitude", "fellows_smith_well_structure",
-                 "WellRegion", "P_MINUS"):
+                 "WellRegion", "P_MINUS", "FockState", "fock_covariance", "TruncationError"):
         with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
             getattr(nonlinosc, name)
 

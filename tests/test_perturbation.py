@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nonlinosc.errors import DomainError, SpecError
-from nonlinosc.oracle import FockState, fock_covariance
 from nonlinosc.perturbation import (
     PerturbativeState,
     alpha_coefficients,
@@ -15,6 +14,8 @@ from nonlinosc.perturbation import (
     scatter_sample,
 )
 from nonlinosc.specfun import entropy_h
+
+from helpers import three_term_state
 
 
 class TestAlphaCoefficients:
@@ -47,9 +48,9 @@ class TestPerturbedVariances:
     @pytest.mark.parametrize("a1,a2", [(0.0, -0.2), (0.3, 0.1)])
     def test_number_basis_oracle_spot(self, a1, a2):
         var_q, var_p = perturbed_variances(PerturbativeState(a1, a2))
-        cov = fock_covariance(FockState(np.array([1.0, a1, a2])))
-        assert var_q == pytest.approx(cov.var_x, abs=1e-12)
-        assert var_p == pytest.approx(cov.var_p, abs=1e-12)
+        _, var_x, oracle_var_p = three_term_state(a1, a2)
+        assert var_q == pytest.approx(var_x, abs=1e-12)
+        assert var_p == pytest.approx(oracle_var_p, abs=1e-12)
 
     def test_det_never_below_quarter(self):
         rng = np.random.default_rng(3)
@@ -77,8 +78,7 @@ class TestEtaBPerturbative:
         for _ in range(50):
             a1, a2 = rng.uniform(-0.5, 0.5, 2)
             state = PerturbativeState(float(a1), float(a2))
-            coeffs = FockState(np.array([1.0, a1, a2])).coefficients
-            vacuum_overlap = coeffs[0]
+            vacuum_overlap, _, _ = three_term_state(float(a1), float(a2))
             assert eta_b_perturbative(state) == pytest.approx(
                 math.sqrt(1.0 - vacuum_overlap), abs=1e-12
             )
@@ -101,9 +101,9 @@ class TestEtaNgPerturbative:
         for _ in range(100):
             a1, a2 = rng.uniform(-0.5, 0.5, 2)
             state = PerturbativeState(float(a1), float(a2))
-            cov = fock_covariance(FockState(np.array([1.0, a1, a2])))
+            _, var_x, var_p = three_term_state(float(a1), float(a2))
             assert eta_ng_perturbative(state) == pytest.approx(
-                entropy_h(math.sqrt(cov.det)), abs=1e-12
+                entropy_h(math.sqrt(var_x * var_p)), abs=1e-12
             )
 
 
