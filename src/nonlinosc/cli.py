@@ -13,6 +13,7 @@ configurations produce byte-identical output in either format.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -30,19 +31,17 @@ from .errors import (
     NormalizationError,
     SpecError,
 )
-from .measures import MeasureReport, measure_report
+from .measures import MeasureReport, det_and_eta_ng, measure_report
 from .numerics import (
     DEFAULT_N_POINTS,
     DEFAULT_TARGET_TAIL,
-    covariance_of,
     overlap,
     require_grid_settings,
     sized_ground_state,
 )
 from .oracle import fd_ground_state
 from .perturbation import parametric_curve, scatter_sample
-from .potentials import parse_potential_params, parse_potential_spec, require_sweep_axis
-from .specfun import entropy_h
+from .potentials import parse_potential_params, parse_potential_spec
 
 _HANDLED_ERRORS = (
     SpecError,
@@ -82,6 +81,20 @@ def _emit(args: argparse.Namespace, columns: list[str], rows: list[dict], docume
         sys.stdout.write(text)
 
 
+def _require_writable(path: str) -> None:
+    """Raise the OSError that writing ``path`` would raise, without creating or truncating it."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _report_fields(report: MeasureReport) -> dict:
     return {c: _round12(getattr(report, c)) for c in _MEASURE_COLUMNS}
 
@@ -119,9 +132,8 @@ def _sanitize_reason(exc: Exception) -> str:
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
-    # Rows build their own specs: the text's value on the swept axis is never checked.
-    family, params = parse_potential_params(args.potential)
-    require_sweep_axis(family, args.axis)
+    # Rows build their own specs: the text's value on the swept axis, if any, is never checked.
+    family, params = parse_potential_params(args.potential, sweep_axis=args.axis)
     values = _sweep_values(args)
 
     rows = []
@@ -176,15 +188,15 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     result = fd_ground_state(spec, analytic.grid)
     e_analytic = spec.energy()
     fidelity = overlap(analytic, result.wavefunction) ** 2
-    ng_analytic = entropy_h(np.sqrt(covariance_of(analytic).det))
-    ng_fd = entropy_h(np.sqrt(covariance_of(result.wavefunction).det))
+    _, ng_analytic = det_and_eta_ng(analytic)
+    _, ng_fd = det_and_eta_ng(result.wavefunction)
     fields = {
         "e_analytic": _round12(e_analytic),
         "e_fd": _round12(result.energy),
         "e_diff": _round12(result.energy - e_analytic),
         "fidelity": _round12(fidelity),
-        "eta_ng_analytic": _round12(float(ng_analytic)),
-        "eta_ng_fd": _round12(float(ng_fd)),
+        "eta_ng_analytic": _round12(ng_analytic),
+        "eta_ng_fd": _round12(ng_fd),
     }
     _emit(args, list(fields), [fields], {"potential": args.potential, **fields})
     d_energy = abs(result.energy - e_analytic)
@@ -271,6 +283,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # Checked for every command, including those that build no grid.
         require_grid_settings(args.tail, args.grid_points)
+        if args.out:
+            _require_writable(args.out)
         return _DISPATCH[args.command](args)
     except (*_HANDLED_ERRORS, OSError) as exc:  # OSError: the --out path cannot be written
         print(f"error: {exc}", file=sys.stderr)

@@ -30,5 +30,5 @@ class IncompatibleDomainError(GridError):
 
 
 class NormalizationError(ValueError):
-    """Wavefunction has zero or non-finite norm, or is no longer normalized."""
+    """Wavefunction has zero or non-finite norm."""
 

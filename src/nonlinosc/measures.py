@@ -61,6 +61,12 @@ class MeasureReport:
     diagnostics: ReportDiagnostics
 
 
+def det_and_eta_ng(wf: SampledWavefunction) -> tuple[float, float]:
+    """det sigma of a sampled real state and its eta_ng = h(sqrt(det sigma))."""
+    det = covariance_of(wf).det
+    return det, entropy_h(math.sqrt(det))
+
+
 def _edge_warnings(spec: PotentialSpec, wf: SampledWavefunction, target_tail: float) -> tuple[str, ...]:
     warnings = list(spec.quadrature_warnings())
     if wf.tail_ratio > target_tail:
@@ -80,8 +86,7 @@ def measure_report(
     if isinstance(spec, PerturbedHarmonic):
         return _perturbative_report(spec)
     wf = sized_ground_state(spec, target_tail, n_points)
-    cov = covariance_of(wf)
-    det = cov.det
+    det, eta_ng = det_and_eta_ng(wf)
     omega_r = spec.omega_r()
     if omega_r is None:
         eta_b = None
@@ -94,7 +99,7 @@ def measure_report(
         fidelity = ov**2
     return MeasureReport(
         eta_b=eta_b,
-        eta_ng=entropy_h(math.sqrt(det)),
+        eta_ng=eta_ng,
         omega_r=omega_r,
         ground_energy=spec.energy(),
         det_sigma=det,

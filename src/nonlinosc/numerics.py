@@ -1,9 +1,9 @@
 """Grids, quadrature, normalization, and canonical moments of real
 wavefunctions.
 
-Uniform grids with composite Simpson quadrature: the catalog states are
-smooth and tail-truncated, and uniform spacing keeps the derivative stencils
-and the finite-difference oracle on shared footing. Kinetic moments use
+Uniform grids of an odd number of nodes with composite Simpson quadrature:
+the catalog states are smooth and tail-truncated, and uniform spacing keeps
+the derivative stencils and the finite-difference oracle on shared footing. Kinetic moments use
 <p^2> = integral of (phi')^2, which is positive by construction and one
 stencil order more accurate than the second-derivative form.
 """
@@ -43,11 +43,13 @@ def require_grid_settings(target_tail: float, n_points: int) -> None:
 def _require_n_points(n_points: int) -> None:
     if n_points < 128:
         raise GridError(f"grid requires n_points >= 128, got {n_points}")
+    if n_points % 2 == 0:
+        raise GridError(f"grid requires an odd n_points for Simpson's rule, got {n_points}")
 
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform position grid."""
+    """Uniform position grid with an odd number of nodes."""
 
     x_min: float
     x_max: float
@@ -79,9 +81,9 @@ class Grid:
 class SampledWavefunction:
     """Real amplitude tabulated on a grid, normalized when it is built.
 
-    The amplitude passed in is rescaled so its Simpson norm is exactly 1;
-    norm_defect records |1 - norm| of the amplitude as given. A zero or
-    non-finite norm raises NormalizationError.
+    The amplitude passed in is rescaled so its Simpson norm is exactly 1 and
+    kept read-only; norm_defect records |1 - norm| of the amplitude as
+    given. A zero or non-finite norm raises NormalizationError.
     """
 
     grid: Grid
@@ -93,31 +95,28 @@ class SampledWavefunction:
         if not (math.isfinite(norm_sq) and norm_sq > 0.0):
             raise NormalizationError(f"cannot normalize wavefunction with norm^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitude", self.amplitude / math.sqrt(norm_sq))
+        self.amplitude.flags.writeable = False
         object.__setattr__(self, "norm_defect", abs(1.0 - math.sqrt(norm_sq)))
 
     @cached_property
     def tail_ratio(self) -> float:
         """Larger end amplitude relative to the peak amplitude."""
         peak = float(np.max(np.abs(self.amplitude)))
-        if peak == 0.0:
-            return 0.0
         return float(max(abs(self.amplitude[0]), abs(self.amplitude[-1]))) / peak
 
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Second moments of (x, p) with the mean vector.
+    """Covariance matrix sigma of (x, p) for a real state, with <x>.
 
-    cov_xp and mean_p vanish identically for real stationary states
-    (integral of x phi phi' is exactly -1/2 after normalization), so they
-    are asserted zero rather than computed.
+    For a real amplitude <p> = 0 and the symmetrized <xp> vanishes (the
+    integral of x phi phi' is exactly -1/2 after normalization), so sigma is
+    diagonal and det sigma = var_x var_p.
     """
 
     var_x: float
     var_p: float
-    cov_xp: float = 0.0
     mean_x: float = 0.0
-    mean_p: float = 0.0
 
     def __post_init__(self):
         for name, value in (("<x^2>", self.var_x), ("<p^2>", self.var_p)):
@@ -130,30 +129,22 @@ class CovarianceMatrix:
 
     @property
     def det(self) -> float:
-        return self.var_x * self.var_p - self.cov_xp**2
+        return self.var_x * self.var_p
 
 
 def simpson_integral(values: np.ndarray, spacing: float) -> float:
-    """Composite Simpson rule on a uniform grid.
-
-    Even point counts fall back to a trapezoid on the final interval, which
-    only matters where the integrand has already decayed into the tail.
-    """
+    """Composite Simpson rule on a uniform grid of an odd number of nodes."""
     values = np.asarray(values, dtype=float)
     n = values.size
-    if n < 3:
-        raise GridError("simpson_integral needs at least 3 points")
-    odd_n = n if n % 2 == 1 else n - 1
-    total = float(np.dot(_simpson_weights(odd_n), values[:odd_n])) * spacing / 3.0
-    if odd_n != n:
-        total += 0.5 * spacing * float(values[-2] + values[-1])
-    return total
+    if n < 3 or n % 2 == 0:
+        raise GridError(f"simpson_integral needs an odd number of points >= 3, got {n}")
+    return float(np.dot(_simpson_weights(n), values)) * spacing / 3.0
 
 
 @lru_cache(maxsize=8)
-def _simpson_weights(odd_n: int) -> np.ndarray:
+def _simpson_weights(n: int) -> np.ndarray:
     """Read-only 1, 4, 2, ..., 4, 1 weights for an odd point count."""
-    weights = np.ones(odd_n)
+    weights = np.ones(n)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     weights.flags.writeable = False
@@ -195,9 +186,8 @@ def sized_ground_state(
         grid = Grid(-left, right, n_points)
         log_amp = ground_state_log_amplitude(spec, grid.points())
         peak = float(np.max(log_amp))
-        with np.errstate(over="ignore"):
-            ratio_l = math.exp(min(float(log_amp[0]) - peak, 700.0))
-            ratio_r = math.exp(min(float(log_amp[-1]) - peak, 700.0))
+        ratio_l = math.exp(float(log_amp[0]) - peak)
+        ratio_r = math.exp(float(log_amp[-1]) - peak)
         need_l = ratio_l > target_tail and left < EXTENT_CAP
         need_r = ratio_r > target_tail and right < EXTENT_CAP
         if not (need_l or need_r):
@@ -238,13 +228,10 @@ def _normalized_sample(grid: Grid, log_amp: np.ndarray) -> SampledWavefunction:
 
 
 def covariance_of(wf: SampledWavefunction) -> CovarianceMatrix:
-    """Canonical (x, p) covariance of a real normalized wavefunction."""
+    """Canonical (x, p) covariance of a real wavefunction."""
     x = wf.grid.points()
     h = wf.grid.spacing
     density = wf.amplitude**2
-    norm_sq = simpson_integral(density, h)
-    if abs(norm_sq - 1.0) > 1e-8:
-        raise NormalizationError(f"wavefunction norm^2 = {norm_sq} deviates from 1")
     mean_x = simpson_integral(x * density, h)
     var_x = simpson_integral(x**2 * density, h) - mean_x**2
     derivative = first_derivative(wf.amplitude, h)

@@ -391,8 +391,11 @@ def parse_potential_spec(text: str) -> PotentialSpec:
     return family(**params)
 
 
-def parse_potential_params(text: str) -> tuple[type[PotentialSpec], dict[str, float]]:
-    """Family class and unchecked parameter values of the text form."""
+def parse_potential_params(
+    text: str, sweep_axis: str | None = None
+) -> tuple[type[PotentialSpec], dict[str, float]]:
+    """Family class and unchecked parameter values of the text form; a
+    ``sweep_axis`` must be a key of the family, and the text may omit it."""
     kind, sep, rest = text.partition(":")
     kind = kind.strip().lower()
     if not sep or kind not in _FAMILIES:
@@ -415,9 +418,11 @@ def parse_potential_params(text: str) -> tuple[type[PotentialSpec], dict[str, fl
             params[key] = float(value)
         except ValueError:
             raise SpecError(f"cannot parse numeric value in {item!r}") from None
-    missing = {f.name for f in fields(cls) if f.default is MISSING} - params.keys()
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - params.keys() - {sweep_axis}
     if missing:
         raise SpecError(f"potential {kind!r} missing parameters: {sorted(missing)}")
+    if sweep_axis is not None:
+        require_sweep_axis(cls, sweep_axis)
     return cls, params
 
 

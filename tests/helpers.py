@@ -19,7 +19,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from nonlinosc.errors import ConvergenceError, DomainError, UnsupportedSpecError
-from nonlinosc.numerics import CovarianceMatrix, Grid, SampledWavefunction, simpson_integral
+from nonlinosc.numerics import Grid, SampledWavefunction, simpson_integral
 from nonlinosc.oracle import _tridiagonal_hamiltonian
 from nonlinosc.potentials import ModifiedPoschlTeller, Morse
 
@@ -191,14 +191,30 @@ class UnphysicalCovarianceError(ValueError):
 
 
 @dataclass(frozen=True)
+class GaussianCovariance:
+    """General covariance matrix of (x, p) with the mean vector; the
+    package's CovarianceMatrix holds only what a real state needs."""
+
+    var_x: float
+    var_p: float
+    cov_xp: float = 0.0
+    mean_x: float = 0.0
+    mean_p: float = 0.0
+
+    @property
+    def det(self) -> float:
+        return self.var_x * self.var_p - self.cov_xp**2
+
+
+@dataclass(frozen=True)
 class GaussianState:
     """Gaussian state given by its mean vector and covariance matrix."""
 
     mean: tuple[float, float]
-    covariance: CovarianceMatrix
+    covariance: GaussianCovariance
 
 
-def reference_gaussian(cov: CovarianceMatrix) -> GaussianState:
+def reference_gaussian(cov: GaussianCovariance) -> GaussianState:
     """Gaussian state with the same mean vector and covariance matrix."""
     if cov.det < 0.25 - 1e-6:
         raise UnphysicalCovarianceError(

@@ -33,6 +33,14 @@ def run_fresh(*argv):
     )
 
 
+def forbid_evaluation(monkeypatch) -> None:
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluation started")
+
+    for name in ("measure_report", "sized_ground_state", "scatter_sample", "parametric_curve"):
+        monkeypatch.setattr(f"nonlinosc.cli.{name}", no_evaluation)
+
+
 class TestMeasure:
     def test_harmonic_json(self, capsys):
         code, out, _ = run_cli(
@@ -115,9 +123,12 @@ class TestMeasure:
                 f"error: repeated parameter {key!r} in potential {text!r}"
             ]
 
-    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
-    def test_unwritable_out_path_exits_2(self, capsys, tmp_path, target):
-        path = tmp_path / "missing" / "x.csv" if target == "missing-directory" else tmp_path
+    @pytest.mark.parametrize("target", ["missing-directory", "directory", "file-as-directory"])
+    def test_unwritable_out_path_exits_2(self, capsys, monkeypatch, tmp_path, target):
+        (tmp_path / "file").write_bytes(b"")
+        path = {"missing-directory": tmp_path / "missing" / "x.csv", "directory": tmp_path,
+                "file-as-directory": tmp_path / "file" / "x.csv"}[target]
+        forbid_evaluation(monkeypatch)  # the path is checked before any work
         code, out, err = run_cli(
             capsys, "measure", "--potential", "harmonic:omega=1", "--out", str(path)
         )
@@ -125,6 +136,18 @@ class TestMeasure:
         assert out == ""
         [line] = err.splitlines()
         assert line.startswith("error: ") and str(path) in line
+        assert (tmp_path / "file").read_bytes() == b""
+
+    def test_failed_command_leaves_existing_out_untouched(self, capsys, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_bytes(b"kept\n")
+        code, out, err = run_cli(
+            capsys, "measure", "--potential", "morse:D=1,alpha=3", "--out", str(path)
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert path.read_bytes() == b"kept\n"
 
     def test_seed_is_scatter_only(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -147,6 +170,10 @@ GRID_FLAG_COMMANDS = {
 BAD_GRID_FLAGS = {
     "tail": (["--tail", "5"], "error: target_tail must lie in (0, 1e-4], got 5.0"),
     "grid-points": (["--grid-points", "100"], "error: grid requires n_points >= 128, got 100"),
+    "even-grid-points": (
+        ["--grid-points", "4096"],
+        "error: grid requires an odd n_points for Simpson's rule, got 4096",
+    ),
 }
 
 
@@ -154,11 +181,7 @@ class TestGridFlags:
     @pytest.mark.parametrize("flag", BAD_GRID_FLAGS)
     @pytest.mark.parametrize("command", GRID_FLAG_COMMANDS)
     def test_bad_value_exits_2_before_evaluation(self, capsys, monkeypatch, command, flag):
-        def no_evaluation(*args, **kwargs):
-            raise AssertionError("evaluation started")
-
-        for name in ("measure_report", "sized_ground_state", "scatter_sample", "parametric_curve"):
-            monkeypatch.setattr(f"nonlinosc.cli.{name}", no_evaluation)
+        forbid_evaluation(monkeypatch)
         extra, message = BAD_GRID_FLAGS[flag]
         code, out, err = run_cli(capsys, *GRID_FLAG_COMMANDS[command], *extra)
         assert code == 2
@@ -293,6 +316,29 @@ class TestSweep:
         rows = out.strip().split("\n")[1:]
         assert len(rows) == 3
         assert all(row.split(",")[-1] == "" for row in rows)
+
+    @pytest.mark.parametrize(
+        "keyless,keyed,axis",
+        [("morse:D=1", "morse:D=1,alpha=1", "alpha"), ("mio:", "mio:a=1", "a")],
+        ids=["morse-alpha", "mio-a"],
+    )
+    def test_swept_key_may_be_left_out(self, capsys, keyless, keyed, axis):
+        runs = [
+            run_cli(capsys, "sweep", "--potential", text, "--axis", axis,
+                    "--from", "0.5", "--to", "1", "--points", "3")
+            for text in (keyless, keyed)
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and len(runs[0][1].splitlines()) == 4
+
+    def test_missing_key_that_is_not_swept_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--potential", "morse:alpha=1", "--axis", "alpha",
+            "--from", "0.5", "--to", "1", "--points", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: potential 'morse' missing parameters: ['D']"]
 
     def test_axis_validation(self, capsys):
         code, out, err = run_cli(

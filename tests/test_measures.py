@@ -5,7 +5,6 @@ import pytest
 
 from nonlinosc.measures import measure_report
 from nonlinosc.numerics import (
-    CovarianceMatrix,
     Grid,
     SampledWavefunction,
     covariance_of,
@@ -25,6 +24,7 @@ from nonlinosc.potentials import (
 from nonlinosc.specfun import entropy_h
 
 from helpers import (
+    GaussianCovariance,
     UnphysicalCovarianceError,
     bures_distance,
     mio_reference_fidelity,
@@ -192,7 +192,7 @@ class TestMeasureReport:
 
 class TestReferenceGaussian:
     def test_vacuum_pass_through(self):
-        cov = CovarianceMatrix(var_x=0.5, var_p=0.5)
+        cov = GaussianCovariance(var_x=0.5, var_p=0.5)
         state = reference_gaussian(cov)
         assert state.mean == (0.0, 0.0)
         assert state.covariance is cov
@@ -200,34 +200,34 @@ class TestReferenceGaussian:
     def test_sech_state_covariance(self):
         spec = ModifiedPoschlTeller(1.0, 1.0)
         cov = covariance_of(sized_ground_state(spec))
-        state = reference_gaussian(cov)
+        state = reference_gaussian(GaussianCovariance(cov.var_x, cov.var_p, mean_x=cov.mean_x))
         assert state.covariance.var_x == pytest.approx(math.pi**2 / 12.0, rel=1e-8)
         assert state.covariance.var_p == pytest.approx(1.0 / 3.0, rel=1e-8)
 
     def test_heisenberg_violation_rejected(self):
         with pytest.raises(UnphysicalCovarianceError):
-            reference_gaussian(CovarianceMatrix(var_x=0.4, var_p=0.6))  # det ~ 0.24
+            reference_gaussian(GaussianCovariance(var_x=0.4, var_p=0.6))  # det ~ 0.24
 
 
 class TestWignerGaussian:
     def test_vacuum_at_origin(self):
-        state = reference_gaussian(CovarianceMatrix(var_x=0.5, var_p=0.5))
+        state = reference_gaussian(GaussianCovariance(var_x=0.5, var_p=0.5))
         assert wigner_gaussian(state, (0.0, 0.0)) == pytest.approx(1.0 / math.pi, rel=1e-12)
 
     def test_peak_value_general(self):
-        cov = CovarianceMatrix(var_x=1.1, var_p=0.7, cov_xp=0.2, mean_x=0.3, mean_p=-0.2)
+        cov = GaussianCovariance(var_x=1.1, var_p=0.7, cov_xp=0.2, mean_x=0.3, mean_p=-0.2)
         state = reference_gaussian(cov)
         expected = 1.0 / (2.0 * math.pi * math.sqrt(cov.det))
         assert wigner_gaussian(state, (0.3, -0.2)) == pytest.approx(expected, rel=1e-12)
 
     def test_vacuum_one_sigma_x(self):
-        state = reference_gaussian(CovarianceMatrix(var_x=0.5, var_p=0.5))
+        state = reference_gaussian(GaussianCovariance(var_x=0.5, var_p=0.5))
         assert wigner_gaussian(state, (1.0, 0.0)) == pytest.approx(
             math.exp(-1.0) / math.pi, rel=1e-12
         )
 
     def test_normalization_on_plane(self):
-        cov = CovarianceMatrix(var_x=0.9, var_p=0.5, cov_xp=0.15, mean_x=1.0, mean_p=-2.0)
+        cov = GaussianCovariance(var_x=0.9, var_p=0.5, cov_xp=0.15, mean_x=1.0, mean_p=-2.0)
         total = wigner_normalization_check(reference_gaussian(cov))
         assert total == pytest.approx(1.0, abs=1e-3)
 
