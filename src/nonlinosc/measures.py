@@ -24,14 +24,9 @@ from .numerics import (
     sample_ground_state,
     sized_ground_state,
 )
-from .perturbation import (
-    alpha_coefficients,
-    eta_b_perturbative,
-    eta_ng_perturbative,
-    perturbed_variances,
-)
+from .perturbation import alpha_coefficients, eta_b_perturbative, perturbed_det
 from .potentials import Harmonic, PerturbedHarmonic, PotentialSpec
-from .specfun import entropy_h
+from .specfun import eta_ng_of_det
 
 
 @dataclass(frozen=True)
@@ -64,7 +59,7 @@ class MeasureReport:
 def det_and_eta_ng(wf: SampledWavefunction) -> tuple[float, float]:
     """det sigma of a sampled real state and its eta_ng = h(sqrt(det sigma))."""
     det = covariance_of(wf).det
-    return det, entropy_h(math.sqrt(det))
+    return det, eta_ng_of_det(det)
 
 
 def _edge_warnings(spec: PotentialSpec, wf: SampledWavefunction, target_tail: float) -> tuple[str, ...]:
@@ -115,11 +110,10 @@ def measure_report(
 
 def _perturbative_report(spec: PerturbedHarmonic) -> MeasureReport:
     state = alpha_coefficients(spec.eps3, spec.eps4, spec.omega)
-    var_q, var_p = perturbed_variances(state)
-    det = var_q * var_p
+    det = perturbed_det(state)
     return MeasureReport(
         eta_b=eta_b_perturbative(state),
-        eta_ng=eta_ng_perturbative(state),
+        eta_ng=eta_ng_of_det(det),
         omega_r=spec.omega,
         ground_energy=spec.energy(),
         det_sigma=det,

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .specfun import entropy_h
+from .specfun import entropy_h, eta_ng_of_det
 
 _SQRT2 = math.sqrt(2.0)
 EPS_GUARD = 0.5
@@ -117,9 +117,9 @@ def eta_b_perturbative(state: PerturbativeState) -> float:
     return math.sqrt(1.0 - state.norm_n**-0.5)
 
 
-def eta_ng_perturbative(state: PerturbativeState) -> float:
-    """Ground-state non-Gaussianity h(sqrt(var_q var_p)) from the closed-form
-    variances."""
+def perturbed_det(state: PerturbativeState) -> float:
+    """det sigma = var_q var_p of the three-term state, checked against the
+    Heisenberg bound 1/4."""
     var_q, var_p = perturbed_variances(state)
     det = var_q * var_p
     if det < 0.25 - 1e-9:
@@ -127,7 +127,13 @@ def eta_ng_perturbative(state: PerturbativeState) -> float:
             f"perturbative det sigma = {det} dips below 1/4: variance formulas "
             "transcribed wrongly"
         )
-    return entropy_h(math.sqrt(det))
+    return det
+
+
+def eta_ng_perturbative(state: PerturbativeState) -> float:
+    """Ground-state non-Gaussianity h(sqrt(var_q var_p)) from the closed-form
+    variances."""
+    return eta_ng_of_det(perturbed_det(state))
 
 
 def parametric_curve(eta_b: float) -> CurvePoint:

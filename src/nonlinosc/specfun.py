@@ -1,12 +1,14 @@
 """Special functions: log Gamma, Kummer's confluent hypergeometric on a
-grid, and the Gaussian-state entropy function.
+grid, the Gaussian-state entropy function and the non-Gaussianity of a
+pure state from its covariance determinant.
 
 All functions are pure and stateless. Kummer Phi enters the catalog only
 through the Fellows-Smith ground state and potential, as Phi(a, b; x^2)
 sampled on a whole grid, where the series value can exceed the float
 range. ``kummer_phi_log_grid`` is that one log-space evaluator: it sums the
-positive series terms in linear space and rescales each element into a log
-scale before the sum can overflow.
+positive series terms in linear space, 16 terms per BLAS matrix-vector
+product against a table of powers of z, and rescales each element into a
+log scale before the sum can overflow.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from .errors import ConvergenceError, DomainError
 
 _SERIES_CAP = 100_000
 _TAIL_RATIO = math.exp(-40.0)  # series stop: last term below e^-40 of the sum
-_RESCALE_AT = 1e150  # growth bound that triggers a rescale in the grid kernel
+_LOG_RESCALE_AT = math.log(1e150)  # growth bound that triggers a rescale in the grid kernel
+_BLOCK = 16  # series terms summed by one matrix-vector product
+_CHUNK = 8 * _BLOCK  # series coefficients computed at once
 
 
 def log_gamma(x: float) -> float:
@@ -30,16 +34,25 @@ def log_gamma(x: float) -> float:
 
 
 def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """log Phi(a, b; z) for an array of arguments z >= 0 (a, b > 0).
+    """log Phi(a, b; z) for an array of arguments z >= 0 (a, b > 0), in the
+    shape of z.
 
-    Sums the positive series terms in linear space, one array update per
-    term: term <- term * (a+n) z / ((b+n)(n+1)), total += term. A scalar
-    bound on the growth since the last rescale, the product of
-    max(1, c_n z_max), keeps the arrays inside the float range: once it
-    passes 1e150 every element divides its term and total by its total and
-    adds log(total) to its own log scale. The sum stops when the last term
-    is past the ratio peak and below e^-40 of the sum everywhere. Used to
-    sample hypergeometric ground states on grids without overflow.
+    Sums the positive series terms in linear space, _BLOCK terms per
+    matrix-vector product. With s the power of two above max z, so that z/s
+    is exact, the table of powers (z/s)^1 ... (z/s)^_BLOCK is built once.
+    The term ratios c_n = (a+n)/((b+n)(n+1)) are computed as arrays,
+    _CHUNK at a time. A block's coefficients c_n s, c_n c_{n+1} s^2, ...
+    are scalars relative to its first term, so one product with the table
+    sums the block for every element, and the table's last row times the
+    last coefficient gives the next term. A scalar bound on the growth
+    since the last rescale, the product of max(1, c_n z_max), keeps the
+    arrays inside the float range: a block ends at the term where it passes
+    1e150, and every element then divides its term and total by its total
+    and adds log(total) to its own log scale. The sum stops when a block's
+    last term is past the ratio peak and below e^-40 of the sum everywhere.
+    An input whose largest z cannot pass the ratio peak within _SERIES_CAP
+    terms raises ConvergenceError before any array work. Used to sample
+    hypergeometric ground states on grids without overflow.
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"kummer_phi_log_grid requires a, b > 0, got a={a}, b={b}")
@@ -48,31 +61,62 @@ def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> np.ndarray:
         return np.zeros_like(z)
     if np.any(z < 0.0) or not np.all(np.isfinite(z)):
         raise DomainError("kummer_phi_log_grid requires finite z >= 0")
-    i_max = int(np.argmax(z))
-    z_max = float(z.flat[i_max])
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    log_scale = np.zeros_like(z)
-    growth = 1.0
-    for n in range(_SERIES_CAP):
-        c = (a + n) / ((b + n) * (n + 1))
-        term *= z
-        term *= c
-        total += term
-        growth *= max(1.0, c * z_max)
-        if growth > _RESCALE_AT:
+    flat = z.ravel()
+    i_max = int(np.argmax(flat))
+    z_max = float(flat[i_max])
+    cap = _SERIES_CAP
+    if (a + cap) * z_max >= (b + cap) * (cap + 1):
+        raise ConvergenceError(
+            f"kummer_phi_log_grid cannot pass the ratio peak within {cap} terms "
+            f"for a={a}, b={b}, z={z_max}"
+        )
+    if z_max == 0.0:
+        return np.zeros_like(z)
+    exponent = math.frexp(z_max)[1]
+    s = math.ldexp(1.0, exponent)
+    powers = np.empty((_BLOCK, flat.size))
+    powers[0] = np.ldexp(flat, -exponent)  # z / s, exact
+    m = 1
+    while m < _BLOCK:  # rows m.. are rows 0.. times (z/s)^m
+        w = min(m, _BLOCK - m)
+        np.multiply(powers[:w], powers[m - 1], out=powers[m : m + w])
+        m += w
+    term = np.ones_like(flat)
+    total = np.ones_like(flat)
+    log_scale = np.zeros_like(flat)
+    log_growth = 0.0
+    n = 0
+    while n < cap:
+        # Coefficients of up to _CHUNK terms at once; the chunk ends at the
+        # term where the growth since the last rescale passes the bound.
+        ns = np.arange(n, min(n + _CHUNK, cap), dtype=float)
+        c = (a + ns) / ((b + ns) * (ns + 1.0))
+        log_growths = log_growth + np.cumsum(np.log(np.maximum(c * z_max, 1.0)))
+        length = min(int(np.searchsorted(log_growths, _LOG_RESCALE_AT, side="right")) + 1, c.size)
+        log_growth = float(log_growths[length - 1])
+        steps = c[:length] * s
+        for start in range(0, length, _BLOCK):
+            coef = np.cumprod(steps[start : start + _BLOCK])
+            k = coef.size
+            block = coef @ powers[:k]
+            block *= term
+            total += block
+            term *= powers[k - 1]
+            term *= coef[-1]
+            n += k
+            # term/total grows with z at every n, so the largest z settles
+            # last; testing it first skips the full-array test on most blocks.
+            if (
+                (a + n) * z_max < (b + n) * (n + 1)
+                and term[i_max] < _TAIL_RATIO * total[i_max]
+                and np.all(term < _TAIL_RATIO * total)
+            ):
+                return (np.log(total) + log_scale).reshape(z.shape)
+        if log_growth > _LOG_RESCALE_AT:
             term /= total
             log_scale += np.log(total)
             total.fill(1.0)
-            growth = 1.0
-        # term/total grows with z at every n, so the largest z settles last;
-        # testing it first skips the full-array test on most terms.
-        if (
-            (a + n + 1) * z_max < (b + n + 1) * (n + 2)
-            and term.flat[i_max] < _TAIL_RATIO * total.flat[i_max]
-            and np.all(term < _TAIL_RATIO * total)
-        ):
-            return np.log(total) + log_scale
+            log_growth = 0.0
     raise ConvergenceError(f"kummer_phi_log_grid did not converge for a={a}, b={b}")
 
 
@@ -95,3 +139,9 @@ def entropy_h(x: float) -> float:
     minus = x - 0.5
     tail = 0.0 if minus == 0.0 else minus * math.log(minus)
     return (x + 0.5) * math.log(x + 0.5) - tail
+
+
+def eta_ng_of_det(det: float) -> float:
+    """Non-Gaussianity h(sqrt(det sigma)) of a pure state whose covariance
+    matrix has determinant det >= 0; entropy_h checks and clamps sqrt(det)."""
+    return entropy_h(math.sqrt(det))

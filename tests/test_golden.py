@@ -6,11 +6,15 @@ results. After a deliberate change of output, regenerate them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and account for every field that moved.
+which rewrites only the files whose output changed and prints every CSV
+cell or JSON field that moved as old -> new; account for each of them.
 """
 
 import contextlib
+import csv
 import io
+import itertools
+import json
 from pathlib import Path
 
 import pytest
@@ -79,7 +83,70 @@ def test_output_matches_golden(name):
     assert run(CASES[name]).encode("utf-8") == expected
 
 
+def test_moved_fields_names_each_changed_value():
+    old_csv = "p,eta_ng,error\n-0.5,0.1,\n0,0.2,\n"
+    new_csv = "p,eta_ng,error\n-0.5,0.1,\n0,0.3,\n1,0.4,\n"
+    assert moved_fields("x.csv", old_csv, new_csv) == [
+        "row 2:eta_ng: 0.2 -> 0.3",
+        "row 3:p: None -> 1",
+        "row 3:eta_ng: None -> 0.4",
+        "row 3:error: None -> ",
+    ]
+    old_json = '{"rows": [{"eta_b": 0.1, "error": null}], "axis": "p"}'
+    new_json = '{"rows": [{"eta_b": 0.2, "error": null}], "axis": "p", "n": 1}'
+    assert moved_fields("x.json", old_json, new_json) == [
+        ".rows[0].eta_b: 0.1 -> 0.2",
+        ".n: None -> 1",
+    ]
+    assert moved_fields("x.csv", old_csv, old_csv) == []
+
+
+def _json_moves(old, new, path: str):
+    """(path, old, new) for every JSON leaf that differs; a missing side is None."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in list(old) + [k for k in new if k not in old]:
+            yield from _json_moves(old.get(key), new.get(key), f"{path}.{key}")
+    elif isinstance(old, list) and isinstance(new, list):
+        for i, (o, n) in enumerate(itertools.zip_longest(old, new)):
+            yield from _json_moves(o, n, f"{path}[{i}]")
+    elif old != new or type(old) is not type(new):
+        yield path, old, new
+
+
+def _csv_moves(old: str, new: str):
+    """(row:column, old, new) for every CSV cell that differs, named by the
+    new header; a missing cell is None."""
+    old_rows = list(csv.reader(io.StringIO(old)))
+    new_rows = list(csv.reader(io.StringIO(new)))
+    header = new_rows[0] if new_rows else []
+    for r, (o_row, n_row) in enumerate(itertools.zip_longest(old_rows, new_rows, fillvalue=[])):
+        for c, (o, n) in enumerate(itertools.zip_longest(o_row, n_row)):
+            if o != n:
+                column = header[c] if r > 0 and c < len(header) else c
+                yield f"row {r}:{column}", o, n
+
+
+def moved_fields(name: str, old: str, new: str) -> list[str]:
+    """One 'field: old -> new' line per value that differs between two outputs."""
+    if name.endswith(".json"):
+        moves = _json_moves(json.loads(old), json.loads(new), "")
+    else:
+        moves = _csv_moves(old, new)
+    return [f"{where}: {o} -> {n}" for where, o, n in moves]
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in CASES.items():
-        (GOLDEN_DIR / name).write_bytes(run(argv).encode("utf-8"))
+        path = GOLDEN_DIR / name
+        new = run(argv)
+        old = path.read_bytes().decode("utf-8") if path.exists() else None
+        if old == new:
+            continue
+        if old is None:
+            print(f"{name}: new file")
+        else:
+            print(f"{name}:")
+            for line in moved_fields(name, old, new) or ["bytes differ outside any field"]:
+                print(f"  {line}")
+        path.write_bytes(new.encode("utf-8"))

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from nonlinosc import measures, perturbation
+from nonlinosc.errors import DomainError
 from nonlinosc.measures import measure_report
 from nonlinosc.numerics import (
     Grid,
@@ -155,6 +157,28 @@ class TestMeasureReport:
         assert report.ground_energy == pytest.approx(0.5 + 0.2 * 0.75, rel=1e-12)
         assert report.eta_b > 0.0
         assert report.diagnostics.grid is None
+
+    def test_perturbed_report_evaluates_the_variances_once(self, monkeypatch):
+        calls = []
+        original = perturbation.perturbed_variances
+
+        def counted(state):
+            calls.append(state)
+            return original(state)
+
+        # Count every lookup the report path can make, in either module.
+        for module in (perturbation, measures):
+            monkeypatch.setattr(module, "perturbed_variances", counted, raising=False)
+        report = measure_report(PerturbedHarmonic(1.0, 0.05, 0.1))
+        assert len(calls) == 1
+        var_q, var_p = original(calls[0])
+        assert report.det_sigma == var_q * var_p
+        assert report.eta_ng == entropy_h(math.sqrt(var_q * var_p))
+
+    def test_perturbed_report_names_a_determinant_below_a_quarter(self, monkeypatch):
+        monkeypatch.setattr(perturbation, "perturbed_variances", lambda state: (0.4, 0.5))
+        with pytest.raises(DomainError, match="dips below 1/4"):
+            measure_report(PerturbedHarmonic(1.0, 0.05, 0.1))
 
     @pytest.mark.parametrize("a", [0.01, 0.0225])
     def test_mio_low_a_peak_far_below_float_range(self, a):

@@ -7,8 +7,11 @@ from hypothesis import given, strategies as st
 
 from nonlinosc import specfun
 from nonlinosc.errors import ConvergenceError, DomainError
+from nonlinosc.numerics import sized_ground_state
+from nonlinosc.potentials import P_PLUS, FellowsSmith
 from nonlinosc.specfun import (
     entropy_h,
+    eta_ng_of_det,
     kummer_phi_log_grid,
     log_gamma,
 )
@@ -126,10 +129,59 @@ class TestKummer:
             expected = float(mp.log(kummer_mp(a, b, zi)))
             assert li == pytest.approx(expected, rel=1e-14, abs=1e-14)
 
+    @pytest.mark.parametrize("p", [0.0, -0.1, P_PLUS, -0.6, -0.9])
+    def test_log_grid_on_fellows_smith_grids(self, p):
+        # The grids and both parameter pairs the Fellows-Smith state and
+        # potential sample: Phi((1+p)/2, 1/2; x^2) and Phi((3+p)/2, 3/2; x^2).
+        z = sized_ground_state(FellowsSmith(p)).grid.points() ** 2
+        assert z.size == 4097
+        for a, b in (((1.0 + p) / 2.0, 0.5), ((3.0 + p) / 2.0, 1.5)):
+            logs = kummer_phi_log_grid(a, b, z)
+            for zi, li in zip(z[::64], logs[::64]):
+                expected = float(mp.log(kummer_mp(a, b, zi)))
+                assert li == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+    @pytest.mark.parametrize(
+        "a,b,z",
+        [
+            # c_0 z = 2.4e7 and the terms keep growing for about 1,200 more:
+            # the growth bound is passed partway through a block, many times.
+            (20.0, 1e-3, [0.0, 0.5, 10.0, 150.0, 600.0, 1200.0]),
+            # A single factor c_0 z_max = 5e201 passes the bound on its own.
+            (1.0, 1e-200, [0.0, 1.0, 50.0]),
+        ],
+    )
+    def test_log_grid_rescales_inside_a_block(self, a, b, z):
+        logs = kummer_phi_log_grid(a, b, np.array(z))
+        for zi, li in zip(z, logs):
+            assert li == pytest.approx(float(mp.log(kummer_mp(a, b, zi))), rel=1e-14, abs=1e-14)
+
+    def test_log_grid_keeps_the_shape_of_z(self):
+        scalar = kummer_phi_log_grid(1.0, 1.0, np.float64(2.0))
+        assert scalar.shape == () and scalar == pytest.approx(2.0, rel=1e-15)
+        z = np.array([[0.0, 1.0, 2.0], [3.0, 40.0, 5.0]])
+        logs = kummer_phi_log_grid(0.2, 0.5, z)
+        assert logs.shape == z.shape
+        assert logs.ravel().tolist() == kummer_phi_log_grid(0.2, 0.5, z.ravel()).tolist()
+
     def test_log_grid_series_cap_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "_SERIES_CAP", 10)
         with pytest.raises(ConvergenceError):
             kummer_phi_log_grid(0.2, 0.5, np.array([1.0, 100.0]))
+
+    def test_log_grid_series_cap_raises_past_the_peak(self, monkeypatch):
+        # z = 5 passes the ratio peak within 10 terms but its tail is not
+        # below e^-40 of the sum by then; 10 is not a multiple of the block.
+        monkeypatch.setattr(specfun, "_SERIES_CAP", 10)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            kummer_phi_log_grid(0.2, 0.5, np.array([1.0, 5.0]))
+
+    def test_log_grid_unreachable_peak_raises_before_summing(self):
+        # (a + cap) z >= (b + cap)(cap + 1): no term within the cap is past
+        # the ratio peak, so the kernel refuses without forming z^k (which
+        # would overflow and warn).
+        with pytest.raises(ConvergenceError, match="ratio peak"):
+            kummer_phi_log_grid(0.2, 0.5, np.array([0.0, 3.0, 1e20]))
 
     def test_log_grid_empty_input(self):
         assert kummer_phi_log_grid(0.2, 0.5, np.array([])).size == 0
@@ -168,3 +220,13 @@ class TestEntropyH:
     def test_matches_oracle_on_range(self):
         for x in (0.5 + 1e-8, 0.52, 1.0, 5.0, 49.0):
             assert entropy_h(x) == pytest.approx(entropy_oracle(x), abs=1e-12)
+
+
+class TestEtaNgOfDet:
+    @pytest.mark.parametrize("det", [0.25, 0.2500001, 0.3, 2.25, 40.0])
+    def test_is_h_of_sqrt_det(self, det):
+        assert eta_ng_of_det(det) == entropy_h(math.sqrt(det))
+
+    def test_below_heisenberg_bound_raises(self):
+        with pytest.raises(DomainError):
+            eta_ng_of_det(0.2)
