@@ -24,7 +24,7 @@ _EXPORTS = {
     "measures": ("MeasureReport", "ReportDiagnostics", "measure_report"),
     "numerics": (
         "CovarianceMatrix", "Grid", "SampledWavefunction", "covariance_of", "overlap",
-        "sample_ground_state", "simpson_integral", "sized_ground_state",
+        "simpson_integral", "sized_ground_state",
     ),
     "oracle": ("EigenResult", "fd_ground_state"),
     "perturbation": (

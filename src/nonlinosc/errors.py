@@ -22,7 +22,7 @@ class GridError(RuntimeError):
 
 
 class GridGrowthExhaustedError(GridError):
-    """Grid growth hit the hard extent cap without meeting the tail target."""
+    """A sampled state is still above 10% of its peak at the grid extent cap."""
 
 
 class IncompatibleDomainError(GridError):

@@ -14,14 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import GridError
 from .numerics import (
     DEFAULT_N_POINTS,
     DEFAULT_TARGET_TAIL,
     Grid,
     SampledWavefunction,
     covariance_of,
-    overlap,
-    sample_ground_state,
+    simpson_integral,
     sized_ground_state,
 )
 from .perturbation import alpha_coefficients, eta_b_perturbative, perturbed_det
@@ -89,7 +91,13 @@ def measure_report(
     else:
         # The reference sits at x = 0: every catalog potential has its global
         # minimum at the printed origin (the Morse coordinate is the displacement).
-        ov = overlap(wf, sample_ground_state(Harmonic(omega_r), wf.grid))
+        # It keeps its exact norm: the grid only truncates it where the state met its tail.
+        h = wf.grid.spacing
+        reference = np.exp(Harmonic(omega_r).log_amplitude(wf.grid.points()))
+        if simpson_integral(reference**2, h) > 1.0 + 1e-8:
+            raise GridError(f"grid spacing {h:.3g} cannot resolve the reference Gaussian "
+                            f"of omega_R = {omega_r:.6g}: its norm on the grid exceeds 1")
+        ov = simpson_integral(wf.amplitude * reference, h)
         eta_b = math.sqrt(max(0.0, 1.0 - abs(ov)))
         fidelity = ov**2
     return MeasureReport(

@@ -170,61 +170,32 @@ def sized_ground_state(
     target_tail: float = DEFAULT_TARGET_TAIL,
     n_points: int = DEFAULT_N_POINTS,
 ) -> SampledWavefunction:
-    """Grow a grid until the analytic amplitude meets the tail target, and
-    return the normalized sample on which the accepted grid passed the test.
+    """Sample the analytic ground state once, on the grid of its family's
+    exact seed halfwidths for the tail target, and normalize it.
 
-    Each side starts from the family's seed halfwidth and grows by 1.4 until
-    the end amplitude drops below target_tail relative to the peak, capped
-    at |x| = EXTENT_CAP. A capped side is accepted, with degraded quadrature,
-    if the amplitude is below 10% of the peak and still decays over the 5
-    outermost nodes spaced (n_points - 1) // 512 apart (near-threshold Morse
-    wells legitimately spread past the cap); otherwise the growth fails.
+    A side is capped at |x| = EXTENT_CAP. A capped side that misses the tail
+    is accepted, with degraded quadrature, if its end amplitude is below 10%
+    of the peak (near-threshold Morse wells spread past the cap); otherwise
+    GridGrowthExhaustedError. A side below the cap that misses the tail is a
+    fault of the seed: GridError. No family's log amplitude peaks beyond
+    +-180 on a grid this accepts, so the squared amplitude stays in range.
     """
     require_grid_settings(target_tail, n_points)
     left, right = (min(w, EXTENT_CAP) for w in spec.seed_halfwidths(math.log(1.0 / target_tail)))
-    for _ in range(64):
-        grid = Grid(-left, right, n_points)
-        log_amp = ground_state_log_amplitude(spec, grid.points())
-        peak = float(np.max(log_amp))
-        ratio_l = math.exp(float(log_amp[0]) - peak)
-        ratio_r = math.exp(float(log_amp[-1]) - peak)
-        need_l = ratio_l > target_tail and left < EXTENT_CAP
-        need_r = ratio_r > target_tail and right < EXTENT_CAP
-        if not (need_l or need_r):
-            break
-        if need_l:
-            left = min(left * 1.4, EXTENT_CAP)
-        if need_r:
-            right = min(right * 1.4, EXTENT_CAP)
-    inner = 4 * max(1, (n_points - 1) // 512)
-    for side, ratio, end, before in (
-        ("left", ratio_l, log_amp[0], log_amp[inner]),
-        ("right", ratio_r, log_amp[-1], log_amp[-1 - inner]),
-    ):
-        if ratio > target_tail and (ratio > _CAP_ACCEPT_RATIO or not end < before):
+    grid = Grid(-left, right, n_points)
+    log_amp = ground_state_log_amplitude(spec, grid.points())
+    peak = float(np.max(log_amp))
+    for side, width, end in (("left", left, log_amp[0]), ("right", right, log_amp[-1])):
+        ratio = math.exp(float(end) - peak)
+        if ratio > target_tail and width < EXTENT_CAP:
+            raise GridError(f"{spec.kind} seed misses the {side} tail (end/peak ratio {ratio:.3g})")
+        if ratio > _CAP_ACCEPT_RATIO:
             raise GridGrowthExhaustedError(
                 f"amplitude has not decayed at the {side} cap |x|={EXTENT_CAP} "
                 f"(end/peak ratio {ratio:.3g}); state looks non-normalizable or "
                 "pathologically wide"
             )
-    return _normalized_sample(grid, log_amp)
-
-
-def sample_ground_state(spec: PotentialSpec, grid: Grid) -> SampledWavefunction:
-    """Tabulate and normalize the analytic ground state on a grid."""
-    return _normalized_sample(grid, ground_state_log_amplitude(spec, grid.points()))
-
-
-def _normalized_sample(grid: Grid, log_amp: np.ndarray) -> SampledWavefunction:
-    """Exponentiate and normalize a log amplitude sampled on ``grid``.
-
-    A peak log amplitude beyond +-300 is subtracted before exponentiation,
-    so the squared amplitude neither overflows nor underflows; norm_defect
-    then reflects the rescaled amplitude.
-    """
-    peak = float(np.max(log_amp))
-    amplitude = np.exp(log_amp - peak) if abs(peak) > 300.0 else np.exp(log_amp)
-    return SampledWavefunction(grid, amplitude)
+    return SampledWavefunction(grid, np.exp(log_amp))
 
 
 def covariance_of(wf: SampledWavefunction) -> CovarianceMatrix:

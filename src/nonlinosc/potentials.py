@@ -7,7 +7,8 @@ small frozen dataclass validated on construction; the union of them is the
 
 Printed normalization prefactors of the analytic ground states are carried
 along but never trusted: downstream numerics renormalize every sampled
-amplitude before use. MIO carries none; its amplitude has peak 1.
+amplitude before use. Morse and MIO carry none; their log amplitudes are
+measured from their peak, where they are 0.
 """
 
 from __future__ import annotations
@@ -31,19 +32,31 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise SpecError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _phi(d, series: bool = True):
+    """e^{-d} - 1 + d of a float or an array, the Morse log-amplitude drop per unit N;
+    ``series`` takes its Taylor series to d^5 where |d| < 1e-3 cancels the difference."""
+    scalar = isinstance(d, float)
+    direct = (math.expm1 if scalar else np.expm1)(-d) + d
+    if not series:
+        return direct
+    taylor = d * d * (0.5 - d * (1 / 6 - d * (1 / 24 - d / 120)))
+    small = abs(d) < 1e-3
+    return (taylor if small else direct) if scalar else np.where(small, taylor, direct)
+
+
 class _Family:
     """Physics shared by every catalog dataclass.
 
     Each family sets ``kind``, its name in the text form, and defines
     ``potential(x)`` (V on an array), ``log_amplitude(x)`` (log of the
     analytic ground state), ``omega_r()`` (reference frequency or None),
-    ``energy()`` (ground energy) and ``seed_halfwidths(depth)`` (first
-    grid halfwidths for an amplitude that must fall by ``depth``
-    e-foldings; ``sized_ground_state`` samples each grid in full, so a
-    seed that meets the tail costs one evaluation, each growth step one
-    more). Its dataclass fields are its parse keys and sweep axes. A
-    family with a printed normalization adds its constant log prefactor
-    in ``log_amplitude``; MIO has none.
+    ``energy()`` (ground energy) and ``seed_halfwidths(depth)``: exact
+    halfwidths left and right of the origin, with a small margin, beyond
+    which the amplitude stays ``depth`` e-foldings below its peak.
+    ``sized_ground_state`` samples that grid once; a seed that misses its
+    tail is a fault, not a reason to grow. Its dataclass fields are its
+    parse keys and sweep axes. A family with a printed normalization adds
+    its constant log prefactor in ``log_amplitude``; Morse and MIO have none.
     """
 
     kind: ClassVar[str]
@@ -121,14 +134,9 @@ class Morse(_Family):
 
     def log_amplitude(self, x: np.ndarray) -> np.ndarray:
         n = self.n_index
-        log_prefactor = (
-            0.5 * math.log(2.0)
-            + n * math.log(2.0 * n + 1.0)
-            + 0.5 * (math.log(n) + math.log(self.alpha) - math.log(2.0) - log_gamma(n + 1.0))
-        )
+        d = self.alpha * x - math.log1p(0.5 / n)
         with np.errstate(over="ignore"):
-            decay = np.exp(-self.alpha * x)
-        return log_prefactor - self.alpha * n * x - (n + 0.5) * decay
+            return -n * _phi(d, series=n > 1e6)
 
     def omega_r(self) -> float:
         return math.sqrt(2.0 * self.D) * self.alpha
@@ -140,12 +148,17 @@ class Morse(_Family):
         return -0.5 * self.alpha**2 * self.n_index**2
 
     def seed_halfwidths(self, depth: float) -> tuple[float, float]:
-        gaussian_core = 1.2 * math.sqrt(2.0 * depth / self.omega_r())
-        # double-exponential wall on the left; e^{-alpha N x} far tail on the
-        # right, preceded by the Gaussian core around the minimum
-        left = min(3.0 / self.alpha + 1.0, 2.0 + gaussian_core)
-        right = gaussian_core + 1.1 * depth / (self.alpha * self.n_index)
-        return left, right
+        """Both roots of phi(d) = tau = (depth + 1)/N by Newton from outside, as
+        phi is convex: from tau + sqrt(2 tau) on the right, and on the left from
+        -sqrt(2 tau), or from -log1p(2 tau) once tau >= 2."""
+        n = self.n_index
+        tau = (depth + 1.0) / n
+        left = -math.sqrt(2.0 * tau) if tau < 2.0 else -math.log1p(2.0 * tau)
+        right = tau + math.sqrt(2.0 * tau)
+        for _ in range(6):  # the residual is below 3e-13 of tau after 5
+            left, right = (d + (_phi(d) - tau) / math.expm1(-d) for d in (left, right))
+        shift = math.log1p(0.5 / n)
+        return -(left + shift) / self.alpha, (right + shift) / self.alpha
 
     def quadrature_warnings(self) -> tuple[str, ...]:
         if self.alpha > 0.98 * 2.0 * math.sqrt(2.0 * self.D):
@@ -185,7 +198,10 @@ class ModifiedPoschlTeller(_Family):
             math.log(self.alpha) + log_gamma(0.5 + s) - log_gamma(s)
         )
         u = np.abs(self.alpha * x)
-        log_cosh = u + np.log1p(np.exp(-2.0 * u)) - math.log(2.0)
+        if s > 1e6:  # the seed keeps u below about 0.04, where sinh is safe
+            log_cosh = np.log1p(2.0 * np.sinh(0.5 * u) ** 2)
+        else:
+            log_cosh = u + np.log1p(0.5 * np.expm1(-2.0 * u))
         return log_prefactor - s * log_cosh
 
     def omega_r(self) -> float:
@@ -195,7 +211,9 @@ class ModifiedPoschlTeller(_Family):
         return -0.5 * self.alpha**2 * self.s**2
 
     def seed_halfwidths(self, depth: float) -> tuple[float, float]:
-        w = max(4.0 / self.alpha, 1.1 * depth / (self.alpha * self.s))
+        """arccosh(e^t)/alpha, t = (depth + 1)/s: s log cosh(alpha w) = depth + 1."""
+        t = (depth + 1.0) / self.s
+        w = (t + math.log1p(math.sqrt(-math.expm1(-2.0 * t)))) / self.alpha
         return w, w
 
 
@@ -219,6 +237,8 @@ class ModifiedIsotonic(_Family):
     def __post_init__(self):
         _require_finite_positive("MIO a", self.a)
         _require_finite_positive("MIO 4/a", 4.0 / self.a)
+        # a x^2 must stay finite out to x^2 = 1e4, past any tail's seed (at most 1,500)
+        _require_finite_positive("MIO 1e4*a", 1e4 * self.a)
         _require_finite_positive("MIO omega_R = sqrt(25 + 12a)", self.omega_r())
 
     def potential(self, x: np.ndarray) -> np.ndarray:
@@ -236,7 +256,13 @@ class ModifiedIsotonic(_Family):
         return 0.5 - 4.0 / self.a
 
     def seed_halfwidths(self, depth: float) -> tuple[float, float]:
-        return 6.0, 6.0
+        """sqrt(u), u/2 + (2/a) log1p(a u) = depth + 1: Newton from u = 0 rises
+        to the root, as the left side is concave."""
+        a, u = self.a, 0.0
+        for _ in range(8):
+            excess = depth + 1.0 - 0.5 * u - (2.0 / a) * math.log1p(a * u)
+            u += excess / (0.5 + 2.0 / (1.0 + a * u))
+        return math.sqrt(u), math.sqrt(u)
 
 
 @dataclass(frozen=True)
@@ -370,14 +396,9 @@ def evaluate_potential(spec: PotentialSpec, x):
 
 
 def ground_state_log_amplitude(spec: PotentialSpec, x) -> np.ndarray:
-    """log of the analytic ground-state amplitude, printed prefactor included
-    (MIO has none: its amplitude is unnormalized, with peak 1).
-
-    Working in log space keeps the hypergeometric states (which divide
-    e^{x^2/2} by Phi(., .; x^2)) and deep-Morse states representable on wide
-    grids. The prefactor is carried for diagnostics only; sampling
-    renormalizes numerically.
-    """
+    """log of the analytic ground-state amplitude, with the family's printed
+    prefactor if it carries one. Log space keeps the hypergeometric and the
+    deep-well states representable on wide grids."""
     return spec.log_amplitude(np.asarray(x, dtype=float))
 
 

@@ -5,8 +5,9 @@ paths: Stirling series for Gamma, exact-rational series for the confluent
 hypergeometric function, mpmath quadrature for moments, exact Gaussian
 moments for the three-term perturbative state, and plain finite
 differences for local energies. The Gaussian-state, Bures-distance,
-Gamma, resampled-overlap, grid-refinement and bound-state-count aids at the
-end serve tests only; no package path needs them.
+Gamma, resampled-overlap, fixed-grid sampling, grid-refinement and
+bound-state-count aids at the end serve tests only; no package path needs
+them.
 """
 
 import math
@@ -21,7 +22,7 @@ from numpy.polynomial import Polynomial
 from nonlinosc.errors import ConvergenceError, DomainError, UnsupportedSpecError
 from nonlinosc.numerics import Grid, SampledWavefunction, simpson_integral
 from nonlinosc.oracle import _tridiagonal_hamiltonian
-from nonlinosc.potentials import ModifiedPoschlTeller, Morse
+from nonlinosc.potentials import ModifiedPoschlTeller, Morse, ground_state_log_amplitude
 
 mp.mp.dps = 40
 
@@ -122,6 +123,64 @@ def morse_closed_moments(D: float, alpha: float) -> tuple[float, float]:
     var_x = float(mp.polygamma(1, 2 * n)) / alpha**2
     var_p = alpha**2 * n / 2.0
     return var_x, var_p
+
+
+def morse_reference_fidelity(D: float, alpha: float) -> float:
+    """Fidelity of the Morse ground state to its omega_R = sqrt(2D) alpha
+    reference Gaussian: an mpmath overlap on a finite interval over the
+    closed norm^2 (2N+1)^(-2N) Gamma(2N) / alpha of the printed amplitude
+    exp(-alpha N x - (N + 1/2) e^{-alpha x})."""
+    D, alpha = mp.mpf(D), mp.mpf(alpha)
+    n = mp.sqrt(2 * D) / alpha - mp.mpf(1) / 2
+    omega = mp.sqrt(2 * D) * alpha
+    norm_sq = (2 * n + 1) ** (-2 * n) * mp.gamma(2 * n) / alpha
+
+    def product(u):
+        state = mp.exp(-alpha * n * u - (n + mp.mpf(1) / 2) * mp.exp(-alpha * u))
+        return state * (omega / mp.pi) ** mp.mpf(0.25) * mp.exp(-omega * u**2 / 2)
+
+    width = 1 / mp.sqrt(omega)  # the reference is below e^{-72} past 12 widths
+    overlap = mp.quad(product, [k * width for k in (-12, -4, -1, 0, 1, 4, 12)])
+    return float(overlap**2 / norm_sq)
+
+
+def mpt_closed_det(s: float) -> float:
+    """det sigma of the MPT ground state sech^s(alpha x), which is free of
+    alpha: with u = alpha x, (1 + tanh u)/2 is Beta(s, s) distributed, so
+    var u = psi'(s)/2, and <tanh^2 u> = 1/(2s + 1)."""
+    s = mp.mpf(s)
+    return float(s**2 * mp.polygamma(1, s) / (2 * (2 * s + 1)))
+
+
+def mio_closed_moments(a: float) -> tuple[float, float]:
+    """(var_x, var_p) of the MIO ground state e^{-x^2/2} (1 + a x^2)^{-2/a}.
+
+    With c = 4/a the moments I_k(c) of x^{2k} e^{-x^2} (1 + a x^2)^{-c} are
+    a^{-(k+1/2)} Gamma(k + 1/2) U(k + 1/2, k + 3/2 - c, 1/a) (DLMF 13.4.4,
+    t = a x^2), and psi'/psi = -x (1 + 4/(1 + a x^2)) gives var_p. mpmath's
+    U can be wrong here at a fixed precision (by 1e-9 at a = 0.019 and 40
+    digits), so the precision doubles until two evaluations agree.
+    """
+
+    def moments():
+        x = mp.mpf(a)
+
+        def moment(k, c):
+            order = k + mp.mpf(1) / 2
+            return x**-order * mp.gamma(order) * mp.hyperu(order, order + 1 - c, 1 / x)
+
+        c = 4 / x
+        i0, i1 = moment(0, c), moment(1, c)
+        return i1 / i0, (i1 + 8 * moment(1, c + 1) + 16 * moment(1, c + 2)) / i0
+
+    previous = None
+    for dps in (40, 80, 160, 320):
+        with mp.workdps(dps):
+            current = moments()
+            if previous and all(abs(v - w) <= 1e-25 * v for v, w in zip(current, previous)):
+                return float(current[0]), float(current[1])
+        previous = current
+    raise ConvergenceError(f"MIO moments at a={a!r} did not settle up to 320 digits")
 
 
 def _gaussian_mean(poly: Polynomial) -> float:
@@ -266,6 +325,12 @@ def resampled_overlap(wf1: SampledWavefunction, wf2: SampledWavefunction) -> flo
     a1 = np.interp(common, g1.points(), wf1.amplitude, left=0.0, right=0.0)
     a2 = np.interp(common, g2.points(), wf2.amplitude, left=0.0, right=0.0)
     return simpson_integral(a1 * a2, common[1] - common[0])
+
+
+def sample_ground_state(spec, grid: Grid) -> SampledWavefunction:
+    """Tabulate and normalize the analytic ground state on a given grid, the
+    way ``sized_ground_state`` treats the sample it keeps."""
+    return SampledWavefunction(grid, np.exp(ground_state_log_amplitude(spec, grid.points())))
 
 
 def refined(grid: Grid) -> Grid:

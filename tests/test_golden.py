@@ -26,7 +26,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 CASES = {
     "measure_harmonic.csv": ["measure", "--potential", "harmonic:omega=1.3"],
     "measure_morse.json": ["measure", "--potential", "morse:D=1,alpha=0.9", "--format", "json"],
-    # Peak log amplitude above +300: the sampled amplitude is shifted by its peak.
+    # A deep well, N = 400: its printed prefactor had a log above +300.
     "measure_morse_deep.csv": ["measure", "--potential", "morse:D=20000,alpha=0.5"],
     "measure_mpt.csv": ["measure", "--potential", "mpt:D=2,alpha=1"],
     "measure_mio.json": ["measure", "--potential", "mio:a=3", "--format", "json"],

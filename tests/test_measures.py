@@ -1,9 +1,12 @@
+import contextlib
+import io
 import math
 
 import numpy as np
 import pytest
 
 from nonlinosc import measures, perturbation
+from nonlinosc.cli import main
 from nonlinosc.errors import DomainError
 from nonlinosc.measures import measure_report
 from nonlinosc.numerics import (
@@ -11,7 +14,6 @@ from nonlinosc.numerics import (
     SampledWavefunction,
     covariance_of,
     overlap,
-    sample_ground_state,
     sized_ground_state,
 )
 from nonlinosc.oracle import fd_ground_state
@@ -29,8 +31,14 @@ from helpers import (
     GaussianCovariance,
     UnphysicalCovarianceError,
     bures_distance,
+    entropy_oracle,
+    mio_closed_moments,
     mio_reference_fidelity,
+    morse_closed_moments,
+    morse_reference_fidelity,
+    mpt_closed_det,
     reference_gaussian,
+    sample_ground_state,
     three_term_state,
     wigner_gaussian,
     wigner_normalization_check,
@@ -212,6 +220,75 @@ class TestMeasureReport:
         assert report.eta_ng <= 1e-6
         assert report.omega_r == pytest.approx(1.0, rel=1e-12)
         assert report.ground_energy == pytest.approx(0.5, rel=1e-12)
+
+
+def exact_eta_ng(det: float) -> float:
+    return entropy_oracle(math.sqrt(det))
+
+
+class TestExactSeeds:
+    """Outcomes that exact seed halfwidths and the exactly normalized
+    reference changed, against the closed forms."""
+
+    def test_deep_mpt_reports(self):
+        # An old floor of 4/alpha gave +-4 for a state 0.006 wide: DomainError.
+        spec = ModifiedPoschlTeller(1e6, 1.0)
+        exact = exact_eta_ng(mpt_closed_det(spec.s))
+        assert exact == pytest.approx(3.89437e-7, rel=1e-5)
+        assert measure_report(spec).eta_ng == pytest.approx(exact, rel=1e-3)
+
+    def test_deepest_mpt_keeps_its_digits(self):
+        # s = 4.5e17: log cosh takes its sinh form; the expm1 form alone
+        # printed eta_ng = 2.1e-8 for a state whose exact value is below 1e-17.
+        spec = ModifiedPoschlTeller(1e35, 1.0)
+        assert exact_eta_ng(mpt_closed_det(spec.s)) < 1e-17
+        assert measure_report(spec).eta_ng <= 1e-12
+
+    @pytest.mark.parametrize(
+        "D,expected,rel",
+        # D = 1e8 printed a value 19% low without a warning; D = 1e12 raised
+        # DomainError. Both left sides were at least 2 wide.
+        [(1e8, 5.8910974e-5, 1e-4), (1e12, 7.92608e-7, 1e-3)],
+    )
+    def test_deep_morse_reports(self, D, expected, rel):
+        var_x, var_p = morse_closed_moments(D, 1.0)
+        exact = exact_eta_ng(var_x * var_p)
+        assert exact == pytest.approx(expected, rel=1e-6)
+        report = measure_report(Morse(D, 1.0))
+        assert report.eta_ng == pytest.approx(exact, rel=rel)
+        assert report.diagnostics.warnings == ()
+
+    def test_deepest_morse_keeps_its_digits(self):
+        # N = 2.3e23: the peak-relative amplitude -N phi(d) takes phi's series
+        # where e^{-d} - 1 + d cancels; without it the variances were lost.
+        report = measure_report(Morse(1.5e40, 7.4e-4))
+        assert report.det_sigma == pytest.approx(0.25, abs=1e-8)
+
+    @pytest.mark.parametrize("a", [1e20, 1e300])
+    def test_unresolved_reference_exits_2_naming_it(self, a):
+        # The omega_R = sqrt(25 + 12a) reference is far narrower than the
+        # grid spacing; a = 1e300 printed eta_b = 0.98 with exit 0.
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["measure", "--potential", f"mio:a={a!r}"])
+        assert code == 2 and out.getvalue() == ""
+        [line] = err.getvalue().splitlines()
+        assert line.startswith("error: grid spacing ")
+        assert "cannot resolve the reference Gaussian of omega_R" in line
+
+    def test_low_a_mio_eta_ng(self):
+        # A row of the sweep_mio golden; the old grid of +-6 left 1.6e-9.
+        var_x, var_p = mio_closed_moments(0.01)
+        report = measure_report(ModifiedIsotonic(0.01))
+        assert report.eta_ng == pytest.approx(exact_eta_ng(var_x * var_p), abs=2e-10)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.8, 0.9, 1.4, 2.0, 2.6])
+    def test_morse_golden_fidelities_against_mpmath(self, alpha):
+        # The rows of measure_morse.json and sweep_morse.csv; renormalizing the
+        # reference on the state's grid had moved them by up to 5e-10.
+        report = measure_report(Morse(1.0, alpha))
+        expected = morse_reference_fidelity(1.0, alpha)
+        assert report.fidelity_to_reference == pytest.approx(expected, abs=1e-11)
 
 
 class TestReferenceGaussian:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -20,7 +21,6 @@ from nonlinosc.numerics import (
     _simpson_weights,
     covariance_of,
     overlap,
-    sample_ground_state,
     simpson_integral,
     sized_ground_state,
 )
@@ -35,9 +35,12 @@ from nonlinosc.potentials import (
 
 from helpers import (
     GaussianCovariance,
+    mio_closed_moments,
     morse_closed_moments,
+    mpt_closed_det,
     refined,
     resampled_overlap,
+    sample_ground_state,
     sech_state_moments,
 )
 
@@ -153,6 +156,11 @@ class TestAutoGrid:
         with pytest.raises(GridGrowthExhaustedError):
             sized_ground_state(Morse(1.0, 0.999 * 2.0 * math.sqrt(2.0)))
 
+    def test_seed_that_misses_its_tail_is_a_grid_error(self, monkeypatch):
+        monkeypatch.setattr(Harmonic, "seed_halfwidths", lambda self, depth: (8.0, 3.0))
+        with pytest.raises(GridError, match=r"harmonic seed misses the right tail \(end/peak"):
+            sized_ground_state(Harmonic(1.0))
+
     @pytest.mark.parametrize("spec", SMALL_CATALOG)
     def test_tail_condition_met_on_catalog(self, spec):
         wf = sized_ground_state(spec, 1e-8)
@@ -178,8 +186,10 @@ class TestSizedGroundState:
 
     @pytest.mark.parametrize(
         "spec",
-        [Harmonic(1.0), Morse(1.0, 1.0), ModifiedPoschlTeller(1.0, 0.5), ModifiedIsotonic(2.0)],
-        ids=lambda spec: spec.kind,
+        [Harmonic(1.0), Morse(1.0, 1.0), ModifiedPoschlTeller(1.0, 0.5), ModifiedIsotonic(2.0),
+         # Long tails: halfwidths 6.21 for MIO a = 100 and 12.39 for MPT s = 3.53.
+         ModifiedIsotonic(100.0), ModifiedPoschlTeller(2.0, 0.5)],
+        ids=["harmonic", "morse", "mpt", "mio", "mio-100", "mpt-s3.5"],
     )
     def test_report_without_growth_evaluates_its_amplitude_once(self, spec, monkeypatch):
         grids = count_amplitude_calls(monkeypatch, spec)
@@ -187,14 +197,7 @@ class TestSizedGroundState:
         left, right = spec.seed_halfwidths(math.log(1e8))
         assert grids == [(-left, right, 4097)]
         assert (report.diagnostics.grid.x_min, report.diagnostics.grid.x_max) == (-left, right)
-
-    def test_each_growth_step_costs_one_evaluation(self, monkeypatch):
-        # The amplitude of MIO a = 100 is still above 1e-8 at the seed |x| = 6.
-        spec = ModifiedIsotonic(100.0)
-        grids = count_amplitude_calls(monkeypatch, spec)
-        report = measure_report(spec)
-        assert grids == [(-6.0, 6.0, 4097), (-6.0 * 1.4, 6.0 * 1.4, 4097)]
-        assert report.diagnostics.grid == Grid(-6.0 * 1.4, 6.0 * 1.4, 4097)
+        assert report.diagnostics.tail_ratio <= 1e-8
 
     @pytest.mark.parametrize(
         "spec",
@@ -274,6 +277,27 @@ class TestCovariance:
         var_x, var_p = morse_closed_moments(1.0, 1.0)
         assert cov.var_x == pytest.approx(var_x, rel=1e-7)
         assert cov.var_p == pytest.approx(var_p, rel=1e-7)
+
+    @pytest.mark.parametrize("s", [0.0205, 0.1, 0.5, 1.0, 3.7, 50.0, 1414.0])
+    def test_mpt_closed_det_against_sech_quadrature(self, s):
+        var_x, var_p = sech_state_moments(s)
+        assert mpt_closed_det(s) == pytest.approx(var_x * var_p, rel=1e-14)
+
+    # 0.019 is where mpmath's U at 40 digits is off by 1e-9.
+    @pytest.mark.parametrize("a", [1e-3, 0.019, 0.1, 1.0, 6.58, 100.0, 1e4])
+    def test_mio_closed_moments_against_quadrature(self, a):
+        with mp.workdps(30):
+            def density(u):
+                return mp.exp(-(u**2)) * (1 + a * u**2) ** (-4 / mp.mpf(a))
+
+            breaks = [0, 0.5, 1, 2, 4, 10, mp.inf]
+            norm = mp.quad(density, breaks)
+            var_x = mp.quad(lambda u: u**2 * density(u), breaks) / norm
+            var_p = mp.quad(lambda u: (u * (1 + 4 / (1 + a * u**2))) ** 2 * density(u),
+                            breaks) / norm
+        closed = mio_closed_moments(a)
+        assert closed[0] == pytest.approx(float(var_x), rel=1e-14)
+        assert closed[1] == pytest.approx(float(var_p), rel=1e-14)
 
     def test_shifted_gaussian(self):
         wf = gaussian_wavefunction(Grid(-9.0, 15.0, 4097), center=3.0, width_sq=0.5)

@@ -7,7 +7,6 @@ from nonlinosc.errors import GridError, SpecError, UnsupportedSpecError
 from nonlinosc.numerics import (
     Grid,
     overlap,
-    sample_ground_state,
     simpson_integral,
     sized_ground_state,
 )
@@ -30,6 +29,7 @@ from helpers import (
     eigenvalues_at_or_below,
     morse_bound_state_count,
     refined,
+    sample_ground_state,
     three_term_state,
 )
 

@@ -1,21 +1,33 @@
 """Property test of the ``measure`` command over wide parameter boxes.
 
 Every valid spec has one of two outcomes: exit 0 with a report that holds
-the invariants (0 <= eta_b <= 1, eta_ng >= 0, det sigma >= 1/4 - 1e-6, every
-value finite), or exit 2 with an ``error:`` line. An exception that escapes
-``cli.main`` fails the test.
+the invariants (0 <= eta_b <= 1, 0 <= fidelity <= 1, eta_ng >= 0,
+det sigma >= 1/4 - 1e-6, every value finite), or exit 2 with an ``error:``
+line. An exception that escapes ``cli.main`` fails the test. Over the same
+boxes, each sampled state is sized in one evaluation of its amplitude.
 """
 
 import contextlib
 import io
 import json
 import math
+from unittest import mock
 
-from hypothesis import example, given, settings, strategies as st
+import numpy as np
+from hypothesis import assume, example, given, settings, strategies as st
 
+from nonlinosc import numerics
 from nonlinosc.cli import main
-from nonlinosc.numerics import sized_ground_state
-from nonlinosc.potentials import P_PLUS, FellowsSmith
+from nonlinosc.errors import GridGrowthExhaustedError, SpecError
+from nonlinosc.numerics import EXTENT_CAP, sized_ground_state
+from nonlinosc.potentials import (
+    P_PLUS,
+    FellowsSmith,
+    Harmonic,
+    ModifiedIsotonic,
+    ModifiedPoschlTeller,
+    Morse,
+)
 
 from helpers import P_MINUS
 
@@ -60,6 +72,8 @@ def check_measure(
     values = [report[name] for name in FIELDS if name not in blank]
     assert all(isinstance(v, float) and math.isfinite(v) for v in values), (text, report)
     assert "eta_b" in blank or 0.0 <= report["eta_b"] <= 1.0, (text, report)
+    fidelity = report["fidelity_to_reference"]
+    assert fidelity is None or 0.0 <= fidelity <= 1.0 + 1e-11, (text, report)
     assert report["eta_ng"] >= 0.0, (text, report)
     assert report["det_sigma"] >= 0.25 - 1e-6, (text, report)
     return report
@@ -82,7 +96,7 @@ def test_morse(depth, fraction):
 
 @SETTINGS
 @given(depth=SCALE, alpha=SCALE)
-@example(depth=1e6, alpha=1.0)  # about 4 grid points per state width
+@example(depth=1e6, alpha=1.0)  # a state 0.006 wide: the seed spans it with the whole grid
 @example(depth=1.0, alpha=1e-4)  # truncated at the grid cap
 @example(depth=1e300, alpha=1e-300)  # alpha^2 underflows to 0
 @example(depth=1e-300, alpha=1e300)  # alpha^2 overflows
@@ -92,7 +106,8 @@ def test_mpt(depth, alpha):
 
 @SETTINGS
 @given(a=st.one_of(log_uniform(-3.0, 3.0), log_uniform(-300.0, 300.0)))
-@example(a=1e300)  # reference Gaussian far narrower than the grid spacing
+@example(a=1e300)  # reference Gaussian far narrower than the grid spacing: exit 2
+@example(a=1e307)  # a x^2 would overflow inside the grid
 @example(a=1.7e308)  # omega_R overflows
 @example(a=1e-300)  # the omega = 5 Gaussian limit: a full report
 @example(a=5e-324)  # 4/a overflows
@@ -150,3 +165,58 @@ def test_pert(omega, eps3, eps4):
         assert report["eta_b"] <= math.sqrt(0.2) * (1.0 + 1e-11), (omega, eps3, eps4, report)
         assert report["fidelity_to_reference"] >= 0.64 * (1.0 - 1e-11), (omega, eps3, eps4, report)
         assert report["det_sigma"] >= 0.25, (omega, eps3, eps4, report)
+
+
+def morse_at(depth: float, fraction: float) -> Morse:
+    """The Morse well of depth D at a fraction of its bound-state limit."""
+    return Morse(depth, fraction * 2.0 * math.sqrt(2.0 * depth))
+
+
+# (constructor, parameters) of every family with a sampled state, from the
+# boxes above.
+SAMPLED_FAMILIES = st.one_of(
+    st.tuples(st.just(Harmonic), st.tuples(SCALE)),
+    st.tuples(st.just(morse_at), st.tuples(SCALE, MORSE_FRACTION)),
+    st.tuples(st.just(ModifiedPoschlTeller), st.tuples(SCALE, SCALE)),
+    st.tuples(st.just(ModifiedIsotonic), st.tuples(SCALE)),
+    st.tuples(st.just(FellowsSmith),
+              st.tuples(st.floats(min_value=-1.0, max_value=0.0, exclude_min=True))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(family=SAMPLED_FAMILIES, tail=st.one_of(st.just(1e-8), log_uniform(-300.0, -4.0)))
+@example(family=(morse_at, (1.5e40, 7.4e-4 / (2.0 * math.sqrt(3e40)))), tail=1e-8)
+@example(family=(ModifiedPoschlTeller, (1e35, 1.0)), tail=1e-8)
+@example(family=(ModifiedIsotonic, (1e300,)), tail=1e-300)
+@example(family=(morse_at, (1.0, 0.99)), tail=1e-4)  # capped on the right
+def test_sizing_samples_once_and_meets_the_tail_below_the_cap(family, tail):
+    # The seed is exact: one evaluation of the amplitude, and every side
+    # below the grid cap ends below the tail. A seed that missed would raise
+    # GridError here. An accepted log amplitude peaks within +-180, so it
+    # is exponentiated as it is.
+    build, params = family
+    try:
+        spec = build(*params)
+    except SpecError:
+        assume(False)
+    calls = []
+    original = numerics.ground_state_log_amplitude
+
+    def counted(other, x):
+        log_amp = original(other, x)
+        calls.append((x.size, float(np.max(log_amp))))
+        return log_amp
+
+    with mock.patch.object(numerics, "ground_state_log_amplitude", counted):
+        try:
+            wf = sized_ground_state(spec, tail)
+        except GridGrowthExhaustedError:  # a capped side still above 10% of the peak
+            wf = None
+    [(size, peak)] = calls
+    assert size == numerics.DEFAULT_N_POINTS, (spec, tail)
+    if wf is not None:
+        assert abs(peak) <= 180.0, (spec, tail, peak)
+        peak = float(np.max(np.abs(wf.amplitude)))
+        for width, end in ((-wf.grid.x_min, wf.amplitude[0]), (wf.grid.x_max, wf.amplitude[-1])):
+            assert width == EXTENT_CAP or abs(end) <= tail * peak, (spec, tail, width, end / peak)
