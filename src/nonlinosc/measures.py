@@ -7,6 +7,10 @@ to sqrt(1 - |<0_ref|0_V>|). eta_ng is the relative-entropy non-Gaussianity
 of the ground state, which for a pure state is h(sqrt(det sigma)) with
 sigma its canonical covariance matrix. Both vanish exactly on harmonic
 ground states; eta_ng needs no reference potential at all.
+
+``measure_state`` is the one evaluator of a sampled state, the sized analytic
+one or the finite-difference oracle's. A sample with det sigma below 1/4 is
+one its grid cannot represent: a GridError that names the grid and the tail.
 """
 
 from __future__ import annotations
@@ -58,22 +62,6 @@ class MeasureReport:
     diagnostics: ReportDiagnostics
 
 
-def det_and_eta_ng(wf: SampledWavefunction) -> tuple[float, float]:
-    """det sigma of a sampled real state and its eta_ng = h(sqrt(det sigma))."""
-    det = covariance_of(wf).det
-    return det, eta_ng_of_det(det)
-
-
-def _edge_warnings(spec: PotentialSpec, wf: SampledWavefunction, target_tail: float) -> tuple[str, ...]:
-    warnings = list(spec.quadrature_warnings())
-    if wf.tail_ratio > target_tail:
-        warnings.append(
-            f"tail target {target_tail:g} unmet at the grid cap "
-            f"(end/peak ratio {wf.tail_ratio:.3g}); measures carry truncation error"
-        )
-    return tuple(warnings)
-
-
 def measure_report(
     spec: PotentialSpec,
     target_tail: float = DEFAULT_TARGET_TAIL,
@@ -82,8 +70,19 @@ def measure_report(
     """Evaluate everything for one potential instance in a single pass."""
     if isinstance(spec, PerturbedHarmonic):
         return _perturbative_report(spec)
-    wf = sized_ground_state(spec, target_tail, n_points)
-    det, eta_ng = det_and_eta_ng(wf)
+    return measure_state(spec, sized_ground_state(spec, target_tail, n_points), target_tail)
+
+
+def measure_state(spec: PotentialSpec, wf: SampledWavefunction, target_tail: float) -> MeasureReport:
+    """The report of a state of ``spec`` sampled on a grid cut at ``target_tail``."""
+    det = covariance_of(wf).det
+    grid = wf.grid
+    if math.sqrt(det) < 0.5 - 1e-9:  # entropy_h's clamp: below it the state is unrepresented
+        raise GridError(
+            f"det sigma - 1/4 = {det - 0.25:.2g} on {grid.n_points} points over "
+            f"[{grid.x_min:.6g}, {grid.x_max:.6g}] at tail {target_tail:g}: "
+            "the grid does not represent the state"
+        )
     omega_r = spec.omega_r()
     if omega_r is None:
         eta_b = None
@@ -92,26 +91,32 @@ def measure_report(
         # The reference sits at x = 0: every catalog potential has its global
         # minimum at the printed origin (the Morse coordinate is the displacement).
         # It keeps its exact norm: the grid only truncates it where the state met its tail.
-        h = wf.grid.spacing
-        reference = np.exp(Harmonic(omega_r).log_amplitude(wf.grid.points()))
+        h = grid.spacing
+        reference = np.exp(Harmonic(omega_r).log_amplitude(grid.points()))
         if simpson_integral(reference**2, h) > 1.0 + 1e-8:
             raise GridError(f"grid spacing {h:.3g} cannot resolve the reference Gaussian "
                             f"of omega_R = {omega_r:.6g}: its norm on the grid exceeds 1")
         ov = simpson_integral(wf.amplitude * reference, h)
         eta_b = math.sqrt(max(0.0, 1.0 - abs(ov)))
         fidelity = ov**2
+    warnings = list(spec.quadrature_warnings())
+    if wf.tail_ratio > target_tail:
+        warnings.append(
+            f"tail target {target_tail:g} unmet at the grid cap "
+            f"(end/peak ratio {wf.tail_ratio:.3g}); measures carry truncation error"
+        )
     return MeasureReport(
         eta_b=eta_b,
-        eta_ng=eta_ng,
+        eta_ng=eta_ng_of_det(det),
         omega_r=omega_r,
         ground_energy=spec.energy(),
         det_sigma=det,
         fidelity_to_reference=fidelity,
         diagnostics=ReportDiagnostics(
-            grid=wf.grid,
+            grid=grid,
             norm_defect=wf.norm_defect,
             tail_ratio=wf.tail_ratio,
-            warnings=_edge_warnings(spec, wf, target_tail),
+            warnings=tuple(warnings),
         ),
     )
 

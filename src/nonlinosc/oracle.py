@@ -85,7 +85,10 @@ def fd_ground_state(spec: PotentialSpec, grid: Grid) -> EigenResult:
     iterations = 0
     for _ in range(30):
         vec = _ldl_solve(lower, pivots, vec)
-        vec /= float(np.linalg.norm(vec))
+        norm = float(np.linalg.norm(vec))
+        if not (math.isfinite(norm) and norm > 0.0):  # each solve scales it by about 1e9/|E|
+            raise ConvergenceError(f"inverse iteration lost its vector to the float range for {spec!r}")
+        vec /= norm
         iterations += 1
         residual = float(np.linalg.norm(_tridiagonal_apply(diag, off, vec) - energy * vec))
         if residual < best_res:
@@ -105,11 +108,9 @@ def fd_ground_state(spec: PotentialSpec, grid: Grid) -> EigenResult:
     if amplitude[np.argmax(np.abs(amplitude))] < 0.0:
         amplitude = -amplitude
     wavefunction = SampledWavefunction(grid, amplitude)
-    peak = float(np.max(np.abs(wavefunction.amplitude)))
-    near_edge = max(
-        float(np.max(np.abs(wavefunction.amplitude[1:4]))),
-        float(np.max(np.abs(wavefunction.amplitude[-4:-1]))),
-    )
+    magnitude = np.abs(wavefunction.amplitude)
+    peak = float(magnitude.max())
+    near_edge = float(max(magnitude[1:4].max(), magnitude[-4:-1].max()))
     if near_edge > 1e-5 * peak:
         raise GridError(
             f"computed ground state violates the tail condition "

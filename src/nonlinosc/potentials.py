@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, SpecError, UnsupportedSpecError
 from .perturbation import alpha_coefficients
-from .specfun import kummer_phi_log_grid, log_gamma
+from .specfun import kummer_phi_log_grid
 
 # Lower edge of the supersymmetric-partner family's single-well region.
 P_PLUS = -0.5 + math.sqrt(2.0) / 4.0
@@ -142,10 +142,10 @@ class Morse(_Family):
         return math.sqrt(2.0 * self.D) * self.alpha
 
     def energy(self) -> float:
-        """E = -alpha^2 N^2 / 2; a variant linear in alpha is sometimes quoted
-        but disagrees with the finite-difference solver for every alpha != 1
-        (see the oracle cross-checks)."""
-        return -0.5 * self.alpha**2 * self.n_index**2
+        """E = -(alpha N)^2 / 2, squared as one number that stays in range; the
+        variant linear in alpha sometimes quoted disagrees with the FD solver
+        for every alpha != 1 (see the oracle cross-checks)."""
+        return -0.5 * (self.alpha * self.n_index) ** 2
 
     def seed_halfwidths(self, depth: float) -> tuple[float, float]:
         """Both roots of phi(d) = tau = (depth + 1)/N by Newton from outside, as
@@ -195,7 +195,7 @@ class ModifiedPoschlTeller(_Family):
     def log_amplitude(self, x: np.ndarray) -> np.ndarray:
         s = self.s
         log_prefactor = -0.25 * math.log(math.pi) + 0.5 * (
-            math.log(self.alpha) + log_gamma(0.5 + s) - log_gamma(s)
+            math.log(self.alpha) + math.lgamma(0.5 + s) - math.lgamma(s)
         )
         u = np.abs(self.alpha * x)
         if s > 1e6:  # the seed keeps u below about 0.04, where sinh is safe
@@ -297,8 +297,8 @@ class FellowsSmith(_Family):
         p = self.p
         log_prefactor = (
             -0.25 * math.log(math.pi)
-            + 0.5 * (p * math.log(2.0) - log_gamma(1.0 + p))
-            + log_gamma(1.0 + p / 2.0)
+            + 0.5 * (p * math.log(2.0) - math.lgamma(1.0 + p))
+            + math.lgamma(1.0 + p / 2.0)
         )
         z = x * x
         return log_prefactor + 0.5 * z - kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
@@ -326,7 +326,7 @@ class FellowsSmith(_Family):
         log constant above it. Four fixed-point steps from sqrt(2t) settle
         w, so the seed needs no growth; at p = 0 it is Harmonic(1)'s.
         """
-        t = depth + 0.5 * (log_gamma(0.5 * (1.0 + self.p)) - log_gamma(0.5))
+        t = depth + 0.5 * (math.lgamma(0.5 * (1.0 + self.p)) - math.lgamma(0.5))
         w = math.sqrt(2.0 * t)
         for _ in range(4):
             w = math.sqrt(2.0 * (t - self.p * math.log(w)))

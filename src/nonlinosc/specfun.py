@@ -1,6 +1,6 @@
-"""Special functions: log Gamma, Kummer's confluent hypergeometric on a
-grid, the Gaussian-state entropy function and the non-Gaussianity of a
-pure state from its covariance determinant.
+"""Special functions: Kummer's confluent hypergeometric on a grid, the
+Gaussian-state entropy function and the non-Gaussianity of a pure state
+from its covariance determinant. log Gamma is ``math.lgamma``.
 
 All functions are pure and stateless. Kummer Phi enters the catalog only
 through the Fellows-Smith ground state and potential, as Phi(a, b; x^2)
@@ -24,13 +24,6 @@ _TAIL_RATIO = math.exp(-40.0)  # series stop: last term below e^-40 of the sum
 _LOG_RESCALE_AT = math.log(1e150)  # growth bound that triggers a rescale in the grid kernel
 _BLOCK = 16  # series terms summed by one matrix-vector product
 _CHUNK = 8 * _BLOCK  # series coefficients computed at once
-
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    if not (math.isfinite(x) and x > 0.0):
-        raise DomainError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> np.ndarray:

@@ -13,6 +13,7 @@ import pytest
 from nonlinosc.cli import main
 from nonlinosc.errors import SpecError
 from nonlinosc.measures import measure_report
+from nonlinosc.numerics import sized_ground_state
 from nonlinosc.perturbation import parametric_curve
 from nonlinosc.potentials import Harmonic, parse_potential_spec, with_parameter
 
@@ -102,6 +103,29 @@ class TestMeasure:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.splitlines() == ["error: <p^2> = inf overflowed the float range"]
+
+    def test_morse_energy_with_n_squared_past_the_float_range(self, capsys):
+        # N = 1.5e160: N**2 alone overflows, while E = -(alpha N)^2 / 2 is finite.
+        depth, alpha = 1.062543347313794e294, 2.9839065777032226e-14
+        code, out, err = run_cli(capsys, "measure", "--potential",
+                                 f"morse:D={depth!r},alpha={alpha!r}", "--format", "json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["det_sigma"] == pytest.approx(0.25, abs=1e-9)
+        energy = measure_report(parse_potential_spec(f"morse:D={depth!r},alpha={alpha!r}"))
+        expected = -0.5 * (math.sqrt(2.0 * depth) - 0.5 * alpha) ** 2
+        assert energy.ground_energy == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("text,tail", [("harmonic:omega=1", 1e-100), ("mio:a=1e-6", 1e-4)])
+    def test_unrepresented_sample_is_a_grid_error_naming_the_grid(self, capsys, text, tail):
+        # Both samples put det sigma a few 1e-9 below 1/4.
+        code, out, err = run_cli(capsys, "measure", "--potential", text, "--tail", repr(tail))
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        grid = sized_ground_state(parse_potential_spec(text), tail).grid
+        assert line.startswith("error: det sigma - 1/4 = -")
+        assert f"on 4097 points over [{grid.x_min:.6g}, {grid.x_max:.6g}] at tail {tail:g}" in line
+        assert "entropy_h" not in line
 
     def test_parse_error_nonzero_exit(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--potential", "nope:x=1")
@@ -434,6 +458,24 @@ class TestOracleCheck:
         assert done.stdout == ""
         [line] = done.stderr.splitlines()
         assert line.startswith("error: ") and "float range" in line
+
+    def test_unresolved_reference_exits_2_as_measure_does(self, capsys):
+        code, out, err = run_cli(capsys, "measure", "--potential", "mio:a=1e20")
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert "cannot resolve the reference Gaussian" in line
+        code, out, err = run_cli(capsys, "oracle-check", "--potential", "mio:a=1e20")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [line]
+
+    def test_vector_lost_to_the_float_range_is_one_error_line(self, capsys):
+        # E = -4e169: the solve's vector squares to 0, where numpy would warn.
+        code, out, err = run_cli(capsys, "oracle-check", "--potential", "mio:a=1e-169")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: inverse iteration lost its vector to the float range "
+            "for ModifiedIsotonic(a=1e-169)"
+        ]
 
     def test_energy_tolerance_is_relative(self, capsys):
         # The FD energy is off by 3.3e-4 at E = 500: a relative error of 6.6e-7.

@@ -53,6 +53,14 @@ def test_package_import_loads_no_numpy():
     assert _fresh("import sys, nonlinosc; print('numpy' in sys.modules)") == "False"
 
 
+def test_cli_import_loads_numpy_and_no_test_extra():
+    # Cold start is the floor of every command: the CLI needs numpy and
+    # nothing from the test extras.
+    code = ("import sys, nonlinosc.cli; "
+            "print(*(name in sys.modules for name in ('numpy', 'scipy', 'mpmath', 'hypothesis')))")
+    assert _fresh(code) == "True False False False"
+
+
 def test_cli_runs_openblas_on_one_thread():
     code = ("import os, nonlinosc.cli; print(os.environ['OPENBLAS_NUM_THREADS']); "
             "print(len(os.listdir('/proc/self/task')) if os.path.isdir('/proc') else '-')")

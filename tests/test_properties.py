@@ -3,8 +3,10 @@
 Every valid spec has one of two outcomes: exit 0 with a report that holds
 the invariants (0 <= eta_b <= 1, 0 <= fidelity <= 1, eta_ng >= 0,
 det sigma >= 1/4 - 1e-6, every value finite), or exit 2 with an ``error:``
-line. An exception that escapes ``cli.main`` fails the test. Over the same
-boxes, each sampled state is sized in one evaluation of its amplitude.
+line from one of the package's error classes. An exception that escapes
+``cli.main`` fails the test. Over the same boxes, each sampled state is
+sized in one evaluation of its amplitude, and ``oracle-check`` prints the
+eta_ng that ``measure`` prints, or fails where ``measure`` fails.
 """
 
 import contextlib
@@ -33,6 +35,8 @@ from helpers import P_MINUS
 
 FIELDS = ("eta_b", "eta_ng", "omega_r", "ground_energy", "det_sigma", "fidelity_to_reference")
 SETTINGS = settings(max_examples=40, deadline=None)
+# Error texts that name no cause: entropy_h's domain check and a float ** overflow.
+UNNAMED_CAUSES = ("entropy_h", "Numerical result out of range")
 
 
 def log_uniform(lo: float, hi: float):
@@ -50,24 +54,32 @@ MORSE_FRACTION = st.one_of(
 )
 
 
+def run(*argv: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``cli.main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 def check_measure(
     text: str, *flags: str, blank: tuple[str, ...] = (), names: tuple[str, ...] = ()
 ) -> dict | None:
     """The report of a run that exits 0, None for one that exits 2; fields
     named in ``blank`` must be empty, every other one finite. With
     ``names``, an exit 2 prints one error line that names one of them."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["measure", "--potential", text, "--format", "json", *flags])
+    code, out, err = run("measure", "--potential", text, "--format", "json", *flags)
     if code == 2:
-        assert out.getvalue() == ""
-        lines = err.getvalue().splitlines()
+        assert out == ""
+        lines = err.splitlines()
         assert lines[-1].startswith("error: ")
+        # An unrepresented sample or an extreme parameter names its cause.
+        assert not any(cause in lines[-1] for cause in UNNAMED_CAUSES), (text, lines)
         if names:
             assert len(lines) == 1 and any(name in lines[0] for name in names), (text, lines)
         return None
-    assert code == 0, (text, code, err.getvalue())
-    report = json.loads(out.getvalue())
+    assert code == 0, (text, code, err)
+    report = json.loads(out)
     assert [name for name in FIELDS if report[name] is None] == list(blank), (text, report)
     values = [report[name] for name in FIELDS if name not in blank]
     assert all(isinstance(v, float) and math.isfinite(v) for v in values), (text, report)
@@ -133,7 +145,7 @@ def test_fellows_smith(p, tail):
     assert (wf.grid.x_min, wf.grid.x_max) == (-left, right), (p, tail)
     assert wf.tail_ratio <= tail, (p, tail)
     # Below a tail of about 1e-100 the p = 0 (harmonic) report fails with the
-    # entropy_h DomainError that Harmonic(1) also meets there.
+    # GridError of an unrepresented sample that Harmonic(1) also meets there.
     if tail >= 1e-30:
         blank = ("eta_b", "omega_r", "fidelity_to_reference") if p < P_PLUS else ()
         report = check_measure(f"fs:p={p!r}", "--tail", repr(tail), blank=blank)
@@ -220,3 +232,44 @@ def test_sizing_samples_once_and_meets_the_tail_below_the_cap(family, tail):
         peak = float(np.max(np.abs(wf.amplitude)))
         for width, end in ((-wf.grid.x_min, wf.amplitude[0]), (wf.grid.x_max, wf.amplitude[-1])):
             assert width == EXTENT_CAP or abs(end) <= tail * peak, (spec, tail, width, end / peak)
+
+
+# The text of every family with a sampled state, from the boxes above.
+SAMPLED_TEXTS = st.one_of(
+    SCALE.map(lambda omega: f"harmonic:omega={omega!r}"),
+    st.builds(lambda depth, fraction:
+              f"morse:D={depth!r},alpha={fraction * 2.0 * math.sqrt(2.0 * depth)!r}",
+              SCALE, MORSE_FRACTION),
+    st.builds(lambda depth, alpha: f"mpt:D={depth!r},alpha={alpha!r}", SCALE, SCALE),
+    SCALE.map(lambda a: f"mio:a={a!r}"),
+    st.floats(min_value=-1.0, max_value=0.0, exclude_min=True).map(lambda p: f"fs:p={p!r}"),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(text=SAMPLED_TEXTS, tail=st.one_of(st.just(1e-8), log_uniform(-300.0, -4.0)))
+@example(text="mio:a=1e20", tail=1e-8)  # the reference is unresolved: exit 2, as measure
+@example(text="harmonic:omega=1", tail=1e-100)  # det sigma below 1/4: exit 2, as measure
+@example(text="mio:a=1e-169", tail=1e-8)  # E = -4e169: the FD solve's vector underflows
+@example(text="morse:D=1,alpha=0.5", tail=1e-8)
+def test_oracle_check_reports_what_measure_reports(text, tail):
+    # One evaluator: oracle-check's analytic eta_ng is measure's, cell for
+    # cell, and a spec that measure cannot report fails there with the same
+    # line, before the FD solve.
+    flags = ("--potential", text, "--tail", repr(tail))
+    code, out, err = run("oracle-check", *flags)
+    assert code in (0, 1, 2), (text, tail, code)
+    measured, measure_out, measure_err = run("measure", *flags)
+    if code == 2:
+        assert out == "", (text, tail)
+        [line] = err.splitlines()
+        assert line.startswith("error: "), (text, tail, line)
+        if measured == 2:
+            assert measure_err.splitlines() == [line], (text, tail)
+        return
+    assert measured == 0, (text, tail, measure_err)
+    header, row = out.splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    measure_header, measure_row = measure_out.splitlines()
+    measure_cells = dict(zip(measure_header.split(","), measure_row.split(",")))
+    assert cells["eta_ng_analytic"] == measure_cells["eta_ng"], (text, tail)
