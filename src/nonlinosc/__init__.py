@@ -28,9 +28,8 @@ _EXPORTS = {
     ),
     "oracle": ("EigenResult", "fd_ground_state"),
     "perturbation": (
-        "CurvePoint", "PerturbativeState", "ScatterRecord", "alpha_coefficients",
-        "eta_b_perturbative", "eta_ng_perturbative", "parametric_curve",
-        "perturbed_variances", "scatter_sample",
+        "CurvePoint", "PerturbativeState", "alpha_coefficients", "eta_b_perturbative",
+        "parametric_curve", "perturbed_variances", "scatter_sample",
     ),
     "potentials": (
         "P_PLUS", "FellowsSmith", "Harmonic", "ModifiedIsotonic", "ModifiedPoschlTeller",

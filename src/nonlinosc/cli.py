@@ -41,7 +41,7 @@ from .numerics import (
 )
 from .oracle import fd_ground_state
 from .perturbation import parametric_curve, scatter_sample
-from .potentials import parse_potential_params, parse_potential_spec
+from .potentials import PerturbedHarmonic, parse_potential_params, parse_potential_spec
 
 _HANDLED_ERRORS = (
     SpecError,
@@ -156,9 +156,11 @@ def _run_sweep(args: argparse.Namespace) -> int:
 
 
 def _run_scatter(args: argparse.Namespace) -> int:
-    records = scatter_sample(args.n, args.eps3, args.eps4, args.omega, args.seed)
     columns = ["eps3", "eps4", "eta_b", "eta_ng"]
-    rows = [{c: _round12(getattr(r, c)) for c in columns} for r in records]
+    rows = []
+    for eps3, eps4 in scatter_sample(args.n, args.eps3, args.eps4, args.omega, args.seed):
+        report = measure_report(PerturbedHarmonic(args.omega, eps3, eps4))
+        rows.append(dict(zip(columns, map(_round12, (eps3, eps4, report.eta_b, report.eta_ng)))))
     _emit(args, columns, rows, {"command": "scatter", "seed": args.seed, "rows": rows})
     return 0
 
@@ -235,8 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="text form, e.g. morse:D=1,alpha=1 or fs:p=-0.4")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--grid-points", type=int, default=DEFAULT_N_POINTS)
-        p.add_argument("--tail", type=float, default=DEFAULT_TARGET_TAIL)
+        if potential:  # only the commands that take a potential build a grid
+            p.add_argument("--grid-points", type=int, default=DEFAULT_N_POINTS)
+            p.add_argument("--tail", type=float, default=DEFAULT_TARGET_TAIL)
 
     p_measure = sub.add_parser("measure", help="evaluate both measures for one potential")
     common(p_measure)
@@ -281,8 +284,8 @@ _DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        # Checked for every command, including those that build no grid.
-        require_grid_settings(args.tail, args.grid_points)
+        if hasattr(args, "tail"):  # scatter and curve build no grid
+            require_grid_settings(args.tail, args.grid_points)
         if args.out:
             _require_writable(args.out)
         return _DISPATCH[args.command](args)

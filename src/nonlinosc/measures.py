@@ -10,7 +10,8 @@ ground states; eta_ng needs no reference potential at all.
 
 ``measure_state`` is the one evaluator of a sampled state, the sized analytic
 one or the finite-difference oracle's. A sample with det sigma below 1/4 is
-one its grid cannot represent: a GridError that names the grid and the tail.
+one its grid cannot represent: a GridError that names the grid and the tail,
+and the unmet tail target when the state is truncated at the grid cap.
 """
 
 from __future__ import annotations
@@ -24,15 +25,16 @@ from .errors import GridError
 from .numerics import (
     DEFAULT_N_POINTS,
     DEFAULT_TARGET_TAIL,
+    EXTENT_CAP,
     Grid,
     SampledWavefunction,
     covariance_of,
     simpson_integral,
     sized_ground_state,
 )
-from .perturbation import alpha_coefficients, eta_b_perturbative, perturbed_det
+from .perturbation import eta_b_perturbative, perturbed_det
 from .potentials import Harmonic, PerturbedHarmonic, PotentialSpec
-from .specfun import eta_ng_of_det
+from .specfun import HEISENBERG_SLACK, eta_ng_of_det
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,15 @@ def measure_state(spec: PotentialSpec, wf: SampledWavefunction, target_tail: flo
     """The report of a state of ``spec`` sampled on a grid cut at ``target_tail``."""
     det = covariance_of(wf).det
     grid = wf.grid
-    if math.sqrt(det) < 0.5 - 1e-9:  # entropy_h's clamp: below it the state is unrepresented
+    truncated = wf.tail_ratio > target_tail  # only a side capped at EXTENT_CAP misses its tail
+    # entropy_h's clamp: below it the state is unrepresented.
+    if math.sqrt(det) < 0.5 - HEISENBERG_SLACK:
+        cause = (f", truncated at the |x| = {EXTENT_CAP:g} cap where its tail target is unmet "
+                 f"(end/peak ratio {wf.tail_ratio:.3g})") if truncated else ""
         raise GridError(
             f"det sigma - 1/4 = {det - 0.25:.2g} on {grid.n_points} points over "
             f"[{grid.x_min:.6g}, {grid.x_max:.6g}] at tail {target_tail:g}: "
-            "the grid does not represent the state"
+            f"the grid does not represent the state{cause}"
         )
     omega_r = spec.omega_r()
     if omega_r is None:
@@ -100,7 +106,7 @@ def measure_state(spec: PotentialSpec, wf: SampledWavefunction, target_tail: flo
         eta_b = math.sqrt(max(0.0, 1.0 - abs(ov)))
         fidelity = ov**2
     warnings = list(spec.quadrature_warnings())
-    if wf.tail_ratio > target_tail:
+    if truncated:
         warnings.append(
             f"tail target {target_tail:g} unmet at the grid cap "
             f"(end/peak ratio {wf.tail_ratio:.3g}); measures carry truncation error"
@@ -122,7 +128,7 @@ def measure_state(spec: PotentialSpec, wf: SampledWavefunction, target_tail: flo
 
 
 def _perturbative_report(spec: PerturbedHarmonic) -> MeasureReport:
-    state = alpha_coefficients(spec.eps3, spec.eps4, spec.omega)
+    state = spec.first_order
     det = perturbed_det(state)
     return MeasureReport(
         eta_b=eta_b_perturbative(state),

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .specfun import entropy_h, eta_ng_of_det
+from .specfun import HEISENBERG_SLACK, entropy_h
 
 _SQRT2 = math.sqrt(2.0)
 EPS_GUARD = 0.5
@@ -43,16 +43,6 @@ class PerturbativeState:
     def norm_n(self) -> float:
         """N = 1 + alpha1^2 + alpha2^2 (>= 1, equality iff unperturbed)."""
         return 1.0 + self.alpha1**2 + self.alpha2**2
-
-
-@dataclass(frozen=True)
-class ScatterRecord:
-    """One randomized sample of the perturbative ensemble."""
-
-    eps3: float
-    eps4: float
-    eta_b: float
-    eta_ng: float
 
 
 class CurvePoint(NamedTuple):
@@ -122,18 +112,12 @@ def perturbed_det(state: PerturbativeState) -> float:
     Heisenberg bound 1/4."""
     var_q, var_p = perturbed_variances(state)
     det = var_q * var_p
-    if det < 0.25 - 1e-9:
+    if det < 0.25 - HEISENBERG_SLACK:
         raise DomainError(
             f"perturbative det sigma = {det} dips below 1/4: variance formulas "
             "transcribed wrongly"
         )
     return det
-
-
-def eta_ng_perturbative(state: PerturbativeState) -> float:
-    """Ground-state non-Gaussianity h(sqrt(var_q var_p)) from the closed-form
-    variances."""
-    return eta_ng_of_det(perturbed_det(state))
 
 
 def parametric_curve(eta_b: float) -> CurvePoint:
@@ -145,7 +129,7 @@ def parametric_curve(eta_b: float) -> CurvePoint:
     printed_arg_sq = 1.0 + 24.0 * t
     if printed_arg_sq >= 0.0:
         x = 0.5 * math.sqrt(printed_arg_sq)
-        if x >= 0.5 - 1e-9:
+        if x >= 0.5 - HEISENBERG_SLACK:
             printed = entropy_h(x)
     corrected = entropy_h(0.5 * math.sqrt(1.0 + 24.0 * t**2))
     return CurvePoint(printed=printed, corrected=corrected)
@@ -157,9 +141,9 @@ def scatter_sample(
     eps4_range: tuple[float, float],
     omega: float = 1.0,
     seed: int = 0,
-) -> list[ScatterRecord]:
-    """Draw n independent uniform (eps3, eps4) samples and evaluate both
-    measures for each.
+) -> list[tuple[float, float]]:
+    """Draw n independent uniform (eps3, eps4) samples of the perturbative
+    ensemble; ``measure_report`` of each ``pert`` spec evaluates both measures.
 
     Deterministic for a fixed seed; both range endpoints must respect the
     perturbative guard at ``omega``.
@@ -175,15 +159,4 @@ def scatter_sample(
     rng = np.random.default_rng(seed)
     eps3_draw = rng.uniform(eps3_range[0], eps3_range[1], n)
     eps4_draw = rng.uniform(eps4_range[0], eps4_range[1], n)
-    records = []
-    for e3, e4 in zip(eps3_draw, eps4_draw):
-        state = alpha_coefficients(float(e3), float(e4), omega)
-        records.append(
-            ScatterRecord(
-                eps3=float(e3),
-                eps4=float(e4),
-                eta_b=eta_b_perturbative(state),
-                eta_ng=eta_ng_perturbative(state),
-            )
-        )
-    return records
+    return list(zip(eps3_draw.tolist(), eps4_draw.tolist()))

@@ -345,7 +345,9 @@ class PerturbedHarmonic(_Family):
     The perturbative guard of ``alpha_coefficients`` (|alpha1|, |alpha2|
     bounded; |eps| <= 1/2 at omega = 1) keeps inputs inside the regime
     where the first-order three-term ground-state expansion is meaningful.
-    The state has no position-space amplitude: ``log_amplitude`` and
+    The guard's result, the first-order state, is kept as ``first_order``
+    (an attribute, not a field: fields are parse keys and sweep axes). The
+    state has no position-space amplitude: ``log_amplitude`` and
     ``seed_halfwidths`` raise UnsupportedSpecError, and ``measure_report``
     takes the perturbative route.
     """
@@ -358,8 +360,8 @@ class PerturbedHarmonic(_Family):
 
     def __post_init__(self):
         _require_finite_positive("perturbed-harmonic omega", self.omega)
-        # Called for its guard, the one place it is written; the result is dropped.
-        alpha_coefficients(self.eps3, self.eps4, self.omega)
+        state = alpha_coefficients(self.eps3, self.eps4, self.omega)
+        object.__setattr__(self, "first_order", state)  # the dataclass is frozen
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * self.omega**2 * x**2 + self.eps3 * x**3 + self.eps4 * x**4

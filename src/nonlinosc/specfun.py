@@ -24,6 +24,7 @@ _TAIL_RATIO = math.exp(-40.0)  # series stop: last term below e^-40 of the sum
 _LOG_RESCALE_AT = math.log(1e150)  # growth bound that triggers a rescale in the grid kernel
 _BLOCK = 16  # series terms summed by one matrix-vector product
 _CHUNK = 8 * _BLOCK  # series coefficients computed at once
+HEISENBERG_SLACK = 1e-9  # noise allowed below the Heisenberg minimum (1/2, or 1/4 for det)
 
 
 def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> np.ndarray:
@@ -117,14 +118,14 @@ def entropy_h(x: float) -> float:
     """Entropy of a Gaussian state with symplectic eigenvalue x:
     h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2).
 
-    Inputs within 1e-9 below 1/2 are clamped to exactly 1/2 (quadrature
-    noise on a pure Gaussian can push sqrt(det sigma) marginally under the
-    Heisenberg minimum); anything lower is a genuine domain violation.
+    Inputs within HEISENBERG_SLACK below 1/2 are clamped to exactly 1/2
+    (quadrature noise on a pure Gaussian can push sqrt(det sigma) marginally
+    under the Heisenberg minimum); anything lower is a genuine domain violation.
     h(1/2) = 0 by the x -> 1/2 limit, and h is strictly increasing.
     """
     if not math.isfinite(x):
         raise DomainError(f"entropy_h requires finite x, got {x!r}")
-    if x < 0.5 - 1e-9:
+    if x < 0.5 - HEISENBERG_SLACK:
         raise DomainError(
             f"entropy_h argument {x!r} is below 1/2: unphysical covariance determinant"
         )

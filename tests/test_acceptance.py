@@ -14,9 +14,7 @@ from nonlinosc.numerics import overlap, sized_ground_state
 from nonlinosc.oracle import fd_ground_state
 from nonlinosc.perturbation import (
     PerturbativeState,
-    alpha_coefficients,
     eta_b_perturbative,
-    eta_ng_perturbative,
     parametric_curve,
     perturbed_variances,
 )
@@ -27,6 +25,7 @@ from nonlinosc.potentials import (
     ModifiedIsotonic,
     ModifiedPoschlTeller,
     Morse,
+    PerturbedHarmonic,
 )
 from nonlinosc.specfun import entropy_h
 
@@ -104,10 +103,10 @@ def test_criterion_4_parametric_curve_consistency():
         non_evaluable = 0
         for _ in range(100):
             eps4 = float(rng.uniform(-0.25, 0.25))
-            state = alpha_coefficients(0.0, eps4, 1.0)
-            eta_b = eta_b_perturbative(state)
+            report = measure_report(PerturbedHarmonic(1.0, 0.0, eps4))
+            eta_b = report.eta_b
             point = parametric_curve(eta_b)
-            assert abs(eta_ng_perturbative(state) - point.corrected) <= 1e-12
+            assert abs(report.eta_ng - point.corrected) <= 1e-12
             if eta_b > 0.0:
                 assert point.printed is None
                 non_evaluable += 1

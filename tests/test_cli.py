@@ -14,7 +14,7 @@ from nonlinosc.cli import main
 from nonlinosc.errors import SpecError
 from nonlinosc.measures import measure_report
 from nonlinosc.numerics import sized_ground_state
-from nonlinosc.perturbation import parametric_curve
+from nonlinosc.perturbation import parametric_curve, scatter_sample
 from nonlinosc.potentials import Harmonic, parse_potential_spec, with_parameter
 
 
@@ -127,6 +127,17 @@ class TestMeasure:
         assert f"on 4097 points over [{grid.x_min:.6g}, {grid.x_max:.6g}] at tail {tail:g}" in line
         assert "entropy_h" not in line
 
+    def test_truncated_state_names_its_unmet_tail_at_the_cap(self, capsys):
+        # The state is about 1/alpha = 1e4 wide: 6% of its peak is left at the |x| = 200 cap.
+        text = "mpt:D=1,alpha=1e-4"
+        code, out, err = run_cli(capsys, "measure", "--potential", text)
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        ratio = sized_ground_state(parse_potential_spec(text)).tail_ratio
+        assert line.startswith("error: det sigma - 1/4 = -")
+        assert line.endswith(", truncated at the |x| = 200 cap where its tail target is unmet "
+                             f"(end/peak ratio {ratio:.3g})")
+
     def test_parse_error_nonzero_exit(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--potential", "nope:x=1")
         assert code != 0
@@ -188,8 +199,6 @@ GRID_FLAG_COMMANDS = {
     "sweep-pert": ["sweep", "--potential", "pert:omega=1", "--axis", "eps3",
                    "--from", "0", "--to", "0.1", "--points", "3"],
     "oracle-check": ["oracle-check", "--potential", "mpt:D=1,alpha=1"],
-    "scatter": ["scatter", "--n", "5"],
-    "curve": ["curve", "--points", "5"],
 }
 BAD_GRID_FLAGS = {
     "tail": (["--tail", "5"], "error: target_tail must lie in (0, 1e-4], got 5.0"),
@@ -211,6 +220,14 @@ class TestGridFlags:
         assert code == 2
         assert out == ""
         assert err.splitlines() == [message]
+
+    def test_commands_without_a_grid_take_no_grid_flags(self, capsys, monkeypatch):
+        forbid_evaluation(monkeypatch)
+        for argv in (["scatter", "--tail", "1e-6"], ["curve", "--grid-points", "129"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -395,6 +412,27 @@ class TestScatter:
             return spread
 
         assert max_spread(0.2) > 2.0 * max_spread(0.1)
+
+    @pytest.mark.parametrize("n,seed,eps3,eps4,omega", [
+        (12, 5, (-0.5, 0.5), (-0.5, 0.5), 1.0),
+        (6, 2, (-0.1, 0.1), (-0.25, 0.25), 1.3),
+        (1, 0, (0.5, 0.5), (0.5, 0.5), 1.0),  # the two guard corners at omega = 1
+        (1, 0, (-0.5, -0.5), (-0.5, -0.5), 1.0),
+    ], ids=["guard-box", "omega-1.3", "corner-plus", "corner-minus"])
+    def test_rows_are_measure_rows(self, capsys, n, seed, eps3, eps4, omega):
+        code, out, _ = run_cli(capsys, "scatter", "--n", str(n), "--seed", str(seed),
+                               f"--eps3={eps3[0]!r},{eps3[1]!r}",
+                               f"--eps4={eps4[0]!r},{eps4[1]!r}", "--omega", repr(omega))
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        draws = scatter_sample(n, eps3, eps4, omega, seed)
+        assert len(rows) == len(draws) == n
+        for row, (e3, e4) in zip(rows, draws):
+            code, measured, _ = run_cli(capsys, "measure", "--potential",
+                                        f"pert:omega={omega!r},eps3={e3!r},eps4={e4!r}")
+            assert code == 0
+            eta_b, eta_ng = measured.strip().split("\n")[1].split(",")[:2]
+            assert row.split(",") == [f"{e3:.12g}", f"{e4:.12g}", eta_b, eta_ng]
 
     def test_guard_violation_exits(self, capsys):
         code, _, err = run_cli(capsys, "scatter", "--n", "5", "--eps3=-0.9,0.9")

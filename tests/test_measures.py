@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nonlinosc import measures, perturbation
+from nonlinosc import measures, perturbation, potentials
 from nonlinosc.cli import main
 from nonlinosc.errors import DomainError
 from nonlinosc.measures import measure_report
@@ -182,6 +182,20 @@ class TestMeasureReport:
         var_q, var_p = original(calls[0])
         assert report.det_sigma == var_q * var_p
         assert report.eta_ng == entropy_h(math.sqrt(var_q * var_p))
+
+    def test_perturbed_report_builds_its_first_order_state_once(self, monkeypatch):
+        calls = []
+        original = perturbation.alpha_coefficients
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        # The spec's guard builds the state; the report reads it.
+        for module in (perturbation, potentials, measures):
+            monkeypatch.setattr(module, "alpha_coefficients", counted, raising=False)
+        measure_report(PerturbedHarmonic(1.0, 0.05, 0.1))
+        assert calls == [(0.05, 0.1, 1.0)]
 
     def test_perturbed_report_names_a_determinant_below_a_quarter(self, monkeypatch):
         monkeypatch.setattr(perturbation, "perturbed_variances", lambda state: (0.4, 0.5))

@@ -28,7 +28,8 @@ def test_export_list_matches_the_package():
 def test_unknown_name_is_an_attribute_error():
     # Deleted names stay deleted.
     for name in ("eta_bures", "ground_state_amplitude", "fellows_smith_well_structure",
-                 "WellRegion", "P_MINUS", "FockState", "fock_covariance", "TruncationError"):
+                 "WellRegion", "P_MINUS", "FockState", "fock_covariance", "TruncationError",
+                 "ScatterRecord", "eta_ng_perturbative"):
         with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
             getattr(nonlinosc, name)
 

@@ -1,21 +1,40 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from nonlinosc.errors import DomainError, SpecError
+from nonlinosc.measures import measure_report
 from nonlinosc.perturbation import (
     PerturbativeState,
     alpha_coefficients,
     eta_b_perturbative,
-    eta_ng_perturbative,
     parametric_curve,
+    perturbed_det,
     perturbed_variances,
     scatter_sample,
 )
-from nonlinosc.specfun import entropy_h
+from nonlinosc.potentials import PerturbedHarmonic
+from nonlinosc.specfun import entropy_h, eta_ng_of_det
 
 from helpers import three_term_state
+
+
+class ScatterRow(NamedTuple):
+    eps3: float
+    eps4: float
+    eta_b: float
+    eta_ng: float
+
+
+def scatter_rows(n, eps3_range, eps4_range, omega=1.0, seed=0) -> list[ScatterRow]:
+    """Each seeded draw with the measures of its pert report, as ``scatter`` prints them."""
+    rows = []
+    for eps3, eps4 in scatter_sample(n, eps3_range, eps4_range, omega, seed):
+        report = measure_report(PerturbedHarmonic(omega, eps3, eps4))
+        rows.append(ScatterRow(eps3, eps4, report.eta_b, report.eta_ng))
+    return rows
 
 
 class TestAlphaCoefficients:
@@ -86,15 +105,14 @@ class TestEtaBPerturbative:
 
 class TestEtaNgPerturbative:
     def test_unperturbed_zero(self):
-        assert eta_ng_perturbative(PerturbativeState(0.0, 0.0)) == 0.0
+        assert eta_ng_of_det(perturbed_det(PerturbativeState(0.0, 0.0))) == 0.0
 
     def test_even_case_closed_determinant(self):
         a2 = -0.1
         n = 1.0 + a2**2
         expected = entropy_h(0.5 * math.sqrt(1.0 + 24.0 * (a2**2 / n) ** 2))
-        assert eta_ng_perturbative(PerturbativeState(0.0, a2)) == pytest.approx(
-            expected, abs=1e-14
-        )
+        det = perturbed_det(PerturbativeState(0.0, a2))
+        assert eta_ng_of_det(det) == pytest.approx(expected, abs=1e-14)
 
     def test_matches_fock_determinant(self):
         rng = np.random.default_rng(23)
@@ -102,7 +120,7 @@ class TestEtaNgPerturbative:
             a1, a2 = rng.uniform(-0.5, 0.5, 2)
             state = PerturbativeState(float(a1), float(a2))
             _, var_x, var_p = three_term_state(float(a1), float(a2))
-            assert eta_ng_perturbative(state) == pytest.approx(
+            assert eta_ng_of_det(perturbed_det(state)) == pytest.approx(
                 entropy_h(math.sqrt(var_x * var_p)), abs=1e-12
             )
 
@@ -120,10 +138,9 @@ class TestParametricCurve:
             assert parametric_curve(eta_b).printed is None
 
     def test_corrected_consistent_with_closed_chain(self):
-        state = alpha_coefficients(0.0, 0.25, 1.0)
-        eta_b = eta_b_perturbative(state)
-        assert parametric_curve(eta_b).corrected == pytest.approx(
-            eta_ng_perturbative(state), abs=1e-12
+        report = measure_report(PerturbedHarmonic(1.0, 0.0, 0.25))
+        assert parametric_curve(report.eta_b).corrected == pytest.approx(
+            report.eta_ng, abs=1e-12
         )
 
     def test_domain(self):
@@ -139,7 +156,7 @@ class TestScatterSample:
 
     def test_deterministic(self):
         kwargs = dict(eps3_range=(-0.1, 0.1), eps4_range=(-0.25, 0.25), omega=1.0, seed=42)
-        assert scatter_sample(100, **kwargs) == scatter_sample(100, **kwargs)
+        assert scatter_rows(100, **kwargs) == scatter_rows(100, **kwargs)
 
     def test_guard_violation(self):
         with pytest.raises(SpecError):
@@ -148,12 +165,12 @@ class TestScatterSample:
             scatter_sample(10, (0.1, -0.1), (-0.25, 0.25))
 
     def test_ranges_respected(self):
-        records = scatter_sample(500, (-0.1, 0.1), (-0.25, 0.25), seed=1)
+        records = scatter_rows(500, (-0.1, 0.1), (-0.25, 0.25), seed=1)
         assert all(-0.1 <= r.eps3 <= 0.1 for r in records)
         assert all(-0.25 <= r.eps4 <= 0.25 for r in records)
 
     def test_near_even_samples_sit_on_corrected_curve(self):
-        records = scatter_sample(1000, (-0.1, 0.1), (-0.25, 0.25), seed=7)
+        records = scatter_rows(1000, (-0.1, 0.1), (-0.25, 0.25), seed=7)
         near_even = [r for r in records if abs(r.eps3) <= 0.02]
         assert len(near_even) > 50
         for r in near_even:
@@ -165,7 +182,7 @@ class TestScatterSample:
         # (pure-odd samples have det sigma = 1/4 + O(alpha1^6)), so the
         # curve is an upper envelope: records fall on or below it, and
         # near-equal eta_b values map to well-separated eta_ng.
-        records = scatter_sample(1000, (-0.2, 0.2), (-0.25, 0.25), seed=11)
+        records = scatter_rows(1000, (-0.2, 0.2), (-0.25, 0.25), seed=11)
         deviations = [r.eta_ng - parametric_curve(r.eta_b).corrected for r in records]
         assert max(deviations) <= 1e-12
         assert min(deviations) < -1e-3
@@ -181,11 +198,10 @@ class TestScatterSample:
         for eps4 in (-0.2, 0.0, 0.2):
             dets = []
             for eps3 in (0.0, 0.1, 0.2):
-                var_q, var_p = perturbed_variances(alpha_coefficients(eps3, eps4, 1.0))
-                dets.append(var_q * var_p)
+                dets.append(measure_report(PerturbedHarmonic(1.0, eps3, eps4)).det_sigma)
             assert dets[0] < dets[1] < dets[2]
 
     def test_every_det_physical(self):
-        records = scatter_sample(500, (-0.2, 0.2), (-0.25, 0.25), seed=13)
+        records = scatter_rows(500, (-0.2, 0.2), (-0.25, 0.25), seed=13)
         for r in records:
             assert r.eta_b < 1.0 and r.eta_ng >= 0.0
