@@ -200,6 +200,11 @@ GRID_FLAG_COMMANDS = {
                    "--from", "0", "--to", "0.1", "--points", "3"],
     "oracle-check": ["oracle-check", "--potential", "mpt:D=1,alpha=1"],
 }
+# These build no grid, so argparse rejects the grid flags themselves.
+NO_GRID_COMMANDS = {
+    "scatter": ["scatter", "--n", "5"],
+    "curve": ["curve", "--points", "5"],
+}
 BAD_GRID_FLAGS = {
     "tail": (["--tail", "5"], "error: target_tail must lie in (0, 1e-4], got 5.0"),
     "grid-points": (["--grid-points", "100"], "error: grid requires n_points >= 128, got 100"),
@@ -212,14 +217,23 @@ BAD_GRID_FLAGS = {
 
 class TestGridFlags:
     @pytest.mark.parametrize("flag", BAD_GRID_FLAGS)
-    @pytest.mark.parametrize("command", GRID_FLAG_COMMANDS)
+    @pytest.mark.parametrize("command", [*GRID_FLAG_COMMANDS, *NO_GRID_COMMANDS])
     def test_bad_value_exits_2_before_evaluation(self, capsys, monkeypatch, command, flag):
         forbid_evaluation(monkeypatch)
         extra, message = BAD_GRID_FLAGS[flag]
-        code, out, err = run_cli(capsys, *GRID_FLAG_COMMANDS[command], *extra)
+        if command in NO_GRID_COMMANDS:
+            with pytest.raises(SystemExit) as exc:
+                main([*NO_GRID_COMMANDS[command], *extra])
+            code, (out, err) = exc.value.code, capsys.readouterr()
+            usage, *lines = err.splitlines()
+            assert usage.startswith("usage: nonlinosc ")
+            message = f"nonlinosc: error: unrecognized arguments: {' '.join(extra)}"
+        else:
+            code, out, err = run_cli(capsys, *GRID_FLAG_COMMANDS[command], *extra)
+            lines = err.splitlines()
         assert code == 2
         assert out == ""
-        assert err.splitlines() == [message]
+        assert lines == [message]
 
     def test_commands_without_a_grid_take_no_grid_flags(self, capsys, monkeypatch):
         forbid_evaluation(monkeypatch)
@@ -601,6 +615,11 @@ FORMAT_PAIRS = {
     "scatter": ["scatter", "--n", "5", "--seed", "7"],
     "curve": ["curve", "--points", "5", "--to", "0.8"],
     "oracle-check": ["oracle-check", "--potential", "mpt:D=1,alpha=1"],
+}
+# These build no grid, so argparse rejects the grid flags themselves.
+NO_GRID_COMMANDS = {
+    "scatter": ["scatter", "--n", "5"],
+    "curve": ["curve", "--points", "5"],
 }
 
 
