@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Cross-validate every analytic catalog ground state against the
-finite-difference solver through the CLI's ``oracle-check`` command, which
+sinc-DVR solver through the CLI's ``oracle-check`` command, which
 prints one row per instance and applies the oracle tolerances.
 
 Exits nonzero if any instance fails its check.
@@ -34,7 +34,7 @@ def main() -> int:
     if failures:
         print(f"{failures} instance(s) failed the oracle check")
         return 1
-    print("all instances match the finite-difference oracle")
+    print("all instances match the DVR oracle")
     return 0
 
 

@@ -5,7 +5,7 @@ using only its ground state: ``eta_b``, the renormalized Bures distance to
 the ground state of the reference harmonic oscillator, and ``eta_ng``, the
 relative-entropy non-Gaussianity of the ground state. The package ships a
 catalog of exactly solvable anharmonic potentials, closed-form results for
-weakly perturbed harmonic oscillators, and an independent finite-difference
+weakly perturbed harmonic oscillators, and an independent sinc-DVR
 Schrodinger solver used as a verification oracle.
 
 Importing the package loads none of its modules (and so no numpy): each

@@ -8,10 +8,10 @@ of the ground state, which for a pure state is h(sqrt(det sigma)) with
 sigma its canonical covariance matrix. Both vanish exactly on harmonic
 ground states; eta_ng needs no reference potential at all.
 
-``measure_state`` is the one evaluator of a sampled state, the sized analytic
-one or the finite-difference oracle's. A sample with det sigma below 1/4 is
-one its grid cannot represent: a GridError that names the grid and the tail,
-and the unmet tail target when the state is truncated at the grid cap.
+``measure_state`` is the one evaluator of a sampled analytic state. A sample
+with det sigma below 1/4 is one its grid cannot represent: a GridError that
+names the grid and the tail, and the unmet tail target when the state is
+truncated at the grid cap.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 wavefunctions.
 
 Uniform grids of an odd number of nodes with composite Simpson quadrature:
-the catalog states are smooth and tail-truncated, and uniform spacing keeps
-the derivative stencils and the finite-difference oracle on shared footing. Kinetic moments use
+the catalog states are smooth and tail-truncated, and the sinc-DVR oracle
+solves on the same extent. Kinetic moments use
 <p^2> = integral of (phi')^2, which is positive by construction and one
 stencil order more accurate than the second-derivative form.
 """

@@ -103,8 +103,9 @@ def perturbed_variances(state: PerturbativeState) -> tuple[float, float]:
 
 def eta_b_perturbative(state: PerturbativeState) -> float:
     """sqrt(1 - N^{-1/2}): the vacuum overlap of the three-term state is
-    exactly N^{-1/2}."""
-    return math.sqrt(1.0 - state.norm_n**-0.5)
+    exactly N^{-1/2}. 1 - N^{-1/2} is -expm1(-log1p(alpha1^2 + alpha2^2) / 2),
+    which does not cancel for small alphas."""
+    return math.sqrt(-math.expm1(-0.5 * math.log1p(state.alpha1**2 + state.alpha2**2)))
 
 
 def perturbed_det(state: PerturbativeState) -> float:

@@ -143,7 +143,7 @@ class Morse(_Family):
 
     def energy(self) -> float:
         """E = -(alpha N)^2 / 2, squared as one number that stays in range; the
-        variant linear in alpha sometimes quoted disagrees with the FD solver
+        variant linear in alpha sometimes quoted disagrees with the DVR solver
         for every alpha != 1 (see the oracle cross-checks)."""
         return -0.5 * (self.alpha * self.n_index) ** 2
 

@@ -21,8 +21,12 @@ from numpy.polynomial import Polynomial
 
 from nonlinosc.errors import ConvergenceError, DomainError, UnsupportedSpecError
 from nonlinosc.numerics import Grid, SampledWavefunction, simpson_integral
-from nonlinosc.oracle import _tridiagonal_hamiltonian
-from nonlinosc.potentials import ModifiedPoschlTeller, Morse, ground_state_log_amplitude
+from nonlinosc.potentials import (
+    ModifiedPoschlTeller,
+    Morse,
+    evaluate_potential,
+    ground_state_log_amplitude,
+)
 
 mp.mp.dps = 40
 
@@ -356,6 +360,14 @@ def eigenvalues_at_or_below(diag: np.ndarray, off: np.ndarray, value: float) -> 
     return linalg.eigvalsh_tridiagonal(diag, off, select="v", select_range=(-np.inf, value)).size
 
 
+def _three_point_hamiltonian(spec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of H = -d^2/dx^2 / 2 + V by 3-point
+    differences on the interior nodes, with Dirichlet ends."""
+    h = grid.spacing
+    diag = 1.0 / h**2 + evaluate_potential(spec, grid.points()[1:-1])
+    return diag, np.full(diag.size - 1, -0.5 / h**2)
+
+
 def count_negative_eigenvalues(spec, grid: Grid) -> int:
     """Bound states of a potential vanishing at +infinity (Morse, MPT).
 
@@ -368,7 +380,7 @@ def count_negative_eigenvalues(spec, grid: Grid) -> int:
             "negative-eigenvalue counting needs V -> 0 at +infinity; confining "
             "potentials have no natural zero threshold"
         )
-    counts = [eigenvalues_at_or_below(*_tridiagonal_hamiltonian(spec, g), 0.0)
+    counts = [eigenvalues_at_or_below(*_three_point_hamiltonian(spec, g), 0.0)
               for g in (grid, refined(grid))]
     if counts[0] != counts[1]:
         raise ConvergenceError(

@@ -10,8 +10,8 @@ import pytest
 
 from nonlinosc.cli import main as cli_main
 from nonlinosc.measures import measure_report
-from nonlinosc.numerics import overlap, sized_ground_state
-from nonlinosc.oracle import fd_ground_state
+from nonlinosc.numerics import sized_ground_state
+from nonlinosc.oracle import fd_ground_state, fidelity
 from nonlinosc.perturbation import (
     PerturbativeState,
     eta_b_perturbative,
@@ -74,13 +74,11 @@ def test_criterion_1_harmonic_null():
 
 
 def test_criterion_2_oracle_equivalence():
-    with criterion(2, "analytic states and energies match the FD solver"):
+    with criterion(2, "analytic states and energies match the DVR oracle"):
         for spec in STANDARD_SET:
-            analytic = sized_ground_state(spec)
-            fd = fd_ground_state(spec, analytic.grid)
-            fidelity = overlap(analytic, fd.wavefunction) ** 2
-            assert fidelity >= 1.0 - 1e-6, spec
-            assert abs(fd.energy - spec.energy()) <= 1e-4, spec
+            dvr = fd_ground_state(spec, sized_ground_state(spec).grid)
+            assert fidelity(spec, dvr) >= 1.0 - 1e-12, spec
+            assert abs(dvr.energy - spec.energy()) <= 1e-12 * max(1.0, abs(spec.energy())), spec
 
 
 def test_criterion_3_perturbative_formula_equivalence():

@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import math
@@ -501,10 +502,9 @@ class TestOracleCheck:
             "use the perturbation module"
         ]
 
-    @pytest.mark.parametrize("omega", ["1e150", "1e300"])
+    @pytest.mark.parametrize("omega", ["1e300"])
     def test_overflowing_hamiltonian_is_one_error_line(self, omega):
-        # omega**2 leaves the float range at 1e300; at 1e150 the square of
-        # the off-diagonal -1/(2 h^2) does.
+        # omega**2 leaves the float range.
         done = run_fresh("oracle-check", "--potential", f"harmonic:omega={omega}")
         assert done.returncode == 2
         assert done.stdout == ""
@@ -520,23 +520,41 @@ class TestOracleCheck:
         assert (code, out) == (2, "")
         assert err.splitlines() == [line]
 
-    def test_vector_lost_to_the_float_range_is_one_error_line(self, capsys):
-        # E = -4e169: the solve's vector squares to 0, where numpy would warn.
+    def test_fine_spacing_reports(self, capsys):
+        # 1/(2 h^2) is about 1e152 here; the DVR never squares it.
+        code, out, err = run_cli(capsys, "oracle-check", "--potential", "harmonic:omega=1e150")
+        assert (code, err) == (0, "")
+        header, row = out.strip().split("\n")
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert float(fields["e_fd"]) == pytest.approx(5e149, rel=1e-12)
+
+    def test_ground_state_lost_to_rounding_is_one_error_line(self, capsys):
+        # V = x^2/2 + ... - 4e169: the float range keeps no x dependence of V,
+        # so eps |H| is near the gap above E0.
         code, out, err = run_cli(capsys, "oracle-check", "--potential", "mio:a=1e-169")
         assert (code, out) == (2, "")
-        assert err.splitlines() == [
-            "error: inverse iteration lost its vector to the float range "
-            "for ModifiedIsotonic(a=1e-169)"
-        ]
+        [line] = err.splitlines()
+        assert line.startswith("error: the DVR ground state of ModifiedIsotonic(a=1e-169) "
+                               "is lost to rounding: eps |H| = ")
 
-    def test_energy_tolerance_is_relative(self, capsys):
-        # The FD energy is off by 3.3e-4 at E = 500: a relative error of 6.6e-7.
+    def test_large_energy_gap_reports(self, capsys):
+        # E0 = -4e10 lies 5 below E1: a shift of 1e-9 |E0| below E0 would pass E1.
+        code, out, err = run_cli(capsys, "oracle-check", "--potential", "mio:a=1e-10")
+        assert (code, err) == (0, "")
+        header, row = out.strip().split("\n")
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert abs(float(fields["e_diff"])) <= 1e-9 * 4e10
+        assert 1.0 - float(fields["fidelity"]) <= 1e-8
+
+    def test_energy_tolerance_is_relative(self, capsys, monkeypatch):
+        # Off by 5e-8 at E = 500: past the floor's 1e-9 in absolute terms, within it relatively.
+        monkeypatch.setattr(Harmonic, "energy", lambda self: 0.5 * self.omega * (1.0 + 1e-10))
         code, out, err = run_cli(capsys, "oracle-check", "--potential", "harmonic:omega=1000")
         assert code == 0
         assert err == ""
         header, row = out.strip().split("\n")
         fields = dict(zip(header.split(","), row.split(",")))
-        assert abs(float(fields["e_diff"])) > 1e-4
+        assert abs(float(fields["e_diff"])) > 1e-8
 
     def test_energy_off_by_relative_1e_3_is_a_mismatch(self, capsys, monkeypatch):
         monkeypatch.setattr(Harmonic, "energy", lambda self: 0.5 * self.omega * (1.0 + 1e-3))
@@ -584,6 +602,32 @@ class TestDeterminism:
         payload = json.loads(out)
         assert payload["command"] == "scatter"
         assert len(payload["rows"]) == 4
+
+
+class TestProcessEntry:
+    def test_main_in_process_leaves_the_collector_as_it_was(self, capsys):
+        before = (gc.isenabled(), gc.get_freeze_count())
+        code, _, _ = run_cli(capsys, "measure", "--potential", "mio:a=3")
+        assert code == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+    def test_module_entry_prints_what_main_prints(self, capsys):
+        argv = ["oracle-check", "--potential", "mpt:D=1,alpha=0.7", "--format", "json"]
+        done = run_fresh(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, *argv)
+
+    def test_run_enables_the_collector_over_a_frozen_import_graph(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        script = (
+            "import atexit, gc, os, sys\n"
+            "from nonlinosc import cli\n"
+            "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0))\n"
+            "sys.argv = ['nonlinosc', 'curve', '--points', '2', '--out', os.devnull]\n"
+            "cli.run()\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True True\n", "")
 
 
 class TestFormatting:

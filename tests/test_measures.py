@@ -368,5 +368,4 @@ class TestOracleEquivalence:
     def test_eta_ng_from_fd_state(self, spec):
         wf = sized_ground_state(spec)
         analytic = entropy_h(math.sqrt(covariance_of(wf).det))
-        fd = entropy_h(math.sqrt(covariance_of(fd_ground_state(spec, wf.grid).wavefunction).det))
-        assert fd == pytest.approx(analytic, abs=1e-4)
+        assert fd_ground_state(spec, wf.grid).eta_ng == pytest.approx(analytic, abs=1e-6)

@@ -1,19 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 
-from nonlinosc.errors import GridError, SpecError, UnsupportedSpecError
-from nonlinosc.numerics import (
-    Grid,
-    overlap,
-    simpson_integral,
-    sized_ground_state,
-)
+from nonlinosc.errors import ConvergenceError, GridError, SpecError, UnsupportedSpecError
+from nonlinosc.numerics import Grid, sized_ground_state
 from nonlinosc.oracle import (
     EigenResult,
-    _tridiagonal_hamiltonian,
+    _hamiltonian,
+    _solve,
     fd_ground_state,
+    fidelity,
 )
 from nonlinosc.potentials import (
     FellowsSmith,
@@ -26,10 +21,7 @@ from nonlinosc.perturbation import PerturbativeState, perturbed_variances
 
 from helpers import (
     count_negative_eigenvalues,
-    eigenvalues_at_or_below,
     morse_bound_state_count,
-    refined,
-    sample_ground_state,
     three_term_state,
 )
 
@@ -49,48 +41,68 @@ STANDARD_SET = [
     FellowsSmith(-0.5),
     FellowsSmith(-0.9),
 ]
+# The six specs of the accuracy table behind the DVR oracle.
+TABLE_SET = [
+    Morse(1.0, 1.0),
+    Morse(2.0, 1.2),
+    ModifiedIsotonic(1.0),
+    ModifiedPoschlTeller(1.0, 0.7),
+    FellowsSmith(-0.5),
+    Harmonic(1.0),
+]
+# The oracle-check specs of the goldens and of the benchmark's cold commands.
+GOLDEN_SET = [
+    Harmonic(0.7),
+    Morse(0.5, 0.4),
+    Morse(2.0, 1.2),
+    ModifiedPoschlTeller(1.0, 0.7),
+    ModifiedPoschlTeller(3.0, 1.3),
+    ModifiedIsotonic(1.0),
+    FellowsSmith(-0.1),
+    FellowsSmith(-0.85),
+]
 
 
-def h_scale(spec, grid):
-    from nonlinosc.potentials import evaluate_potential
+def solved(spec):
+    return fd_ground_state(spec, sized_ground_state(spec).grid)
 
-    v = np.asarray(evaluate_potential(spec, grid.points()[1:-1]))
-    return float(np.max(np.abs(1.0 / grid.spacing**2 + v))) + 1.0 / grid.spacing**2
+
+def dvr_matrix(spec, grid):
+    """The DVR Hamiltonian on ``grid`` and its spectral norm."""
+    kinetic, v = _hamiltonian(spec, grid)
+    h = kinetic + np.diag(v)
+    return h, float(np.linalg.norm(h, 2))
 
 
 class TestFdGroundState:
     def test_harmonic_energy(self):
-        result = fd_ground_state(Harmonic(1.0), sized_ground_state(Harmonic(1.0)).grid)
-        assert result.energy == pytest.approx(0.5, abs=1e-6)
+        assert solved(Harmonic(1.0)).energy == pytest.approx(0.5, abs=1e-12)
 
     def test_mpt_energy(self):
-        spec = ModifiedPoschlTeller(1.0, 1.0)
-        result = fd_ground_state(spec, sized_ground_state(spec).grid)
-        assert result.energy == pytest.approx(-0.5, abs=1e-5)
+        assert solved(ModifiedPoschlTeller(1.0, 1.0)).energy == pytest.approx(-0.5, abs=1e-12)
 
     def test_mio_energy_at_zero(self):
-        spec = ModifiedIsotonic(8.0)
-        result = fd_ground_state(spec, sized_ground_state(spec).grid)
-        assert result.energy == pytest.approx(0.0, abs=1e-5)
+        assert solved(ModifiedIsotonic(8.0)).energy == pytest.approx(0.0, abs=1e-12)
 
     def test_morse_energy_reading_adjudication(self):
         # At alpha != 1 the quadratic-in-alpha energy matches the solver and
         # the linear-in-alpha variant misses by a wide margin.
         spec = Morse(1.0, 0.5)
         n = spec.n_index
-        result = fd_ground_state(spec, sized_ground_state(spec).grid)
+        result = solved(spec)
         quadratic = -0.5 * spec.alpha**2 * n**2
         linear = -0.5 * spec.alpha * n**2
-        assert result.energy == pytest.approx(quadratic, abs=1e-5)
+        assert result.energy == pytest.approx(quadratic, abs=1e-12)
         assert abs(result.energy - linear) > 0.5
 
     def test_wavefunction_normalized_and_positive(self):
         spec = ModifiedPoschlTeller(1.0, 1.0)
-        result = fd_ground_state(spec, sized_ground_state(spec).grid)
-        wf = result.wavefunction
-        assert simpson_integral(wf.amplitude**2, wf.grid.spacing) == pytest.approx(1.0, abs=1e-12)
-        assert wf.amplitude[np.argmax(np.abs(wf.amplitude))] > 0.0
-        assert wf.amplitude[0] == 0.0 and wf.amplitude[-1] == 0.0
+        analytic_grid = sized_ground_state(spec).grid
+        result = fd_ground_state(spec, analytic_grid)
+        c = result.coefficients
+        assert float(np.sum(c * c)) == pytest.approx(1.0, abs=1e-14)
+        assert c[np.argmax(np.abs(c))] > 0.0
+        assert result.grid == Grid(analytic_grid.x_min, analytic_grid.x_max, 257)
 
     def test_grid_too_small_rejected(self):
         with pytest.raises(GridError):
@@ -98,37 +110,19 @@ class TestFdGroundState:
 
     @pytest.mark.parametrize("spec", STANDARD_SET)
     def test_residual_bound(self, spec):
-        grid = sized_ground_state(spec).grid
-        result = fd_ground_state(spec, grid)
-        # Spec bound, with a machine-precision floor for eigenvalues near 0
-        # (|E| ~ 1e-5 makes 1e-8 |E| unreachable in float64).
-        hw_norm = abs(result.energy) * math.sqrt(
-            float(np.sum(result.wavefunction.amplitude**2))
-        )
-        floor = 64.0 * _EPS * h_scale(spec, grid)
-        assert result.residual <= max(1e-8 * hw_norm, floor)
+        # The returned pair is an eigenpair of the DVR Hamiltonian on its nodes.
+        result = solved(spec)
+        h, norm = dvr_matrix(spec, result.grid)
+        c = result.coefficients
+        assert float(np.linalg.norm(h @ c - result.energy * c)) <= 64.0 * _EPS * norm
 
     @pytest.mark.parametrize("spec", STANDARD_SET)
     def test_overlap_with_analytic_state(self, spec):
-        analytic = sized_ground_state(spec)
-        fd = fd_ground_state(spec, analytic.grid)
-        assert overlap(analytic, fd.wavefunction) >= 1.0 - 1e-6
-
-    @pytest.mark.parametrize(
-        "spec",
-        [Harmonic(1.0), Morse(1.0, 1.0), ModifiedPoschlTeller(1.0, 1.0), ModifiedIsotonic(2.0)],
-    )
-    def test_second_order_convergence(self, spec):
-        grid = sized_ground_state(spec).grid
-        exact = spec.energy()
-        err_coarse = fd_ground_state(spec, grid).energy - exact
-        err_fine = fd_ground_state(spec, refined(grid)).energy - exact
-        ratio = err_coarse / err_fine
-        assert 4.0 * 0.8 <= ratio <= 4.0 * 1.2
+        assert fidelity(spec, solved(spec)) >= 1.0 - 1e-12
 
     def test_iterations_reported(self):
-        result = fd_ground_state(Harmonic(1.0), sized_ground_state(Harmonic(1.0)).grid)
-        assert 1 <= result.iterations <= 30
+        # Two solves, 129 and 257 nodes, when the first move is already below tolerance.
+        assert solved(Harmonic(1.0)).iterations == 2
 
     def test_quartic_perturbed_matches_second_order_energy(self):
         # Quartic-only perturbation at omega = 1: second-order theory gives
@@ -146,27 +140,66 @@ class TestFdGroundState:
         assert abs(result.energy - second_order) < abs(result.energy - first_order)
 
 
+class TestLadder:
+    @pytest.mark.parametrize("spec", TABLE_SET, ids=repr)
+    def test_energy_at_the_stop_matches_closed_form(self, spec):
+        energy = spec.energy()
+        assert abs(solved(spec).energy - energy) <= 1e-12 * max(1.0, abs(energy))
+
+    @pytest.mark.parametrize("spec", GOLDEN_SET, ids=repr)
+    def test_move_from_129_to_257_nodes(self, spec):
+        grid = sized_ground_state(spec).grid
+        result = fd_ground_state(spec, grid)
+        assert (result.grid.n_points, result.iterations) == (257, 2)
+        assert result.energy_error <= 5e-13 * max(1.0, abs(result.energy))
+        _, det_coarse, _ = _solve(spec, Grid(grid.x_min, grid.x_max, 129))
+        assert abs(result.det_sigma - det_coarse) <= 5e-13
+
+    def test_a_long_tail_climbs_the_ladder(self):
+        # MIO a = 30 has an inner scale 1/sqrt(a): 257 nodes leave E 2.5e-9 off.
+        spec = ModifiedIsotonic(30.0)
+        result = solved(spec)
+        assert (result.grid.n_points, result.iterations) == (513, 3)
+        assert result.energy == pytest.approx(spec.energy(), abs=1e-12)
+
+    def test_still_moving_at_the_cap_is_a_named_error(self):
+        spec = Morse(1.0, 2.6)
+        grid = sized_ground_state(spec).grid
+        with pytest.raises(ConvergenceError, match=(
+            r"^the DVR oracle has not converged at 1025 nodes over \[-1\.38124, 171\.391\]: "
+            r"its last moves are \|dE\| = \S+ and \|d eta_ng\| = \S+$"
+        )):
+            fd_ground_state(spec, grid)
+
+    def test_ground_state_lost_to_rounding_is_a_named_error(self):
+        # V = x^2/2 + ... - 4e169: the float range keeps no x dependence of V.
+        spec = ModifiedIsotonic(1e-169)
+        with pytest.raises(ConvergenceError, match="is lost to rounding"):
+            solved(spec)
+
+
 class TestEigenvalueAgainstLapack:
-    # The solver's bisection and L D L^T inverse iteration are checked
-    # against scipy's LAPACK tridiagonal eigensolver, a test-only reference.
+    # The pair numpy's eigh returns is checked against scipy's LAPACK driver
+    # on the same DVR matrix, a test-only reference.
     @pytest.mark.parametrize(
         "spec,n_points", [(s, 4097) for s in STANDARD_SET] + [(FellowsSmith(-0.9), 16385)]
     )
     def test_energy_matches_lapack(self, spec, n_points):
         linalg = pytest.importorskip("scipy.linalg")
-        grid = sized_ground_state(spec, n_points=n_points).grid
-        diag, off = _tridiagonal_hamiltonian(spec, grid)
-        reference = linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0]
-        energy = fd_ground_state(spec, grid).energy
-        assert abs(energy - reference) <= 4.0 * _EPS * h_scale(spec, grid)
+        result = fd_ground_state(spec, sized_ground_state(spec, n_points=n_points).grid)
+        h, norm = dvr_matrix(spec, result.grid)
+        reference = linalg.eigh(h, eigvals_only=True, subset_by_index=(0, 0), driver="evr")[0]
+        assert abs(result.energy - reference) <= 4.0 * _EPS * norm
 
     @pytest.mark.parametrize("spec", [FellowsSmith(-0.5), FellowsSmith(-0.9)])
     def test_nothing_below_near_degenerate_ground_state(self, spec):
         # Double and triple wells: the energy returned is the lowest eigenvalue.
-        grid = sized_ground_state(spec).grid
-        diag, off = _tridiagonal_hamiltonian(spec, grid)
-        energy = fd_ground_state(spec, grid).energy
-        assert eigenvalues_at_or_below(diag, off, energy - 4.0 * _EPS * h_scale(spec, grid)) == 0
+        linalg = pytest.importorskip("scipy.linalg")
+        result = solved(spec)
+        h, norm = dvr_matrix(spec, result.grid)
+        below = linalg.eigh(h, eigvals_only=True, driver="evr",
+                            subset_by_value=(-np.inf, result.energy - 4.0 * _EPS * norm))
+        assert below.size == 0
 
 
 class TestCountNegativeEigenvalues:
@@ -228,7 +261,7 @@ class TestFockCovariance:
 
 class TestEigenResultType:
     def test_immutable(self):
-        result = fd_ground_state(Harmonic(1.0), sized_ground_state(Harmonic(1.0)).grid)
+        result = solved(Harmonic(1.0))
         assert isinstance(result, EigenResult)
         with pytest.raises(AttributeError):
             result.energy = 0.0

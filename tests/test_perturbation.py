@@ -1,6 +1,7 @@
 import math
 from typing import NamedTuple
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -91,6 +92,17 @@ class TestEtaBPerturbative:
             math.sqrt(1.0 - math.sqrt(128.0 / 137.0)), abs=1e-15
         )
         assert eta_b_perturbative(state) == pytest.approx(0.1827693921, abs=1e-9)
+
+    @pytest.mark.parametrize("eps3,eps4", [(0.0, 1e-6), (1e-6, 0.0), (1e-6, -1e-6), (0.0, 1e-3)])
+    def test_small_perturbation_without_cancellation(self, eps3, eps4):
+        # 1 - N^{-1/2} is about 1e-13 at eps = 1e-6; 1.0 - N**-0.5 kept only 4 digits of it.
+        # The reference is the same closed form at 40 digits: the three-term
+        # state's vacuum overlap is N^{-1/2} (the test below), but in floats.
+        state = alpha_coefficients(eps3, eps4, 1.0)
+        with mp.workdps(40):
+            n = 1 + mp.mpf(state.alpha1) ** 2 + mp.mpf(state.alpha2) ** 2
+            exact = float(mp.sqrt(1 - 1 / mp.sqrt(n)))
+        assert eta_b_perturbative(state) == pytest.approx(exact, rel=1e-15)
 
     def test_matches_vacuum_overlap_of_explicit_state(self):
         rng = np.random.default_rng(17)

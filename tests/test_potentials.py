@@ -110,15 +110,14 @@ class TestGroundState:
         from nonlinosc.oracle import fd_ground_state
 
         spec = Morse(1.0, 1.0)
-        grid = sized_ground_state(spec).grid
-        fd = fd_ground_state(spec, grid)
-        x = grid.points()
+        dvr = fd_ground_state(spec, sized_ground_state(spec).grid)
+        x = dvr.grid.points()
         i0 = int(np.argmin(np.abs(x)))
         i1 = int(np.argmin(np.abs(x - 1.0)))
         amp = np.exp(spec.log_amplitude(x[[i0, i1]]))
         analytic_ratio = amp[1] / amp[0]
-        fd_ratio = fd.wavefunction.amplitude[i1] / fd.wavefunction.amplitude[i0]
-        assert analytic_ratio == pytest.approx(fd_ratio, abs=1e-5)
+        dvr_ratio = dvr.coefficients[i1] / dvr.coefficients[i0]
+        assert analytic_ratio == pytest.approx(dvr_ratio, abs=1e-12)
 
     def test_perturbed_harmonic_unsupported(self):
         with pytest.raises(UnsupportedSpecError):

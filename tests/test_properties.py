@@ -250,12 +250,12 @@ SAMPLED_TEXTS = st.one_of(
 @given(text=SAMPLED_TEXTS, tail=st.one_of(st.just(1e-8), log_uniform(-300.0, -4.0)))
 @example(text="mio:a=1e20", tail=1e-8)  # the reference is unresolved: exit 2, as measure
 @example(text="harmonic:omega=1", tail=1e-100)  # det sigma below 1/4: exit 2, as measure
-@example(text="mio:a=1e-169", tail=1e-8)  # E = -4e169: the FD solve's vector underflows
+@example(text="mio:a=1e-169", tail=1e-8)  # E = -4e169: the DVR is lost to rounding
 @example(text="morse:D=1,alpha=0.5", tail=1e-8)
 def test_oracle_check_reports_what_measure_reports(text, tail):
     # One evaluator: oracle-check's analytic eta_ng is measure's, cell for
     # cell, and a spec that measure cannot report fails there with the same
-    # line, before the FD solve.
+    # line, before the DVR solve.
     flags = ("--potential", text, "--tail", repr(tail))
     code, out, err = run("oracle-check", *flags)
     assert code in (0, 1, 2), (text, tail, code)
