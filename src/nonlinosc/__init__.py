@@ -19,12 +19,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "ConvergenceError", "DomainError", "GridError", "GridGrowthExhaustedError",
-        "IncompatibleDomainError", "NormalizationError", "SpecError", "UnsupportedSpecError",
+        "NormalizationError", "SpecError", "UnsupportedSpecError",
     ),
     "measures": ("MeasureReport", "ReportDiagnostics", "measure_report"),
     "numerics": (
-        "CovarianceMatrix", "Grid", "SampledWavefunction", "covariance_of", "overlap",
-        "simpson_integral", "sized_ground_state",
+        "CovarianceMatrix", "Grid", "SampledWavefunction", "covariance_of", "sized_ground_state",
     ),
     "oracle": ("EigenResult", "fd_ground_state"),
     "perturbation": (

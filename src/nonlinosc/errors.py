@@ -25,10 +25,6 @@ class GridGrowthExhaustedError(GridError):
     """A sampled state is still above 10% of its peak at the grid extent cap."""
 
 
-class IncompatibleDomainError(GridError):
-    """Two sampled wavefunctions do not share a grid."""
-
-
 class NormalizationError(ValueError):
     """Wavefunction has zero or non-finite norm."""
 

@@ -8,10 +8,9 @@ of the ground state, which for a pure state is h(sqrt(det sigma)) with
 sigma its canonical covariance matrix. Both vanish exactly on harmonic
 ground states; eta_ng needs no reference potential at all.
 
-``measure_state`` is the one evaluator of a sampled analytic state. A sample
-with det sigma below 1/4 is one its grid cannot represent: a GridError that
-names the grid and the tail, and the unmet tail target when the state is
-truncated at the grid cap.
+``measure_state`` is the one evaluator of a sampled analytic state. Its
+alarm is the half-grid difference d of the excess det sigma - 1/4 taken on
+all nodes and on every other node.
 """
 
 from __future__ import annotations
@@ -29,21 +28,27 @@ from .numerics import (
     Grid,
     SampledWavefunction,
     covariance_of,
-    simpson_integral,
     sized_ground_state,
 )
-from .perturbation import eta_b_perturbative, perturbed_det
+from .perturbation import eta_b_perturbative, perturbed_excess
 from .potentials import Harmonic, PerturbedHarmonic, PotentialSpec
-from .specfun import HEISENBERG_SLACK, eta_ng_of_det
+from .specfun import eta_ng_of_excess
+
+# d per unit of the excess above which a report warns and fails, and the floor for rounding.
+WARN_SPREAD, FAIL_SPREAD, SPREAD_FLOOR = 1e-9, 1e-3, 1e-15
+# Rounding of the reference's norm sum: 16 ulps per unit of its log prefactor's size.
+REF_ROUNDING = 16.0 * 2.0**-52
 
 
 @dataclass(frozen=True)
 class ReportDiagnostics:
-    """Provenance of the quadrature behind a report."""
+    """Provenance of the quadrature behind a report; ``ref_norm_defect`` is
+    h sum(phi^2) - 1 of the reference Gaussian phi on the grid."""
 
     grid: Grid | None
     norm_defect: float
     tail_ratio: float
+    ref_norm_defect: float = 0.0
     warnings: tuple[str, ...] = ()
 
 
@@ -77,51 +82,62 @@ def measure_report(
 
 def measure_state(spec: PotentialSpec, wf: SampledWavefunction, target_tail: float) -> MeasureReport:
     """The report of a state of ``spec`` sampled on a grid cut at ``target_tail``."""
-    det = covariance_of(wf).det
+    excess = covariance_of(wf).excess
+    spread = abs(excess - covariance_of(wf, stride=2).excess)
     grid = wf.grid
     truncated = wf.tail_ratio > target_tail  # only a side capped at EXTENT_CAP misses its tail
-    # entropy_h's clamp: below it the state is unrepresented.
-    if math.sqrt(det) < 0.5 - HEISENBERG_SLACK:
+    moves = f"det sigma - 1/4 = {excess:.3g} moves by {spread:.2g} on every other node"
+    if spread > FAIL_SPREAD * excess + SPREAD_FLOOR:
         cause = (f", truncated at the |x| = {EXTENT_CAP:g} cap where its tail target is unmet "
                  f"(end/peak ratio {wf.tail_ratio:.3g})") if truncated else ""
-        raise GridError(
-            f"det sigma - 1/4 = {det - 0.25:.2g} on {grid.n_points} points over "
-            f"[{grid.x_min:.6g}, {grid.x_max:.6g}] at tail {target_tail:g}: "
-            f"the grid does not represent the state{cause}"
-        )
+        raise GridError(f"{moves} of {grid.n_points} points over [{grid.x_min:.6g}, "
+                        f"{grid.x_max:.6g}] at tail {target_tail:g}: the grid does not resolve "
+                        f"the state{cause}")
     omega_r = spec.omega_r()
-    if omega_r is None:
-        eta_b = None
-        fidelity = None
-    else:
+    eta_b = fidelity = None
+    ref_norm_defect = 0.0
+    if omega_r is not None:
         # The reference sits at x = 0: every catalog potential has its global
         # minimum at the printed origin (the Morse coordinate is the displacement).
         # It keeps its exact norm: the grid only truncates it where the state met its tail.
         h = grid.spacing
-        reference = np.exp(Harmonic(omega_r).log_amplitude(grid.points()))
-        if simpson_integral(reference**2, h) > 1.0 + 1e-8:
+        log_reference, _ = Harmonic(omega_r).log_amplitude(grid.points())
+        reference = np.exp(log_reference)
+        norm_sq = h * float(np.dot(reference, reference))
+        ref_norm_defect = norm_sq - 1.0
+        if ref_norm_defect > 1e-8:
             raise GridError(f"grid spacing {h:.3g} cannot resolve the reference Gaussian "
                             f"of omega_R = {omega_r:.6g}: its norm on the grid exceeds 1")
-        ov = simpson_integral(wf.amplitude * reference, h)
-        eta_b = math.sqrt(max(0.0, 1.0 - abs(ov)))
-        fidelity = ov**2
+        rounding = REF_ROUNDING * max(1.0, abs(float(log_reference.max())))
+        delta = ref_norm_defect if abs(ref_norm_defect) > rounding else 0.0
+        # 1 - <psi|phi> = c s - delta/(1 + s), s = sqrt(1 + delta), from the
+        # c = |psi - phi_hat|^2 / 2 of the grid-normalized phi_hat: no 1 - (1 - x).
+        reference /= math.sqrt(norm_sq)
+        reference -= wf.amplitude
+        scale = math.sqrt(1.0 + delta)
+        infidelity = 0.5 * h * float(np.dot(reference, reference)) * scale - delta / (1.0 + scale)
+        eta_b = math.sqrt(max(0.0, infidelity))
+        fidelity = (1.0 - infidelity) ** 2
     warnings = list(spec.quadrature_warnings())
     if truncated:
         warnings.append(
             f"tail target {target_tail:g} unmet at the grid cap "
             f"(end/peak ratio {wf.tail_ratio:.3g}); measures carry truncation error"
         )
+    if spread > WARN_SPREAD * excess + SPREAD_FLOOR:
+        warnings.append(f"{moves}; measures carry resolution error")
     return MeasureReport(
         eta_b=eta_b,
-        eta_ng=eta_ng_of_det(det),
+        eta_ng=eta_ng_of_excess(excess),
         omega_r=omega_r,
         ground_energy=spec.energy(),
-        det_sigma=det,
+        det_sigma=0.25 + excess,
         fidelity_to_reference=fidelity,
         diagnostics=ReportDiagnostics(
             grid=grid,
             norm_defect=wf.norm_defect,
             tail_ratio=wf.tail_ratio,
+            ref_norm_defect=ref_norm_defect,
             warnings=tuple(warnings),
         ),
     )
@@ -129,13 +145,13 @@ def measure_state(spec: PotentialSpec, wf: SampledWavefunction, target_tail: flo
 
 def _perturbative_report(spec: PerturbedHarmonic) -> MeasureReport:
     state = spec.first_order
-    det = perturbed_det(state)
+    excess = perturbed_excess(state)
     return MeasureReport(
         eta_b=eta_b_perturbative(state),
-        eta_ng=eta_ng_of_det(det),
+        eta_ng=eta_ng_of_excess(excess),
         omega_r=spec.omega,
         ground_energy=spec.energy(),
-        det_sigma=det,
+        det_sigma=0.25 + excess,
         fidelity_to_reference=1.0 / state.norm_n,
         diagnostics=ReportDiagnostics(grid=None, norm_defect=0.0, tail_ratio=0.0),
     )

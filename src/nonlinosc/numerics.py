@@ -1,34 +1,28 @@
 """Grids, quadrature, normalization, and canonical moments of real
 wavefunctions.
 
-Uniform grids of an odd number of nodes with composite Simpson quadrature:
-the catalog states are smooth and tail-truncated, and the sinc-DVR oracle
-solves on the same extent. Kinetic moments use
-<p^2> = integral of (phi')^2, which is positive by construction and one
-stencil order more accurate than the second-derivative form.
+Every moment is a plain node sum h sum(...) on a uniform grid, as in the
+sinc-DVR oracle; for the smooth, tail-cut catalog states it converges
+geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014). Each sample
+carries its family's exact log-derivative psi'/psi, so no stencil is needed.
+Grids have an odd number of nodes, so every other node spans the same extent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    GridError,
-    GridGrowthExhaustedError,
-    IncompatibleDomainError,
-    NormalizationError,
-)
+from .errors import GridError, GridGrowthExhaustedError, NormalizationError
 from .potentials import PotentialSpec, ground_state_log_amplitude
 
 DEFAULT_N_POINTS = 4097
 DEFAULT_TARGET_TAIL = 1e-8
 EXTENT_CAP = 200.0
-# End-amplitude ratio beyond which a grid capped at |x| = EXTENT_CAP is
-# rejected outright (the state has not meaningfully decayed by the cap).
+# End-amplitude ratio beyond which a side capped at |x| = EXTENT_CAP is rejected.
 _CAP_ACCEPT_RATIO = 0.1
 
 
@@ -44,7 +38,7 @@ def _require_n_points(n_points: int) -> None:
     if n_points < 128:
         raise GridError(f"grid requires n_points >= 128, got {n_points}")
     if n_points % 2 == 0:
-        raise GridError(f"grid requires an odd n_points for Simpson's rule, got {n_points}")
+        raise GridError(f"grid requires an odd n_points for its half grid, got {n_points}")
 
 
 @dataclass(frozen=True)
@@ -79,19 +73,21 @@ class Grid:
 
 @dataclass(frozen=True, eq=False)
 class SampledWavefunction:
-    """Real amplitude tabulated on a grid, normalized when it is built.
+    """Real amplitude tabulated on a grid, normalized when it is built, with
+    its log-derivative psi'/psi on the same nodes.
 
-    The amplitude passed in is rescaled so its Simpson norm is exactly 1 and
-    kept read-only; norm_defect records |1 - norm| of the amplitude as
+    The amplitude passed in is rescaled so its node-sum norm is exactly 1
+    and kept read-only; norm_defect records |1 - norm| of the amplitude as
     given. A zero or non-finite norm raises NormalizationError.
     """
 
     grid: Grid
     amplitude: np.ndarray
+    log_derivative: np.ndarray
     norm_defect: float = field(init=False)
 
     def __post_init__(self):
-        norm_sq = simpson_integral(self.amplitude**2, self.grid.spacing)
+        norm_sq = self.grid.spacing * float(np.dot(self.amplitude, self.amplitude))
         if not (math.isfinite(norm_sq) and norm_sq > 0.0):
             raise NormalizationError(f"cannot normalize wavefunction with norm^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitude", self.amplitude / math.sqrt(norm_sq))
@@ -111,58 +107,27 @@ class CovarianceMatrix:
 
     For a real amplitude <p> = 0 and the symmetrized <xp> vanishes (the
     integral of x phi phi' is exactly -1/2 after normalization), so sigma is
-    diagonal and det sigma = var_x var_p.
+    diagonal; ``det`` is var_x var_p, kept as 1/4 + ``excess``.
     """
 
     var_x: float
     var_p: float
+    excess: float
     mean_x: float = 0.0
 
     def __post_init__(self):
-        for name, value in (("<x^2>", self.var_x), ("<p^2>", self.var_p)):
-            if not math.isfinite(value):
-                raise GridError(f"{name} = {value} overflowed the float range")
         if not (self.var_x > 0.0 and self.var_p > 0.0):
             raise GridError(
                 f"covariance requires positive variances, got ({self.var_x}, {self.var_p})"
             )
+        for name, value in (("<x^2>", self.var_x), ("<p^2>", self.var_p),
+                            ("det sigma - 1/4", self.excess)):
+            if not math.isfinite(value):
+                raise GridError(f"{name} = {value} overflowed the float range")
 
     @property
     def det(self) -> float:
-        return self.var_x * self.var_p
-
-
-def simpson_integral(values: np.ndarray, spacing: float) -> float:
-    """Composite Simpson rule on a uniform grid of an odd number of nodes."""
-    values = np.asarray(values, dtype=float)
-    n = values.size
-    if n < 3 or n % 2 == 0:
-        raise GridError(f"simpson_integral needs an odd number of points >= 3, got {n}")
-    return float(np.dot(_simpson_weights(n), values)) * spacing / 3.0
-
-
-@lru_cache(maxsize=8)
-def _simpson_weights(n: int) -> np.ndarray:
-    """Read-only 1, 4, 2, ..., 4, 1 weights for an odd point count."""
-    weights = np.ones(n)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    weights.flags.writeable = False
-    return weights
-
-
-def first_derivative(values: np.ndarray, spacing: float) -> np.ndarray:
-    """Centered 4th-order stencil in the interior, 2nd order at the edges."""
-    values = np.asarray(values, dtype=float)
-    out = np.empty_like(values)
-    out[2:-2] = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (
-        12.0 * spacing
-    )
-    out[1] = (values[2] - values[0]) / (2.0 * spacing)
-    out[-2] = (values[-1] - values[-3]) / (2.0 * spacing)
-    out[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * spacing)
-    out[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * spacing)
-    return out
+        return 0.25 + self.excess
 
 
 def sized_ground_state(
@@ -183,7 +148,7 @@ def sized_ground_state(
     require_grid_settings(target_tail, n_points)
     left, right = (min(w, EXTENT_CAP) for w in spec.seed_halfwidths(math.log(1.0 / target_tail)))
     grid = Grid(-left, right, n_points)
-    log_amp = ground_state_log_amplitude(spec, grid.points())
+    log_amp, log_derivative = ground_state_log_amplitude(spec, grid.points())
     peak = float(np.max(log_amp))
     for side, width, end in (("left", left, log_amp[0]), ("right", right, log_amp[-1])):
         ratio = math.exp(float(end) - peak)
@@ -195,25 +160,35 @@ def sized_ground_state(
                 f"(end/peak ratio {ratio:.3g}); state looks non-normalizable or "
                 "pathologically wide"
             )
-    return SampledWavefunction(grid, np.exp(log_amp))
+    return SampledWavefunction(grid, np.exp(log_amp), log_derivative)
 
 
-def covariance_of(wf: SampledWavefunction) -> CovarianceMatrix:
-    """Canonical (x, p) covariance of a real wavefunction."""
-    x = wf.grid.points()
-    h = wf.grid.spacing
-    density = wf.amplitude**2
-    mean_x = simpson_integral(x * density, h)
-    var_x = simpson_integral(x**2 * density, h) - mean_x**2
-    derivative = first_derivative(wf.amplitude, h)
-    with np.errstate(over="ignore"):  # CovarianceMatrix rejects an overflowed <p^2>
-        var_p = simpson_integral(derivative**2, h)
-    return CovarianceMatrix(var_x=var_x, var_p=var_p, mean_x=mean_x)
+def covariance_of(wf: SampledWavefunction, stride: int = 1) -> CovarianceMatrix:
+    """Canonical (x, p) covariance of a real wavefunction from the node sums
+    over every ``stride``-th node, with psi' = psi L'."""
+    amplitude = wf.amplitude[::stride]
+    with np.errstate(over="ignore", invalid="ignore"):  # sampled_covariance rejects an overflow
+        derivative = amplitude * wf.log_derivative[::stride]
+    return sampled_covariance(wf.grid.points()[::stride], amplitude, derivative)
 
 
-def overlap(wf1: SampledWavefunction, wf2: SampledWavefunction) -> float:
-    """Position-space overlap integral of two normalized wavefunctions
-    sampled on the same grid."""
-    if wf1.grid != wf2.grid:
-        raise IncompatibleDomainError(f"overlap needs one grid, got {wf1.grid} and {wf2.grid}")
-    return simpson_integral(wf1.amplitude * wf2.amplitude, wf1.grid.spacing)
+def sampled_covariance(x: np.ndarray, amplitude: np.ndarray, derivative: np.ndarray
+                       ) -> CovarianceMatrix:
+    """Covariance of a real amplitude of any norm and its derivative on the
+    nodes x, from plain node sums.
+
+    <p^2> = <psi'^2>, and det sigma - 1/4 = var_x |psi' + (x - mu) psi / (2 var_x)|^2
+    (Lagrange's identity, as <psi' (x - mu) psi> = -1/2): a sum of squares,
+    never negative and free of the cancellation in var_x var_p - 1/4.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # CovarianceMatrix checks
+        norm = float(np.dot(amplitude, amplitude))
+        spread = amplitude * x
+        mean_x = float(np.dot(amplitude, spread)) / norm
+        spread -= mean_x * amplitude  # psi (x - mu)
+        var_x = float(np.dot(spread, spread)) / norm
+        var_p = float(np.dot(derivative, derivative)) / norm
+        residual = spread * (0.5 / var_x)
+        residual += derivative
+        excess = var_x * float(np.dot(residual, residual)) / norm
+    return CovarianceMatrix(var_x=var_x, var_p=var_p, excess=excess, mean_x=mean_x)

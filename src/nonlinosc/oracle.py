@@ -5,10 +5,11 @@ The Colbert-Miller discrete variable representation (J. Chem. Phys. 96,
 the kinetic matrix has the closed form
 T_ij = (-1)^(i-j) / (2 h^2) * {pi^2 / 3 if i = j, else 2 / (i - j)^2}
 and V is diagonal, its values at the nodes. ``numpy.linalg.eigh`` gives the
-lowest pair (E, c) with sum c^2 = 1; the state's moments are the same plain
-sums, <x^k> = sum c^2 x^k, and <p^2> = 2 c^T T c. For the smooth, tail-cut
-catalog states this converges geometrically in the node count, so a few
-hundred nodes give E and det sigma to about 1e-13.
+lowest pair (E, c) with sum c^2 = 1. Its moments are the analytic side's
+node sums, with psi' from the sinc first-derivative matrix
+D_ij = (-1)^(i-j) / (h (i - j)), D_ii = 0. For the smooth, tail-cut catalog
+states this converges geometrically in the node count, so a few hundred
+nodes give E and det sigma to about 1e-13.
 
 The oracle shares the analytic grid's extent and V with the analytic path
 and never reads the analytic amplitude; ``fidelity`` compares the two states
@@ -23,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridError
-from .numerics import CovarianceMatrix, Grid
+from .numerics import Grid, sampled_covariance
 from .potentials import PotentialSpec, evaluate_potential, ground_state_log_amplitude
-from .specfun import HEISENBERG_SLACK, eta_ng_of_det
+from .specfun import eta_ng_of_excess
 
 # The ladder's node counts; each rung keeps the nodes of the one before. eigh
 # takes about 0.3 s at 1,025 nodes and 1.8 s at 2,049.
@@ -70,9 +71,8 @@ def fd_ground_state(spec: PotentialSpec, grid: Grid) -> EigenResult:
     previous, converged = None, False
     for solves, n in enumerate(RUNGS, 1):
         nodes = Grid(grid.x_min, grid.x_max, n)
-        energy, det, c = _solve(spec, nodes)
-        # A rung below the Heisenberg slack does not represent the state and cannot end the ladder.
-        eta_ng = eta_ng_of_det(det) if math.sqrt(det) >= 0.5 - HEISENBERG_SLACK else math.nan
+        energy, excess, c = _solve(spec, nodes)
+        eta_ng = eta_ng_of_excess(excess)
         if previous is not None:
             d_energy, d_eta_ng = abs(energy - previous[0]), abs(eta_ng - previous[1])
             converged = (d_energy <= ENERGY_CONVERGED * max(1.0, abs(energy))
@@ -93,7 +93,7 @@ def fd_ground_state(spec: PotentialSpec, grid: Grid) -> EigenResult:
             f"[{grid.x_min:.6g}, {grid.x_max:.6g}]: its last moves are "
             f"|dE| = {d_energy:.3g} and |d eta_ng| = {d_eta_ng:.3g}"
         )
-    return EigenResult(energy, det, eta_ng, nodes, c, d_energy, d_eta_ng, solves)
+    return EigenResult(energy, 0.25 + excess, eta_ng, nodes, c, d_energy, d_eta_ng, solves)
 
 
 def _hamiltonian(spec: PotentialSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +121,7 @@ def _hamiltonian(spec: PotentialSpec, grid: Grid) -> tuple[np.ndarray, np.ndarra
 
 
 def _solve(spec: PotentialSpec, grid: Grid) -> tuple[float, float, np.ndarray]:
-    """E, det sigma and c of the lowest DVR eigenpair on the nodes of ``grid``.
+    """E, det sigma - 1/4 and c of the lowest DVR eigenpair on the nodes of ``grid``.
 
     Raises ConvergenceError when rounding in H swamps the gap above E.
     """
@@ -139,18 +139,17 @@ def _solve(spec: PotentialSpec, grid: Grid) -> tuple[float, float, np.ndarray]:
         )
     if c[np.argmax(np.abs(c))] < 0.0:
         c = -c
-    x = grid.points()
-    density = c * c
-    mean_x = float(np.dot(density, x))
-    with np.errstate(over="ignore"):  # CovarianceMatrix rejects an overflowed moment
-        var_x = float(np.dot(density, (x - mean_x) ** 2))
-        var_p = 2.0 * float(np.dot(c, kinetic @ c))
-    return energy, CovarianceMatrix(var_x, var_p, mean_x).det, c
+    n, h = grid.n_points, grid.spacing
+    offsets = np.arange(1.0 - n, n)  # i - j of D_ij, so D c is a convolution with this row
+    row = np.divide((-1.0) ** offsets, h * offsets, out=np.zeros_like(offsets),
+                    where=offsets != 0.0)
+    derivative = np.convolve(c, row)[n - 1 : 2 * n - 1]
+    return energy, sampled_covariance(grid.points(), c, derivative).excess, c
 
 
 def fidelity(spec: PotentialSpec, result: EigenResult) -> float:
     """(sum_j c_j phi_j)^2, with phi the analytic amplitude sampled on the
     DVR nodes and normalized by the same plain sum."""
-    log_amp = ground_state_log_amplitude(spec, result.grid.points())
+    log_amp, _ = ground_state_log_amplitude(spec, result.grid.points())
     phi = np.exp(log_amp - np.max(log_amp))
     return float(np.dot(result.coefficients, phi)) ** 2 / float(np.dot(phi, phi))

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, SpecError
-from .specfun import HEISENBERG_SLACK, entropy_h
+from .specfun import eta_ng_of_excess
 
 _SQRT2 = math.sqrt(2.0)
 EPS_GUARD = 0.5
@@ -108,17 +108,15 @@ def eta_b_perturbative(state: PerturbativeState) -> float:
     return math.sqrt(-math.expm1(-0.5 * math.log1p(state.alpha1**2 + state.alpha2**2)))
 
 
-def perturbed_det(state: PerturbativeState) -> float:
-    """det sigma = var_q var_p of the three-term state, checked against the
-    Heisenberg bound 1/4."""
-    var_q, var_p = perturbed_variances(state)
-    det = var_q * var_p
-    if det < 0.25 - HEISENBERG_SLACK:
-        raise DomainError(
-            f"perturbative det sigma = {det} dips below 1/4: variance formulas "
-            "transcribed wrongly"
-        )
-    return det
+def perturbed_excess(state: PerturbativeState) -> float:
+    """var_q var_p - 1/4 of the three-term state with the 1/4 cancelled: [a1^2 (sqrt2 (a1^2 +
+    a2^2) - 3 a2)^2 + a2^2 (6 a2^2 (1 + a2^2) + a1^2 (a2^2 - a1^2))] / N^3, whose square
+    holds the terms that cancel each other near a2 = sqrt2 a1^2 / 3."""
+    a1, a2 = state.alpha1, state.alpha2
+    s1, s2 = a1 * a1, a2 * a2
+    numerator = (s1 * (_SQRT2 * (s1 + s2) - 3.0 * a2) ** 2
+                 + s2 * (6.0 * s2 * (1.0 + s2) + s1 * (s2 - s1)))
+    return numerator / state.norm_n**3
 
 
 def parametric_curve(eta_b: float) -> CurvePoint:
@@ -126,14 +124,9 @@ def parametric_curve(eta_b: float) -> CurvePoint:
     if not (0.0 <= eta_b < 1.0):
         raise DomainError(f"parametric curve defined for eta_b in [0, 1), got {eta_b!r}")
     t = eta_b**2 * (eta_b**2 - 2.0)
-    printed = None
-    printed_arg_sq = 1.0 + 24.0 * t
-    if printed_arg_sq >= 0.0:
-        x = 0.5 * math.sqrt(printed_arg_sq)
-        if x >= 0.5 - HEISENBERG_SLACK:
-            printed = entropy_h(x)
-    corrected = entropy_h(0.5 * math.sqrt(1.0 + 24.0 * t**2))
-    return CurvePoint(printed=printed, corrected=corrected)
+    # det sigma - 1/4 = 6 t for the printed form and 6 t^2 for the corrected one.
+    printed = eta_ng_of_excess(6.0 * t) if t >= 0.0 else None
+    return CurvePoint(printed=printed, corrected=eta_ng_of_excess(6.0 * t * t))
 
 
 def scatter_sample(

@@ -32,13 +32,11 @@ def _require_finite_positive(name: str, value: float) -> None:
         raise SpecError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _phi(d, series: bool = True):
-    """e^{-d} - 1 + d of a float or an array, the Morse log-amplitude drop per unit N;
-    ``series`` takes its Taylor series to d^5 where |d| < 1e-3 cancels the difference."""
+def _phi(d):
+    """e^{-d} - 1 + d of a float or an array, the Morse log-amplitude drop per unit N,
+    with its Taylor series to d^5 where |d| < 1e-3 cancels the difference."""
     scalar = isinstance(d, float)
     direct = (math.expm1 if scalar else np.expm1)(-d) + d
-    if not series:
-        return direct
     taylor = d * d * (0.5 - d * (1 / 6 - d * (1 / 24 - d / 120)))
     small = abs(d) < 1e-3
     return (taylor if small else direct) if scalar else np.where(small, taylor, direct)
@@ -48,8 +46,9 @@ class _Family:
     """Physics shared by every catalog dataclass.
 
     Each family sets ``kind``, its name in the text form, and defines
-    ``potential(x)`` (V on an array), ``log_amplitude(x)`` (log of the
-    analytic ground state), ``omega_r()`` (reference frequency or None),
+    ``potential(x)`` (V on an array), ``log_amplitude(x)`` (the log L of the
+    analytic ground state and its exact x-derivative L', from one
+    evaluation), ``omega_r()`` (reference frequency or None),
     ``energy()`` (ground energy) and ``seed_halfwidths(depth)``: exact
     halfwidths left and right of the origin, with a small margin, beyond
     which the amplitude stays ``depth`` e-foldings below its peak.
@@ -81,9 +80,9 @@ class Harmonic(_Family):
     def potential(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * self.omega**2 * x**2
 
-    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+    def log_amplitude(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         log_prefactor = 0.25 * math.log(self.omega / math.pi)
-        return log_prefactor - 0.5 * self.omega * x**2
+        return log_prefactor - 0.5 * self.omega * x**2, -self.omega * x
 
     def omega_r(self) -> float:
         return self.omega
@@ -132,11 +131,12 @@ class Morse(_Family):
         with np.errstate(over="ignore"):
             return self.D * (np.exp(-2.0 * self.alpha * x) - 2.0 * np.exp(-self.alpha * x))
 
-    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+    def log_amplitude(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         n = self.n_index
         d = self.alpha * x - math.log1p(0.5 / n)
         with np.errstate(over="ignore"):
-            return -n * _phi(d, series=n > 1e6)
+            drop = np.expm1(-d)  # L' = N alpha drop; phi = drop + d, off a deep well's peak
+            return -n * (_phi(d) if n > 1e6 else drop + d), n * self.alpha * drop
 
     def omega_r(self) -> float:
         return math.sqrt(2.0 * self.D) * self.alpha
@@ -192,7 +192,7 @@ class ModifiedPoschlTeller(_Family):
     def potential(self, x: np.ndarray) -> np.ndarray:
         return -self.D / np.cosh(self.alpha * x) ** 2
 
-    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+    def log_amplitude(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = self.s
         log_prefactor = -0.25 * math.log(math.pi) + 0.5 * (
             math.log(self.alpha) + math.lgamma(0.5 + s) - math.lgamma(s)
@@ -202,7 +202,7 @@ class ModifiedPoschlTeller(_Family):
             log_cosh = np.log1p(2.0 * np.sinh(0.5 * u) ** 2)
         else:
             log_cosh = u + np.log1p(0.5 * np.expm1(-2.0 * u))
-        return log_prefactor - s * log_cosh
+        return log_prefactor - s * log_cosh, -s * self.alpha * np.tanh(self.alpha * x)
 
     def omega_r(self) -> float:
         return math.sqrt(2.0 * self.D) * self.alpha
@@ -245,9 +245,10 @@ class ModifiedIsotonic(_Family):
         a = self.a
         return 0.5 * (x**2 + 4.0 * (a + 2.0) * (a * x**2 - 1.0) / (a * (a * x**2 + 1.0) ** 2))
 
-    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
-        a = self.a
-        return -0.5 * x**2 - (2.0 / a) * np.log1p(a * x**2)
+    def log_amplitude(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a, square = self.a, x * x
+        z = a * square
+        return -0.5 * square - (2.0 / a) * np.log1p(z), -x * (1.0 + 4.0 / (1.0 + z))
 
     def omega_r(self) -> float:
         return math.sqrt(25.0 + 12.0 * self.a)
@@ -288,12 +289,13 @@ class FellowsSmith(_Family):
         # ratio ever leaves log space.
         p = self.p
         z = x * x
-        log_phi1 = kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
-        log_phi3 = kummer_phi_log_grid((3.0 + p) / 2.0, 1.5, z)
+        log_phi1, _ = kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
+        log_phi3, _ = kummer_phi_log_grid((3.0 + p) / 2.0, 1.5, z)
         ratio = np.exp(log_phi3 - log_phi1)
         return -2.0 * p + 0.5 * z + 4.0 * (1.0 + p) * z * ratio * ((1.0 + p) * ratio - 1.0)
 
-    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+    def log_amplitude(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # L' = x - 2 rho/x (0 at x = 0), rho = z d(log Phi)/dz from the same Kummer pass.
         p = self.p
         log_prefactor = (
             -0.25 * math.log(math.pi)
@@ -301,7 +303,9 @@ class FellowsSmith(_Family):
             + math.lgamma(1.0 + p / 2.0)
         )
         z = x * x
-        return log_prefactor + 0.5 * z - kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
+        log_phi, rho = kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
+        slope = x - np.divide(2.0 * rho, x, out=np.zeros_like(x), where=x != 0.0)
+        return log_prefactor + 0.5 * z - log_phi, slope
 
     def omega_r(self) -> float | None:
         """None below p+: the curvature at x = 0 vanishes at p+ and turns
@@ -366,7 +370,7 @@ class PerturbedHarmonic(_Family):
     def potential(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * self.omega**2 * x**2 + self.eps3 * x**3 + self.eps4 * x**4
 
-    def log_amplitude(self, x: np.ndarray) -> np.ndarray:
+    def log_amplitude(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise UnsupportedSpecError(_PERTURBED_UNSUPPORTED)
 
     def omega_r(self) -> float:
@@ -397,10 +401,10 @@ def evaluate_potential(spec: PotentialSpec, x):
     return v if np.ndim(x) else float(v)
 
 
-def ground_state_log_amplitude(spec: PotentialSpec, x) -> np.ndarray:
+def ground_state_log_amplitude(spec: PotentialSpec, x) -> tuple[np.ndarray, np.ndarray]:
     """log of the analytic ground-state amplitude, with the family's printed
-    prefactor if it carries one. Log space keeps the hypergeometric and the
-    deep-well states representable on wide grids."""
+    prefactor if it carries one, and its exact x-derivative. Log space keeps
+    the hypergeometric and the deep-well states representable on wide grids."""
     return spec.log_amplitude(np.asarray(x, dtype=float))
 
 

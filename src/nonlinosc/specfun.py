@@ -1,6 +1,7 @@
 """Special functions: Kummer's confluent hypergeometric on a grid, the
 Gaussian-state entropy function and the non-Gaussianity of a pure state
-from its covariance determinant. log Gamma is ``math.lgamma``.
+from its covariance determinant's excess over 1/4. log Gamma is
+``math.lgamma``.
 
 All functions are pure and stateless. Kummer Phi enters the catalog only
 through the Fellows-Smith ground state and potential, as Phi(a, b; x^2)
@@ -8,7 +9,8 @@ sampled on a whole grid, where the series value can exceed the float
 range. ``kummer_phi_log_grid`` is that one log-space evaluator: it sums the
 positive series terms in linear space, 16 terms per BLAS matrix-vector
 product against a table of powers of z, and rescales each element into a
-log scale before the sum can overflow.
+log scale before the sum can overflow. The same pass sums the terms
+weighted by their index, which gives z d(log Phi)/dz.
 """
 
 from __future__ import annotations
@@ -24,35 +26,36 @@ _TAIL_RATIO = math.exp(-40.0)  # series stop: last term below e^-40 of the sum
 _LOG_RESCALE_AT = math.log(1e150)  # growth bound that triggers a rescale in the grid kernel
 _BLOCK = 16  # series terms summed by one matrix-vector product
 _CHUNK = 8 * _BLOCK  # series coefficients computed at once
-HEISENBERG_SLACK = 1e-9  # noise allowed below the Heisenberg minimum (1/2, or 1/4 for det)
+HEISENBERG_SLACK = 1e-9  # noise allowed below the Heisenberg minimum 1/2 of entropy_h
 
 
-def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> np.ndarray:
-    """log Phi(a, b; z) for an array of arguments z >= 0 (a, b > 0), in the
-    shape of z.
+def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log Phi(a, b; z) and rho = z d(log Phi)/dz = sum m t_m / sum t_m,
+    with t_m the series terms, for an array of arguments z >= 0 (a, b > 0),
+    each in the shape of z.
 
     Sums the positive series terms in linear space, _BLOCK terms per
     matrix-vector product. With s the power of two above max z, so that z/s
     is exact, the table of powers (z/s)^1 ... (z/s)^_BLOCK is built once.
     The term ratios c_n = (a+n)/((b+n)(n+1)) are computed as arrays,
     _CHUNK at a time. A block's coefficients c_n s, c_n c_{n+1} s^2, ...
-    are scalars relative to its first term, so one product with the table
-    sums the block for every element, and the table's last row times the
-    last coefficient gives the next term. A scalar bound on the growth
+    are scalars relative to its first term, so one product of them with the
+    table sums the block for every element, and a second product, with them
+    times their term indices, its index-weighted sum; the table's last row
+    times the last coefficient gives the next term. A scalar bound on the growth
     since the last rescale, the product of max(1, c_n z_max), keeps the
     arrays inside the float range: a block ends at the term where it passes
     1e150, and every element then divides its term and total by its total
     and adds log(total) to its own log scale. The sum stops when a block's
     last term is past the ratio peak and below e^-40 of the sum everywhere.
     An input whose largest z cannot pass the ratio peak within _SERIES_CAP
-    terms raises ConvergenceError before any array work. Used to sample
-    hypergeometric ground states on grids without overflow.
+    terms raises ConvergenceError before any array work.
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"kummer_phi_log_grid requires a, b > 0, got a={a}, b={b}")
     z = np.asarray(z, dtype=float)
     if z.size == 0:
-        return np.zeros_like(z)
+        return np.zeros_like(z), np.zeros_like(z)
     if np.any(z < 0.0) or not np.all(np.isfinite(z)):
         raise DomainError("kummer_phi_log_grid requires finite z >= 0")
     flat = z.ravel()
@@ -65,7 +68,7 @@ def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> np.ndarray:
             f"for a={a}, b={b}, z={z_max}"
         )
     if z_max == 0.0:
-        return np.zeros_like(z)
+        return np.zeros_like(z), np.zeros_like(z)
     exponent = math.frexp(z_max)[1]
     s = math.ldexp(1.0, exponent)
     powers = np.empty((_BLOCK, flat.size))
@@ -77,6 +80,7 @@ def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> np.ndarray:
         m += w
     term = np.ones_like(flat)
     total = np.ones_like(flat)
+    weighted = np.zeros_like(flat)  # sum of m t_m
     log_scale = np.zeros_like(flat)
     log_growth = 0.0
     n = 0
@@ -93,6 +97,8 @@ def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> np.ndarray:
             coef = np.cumprod(steps[start : start + _BLOCK])
             k = coef.size
             block = coef @ powers[:k]
+            # The block's terms are t_{n+1} ... t_{n+k}; a second row weights them by index.
+            weighted += term * ((coef * np.arange(n + 1.0, n + k + 1.0)) @ powers[:k])
             block *= term
             total += block
             term *= powers[k - 1]
@@ -105,9 +111,11 @@ def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> np.ndarray:
                 and term[i_max] < _TAIL_RATIO * total[i_max]
                 and np.all(term < _TAIL_RATIO * total)
             ):
-                return (np.log(total) + log_scale).reshape(z.shape)
+                log_phi = np.log(total) + log_scale
+                return log_phi.reshape(z.shape), (weighted / total).reshape(z.shape)
         if log_growth > _LOG_RESCALE_AT:
             term /= total
+            weighted /= total
             log_scale += np.log(total)
             total.fill(1.0)
             log_growth = 0.0
@@ -135,7 +143,16 @@ def entropy_h(x: float) -> float:
     return (x + 0.5) * math.log(x + 0.5) - tail
 
 
-def eta_ng_of_det(det: float) -> float:
-    """Non-Gaussianity h(sqrt(det sigma)) of a pure state whose covariance
-    matrix has determinant det >= 0; entropy_h checks and clamps sqrt(det)."""
-    return entropy_h(math.sqrt(det))
+def eta_ng_of_excess(excess: float) -> float:
+    """h(sqrt(det sigma)) of a pure state from its excess m = det sigma - 1/4.
+
+    With u = sqrt(det sigma) - 1/2 = m / (1/2 + sqrt(1/4 + m)), h(1/2 + u) =
+    log1p(u) + u log((1 + u)/u): two positive terms, with no cancellation
+    as m -> 0. A negative or non-finite excess is a DomainError.
+    """
+    if not (math.isfinite(excess) and excess >= 0.0):
+        raise DomainError(f"det sigma - 1/4 = {excess!r}: a determinant below 1/4 is unphysical")
+    u = excess / (0.5 + math.sqrt(0.25 + excess))
+    if u == 0.0:
+        return 0.0
+    return math.log1p(u) + u * (math.log1p(1.0 / u) if u >= 1.0 else math.log1p(u) - math.log(u))

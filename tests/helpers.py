@@ -5,9 +5,8 @@ paths: Stirling series for Gamma, exact-rational series for the confluent
 hypergeometric function, mpmath quadrature for moments, exact Gaussian
 moments for the three-term perturbative state, and plain finite
 differences for local energies. The Gaussian-state, Bures-distance,
-Gamma, resampled-overlap, fixed-grid sampling, grid-refinement and
-bound-state-count aids at the end serve tests only; no package path needs
-them.
+Gamma, overlap, fixed-grid sampling, grid-refinement and bound-state-count
+aids at the end serve tests only; no package path needs them.
 """
 
 import math
@@ -20,8 +19,9 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from nonlinosc.errors import ConvergenceError, DomainError, UnsupportedSpecError
-from nonlinosc.numerics import Grid, SampledWavefunction, simpson_integral
+from nonlinosc.numerics import Grid, SampledWavefunction
 from nonlinosc.potentials import (
+    ModifiedIsotonic,
     ModifiedPoschlTeller,
     Morse,
     evaluate_potential,
@@ -95,7 +95,13 @@ def sech_state_moments(s: float) -> tuple[float, float]:
 
 def mio_reference_fidelity(a: float) -> float:
     """Fidelity of the MIO ground state to its omega_R = sqrt(25 + 12a)
-    reference Gaussian, by mpmath quadrature.
+    reference Gaussian, by mpmath quadrature (``mio_reference_overlap``)."""
+    return float(mio_reference_overlap(a) ** 2)
+
+
+def mio_reference_overlap(a: float):
+    """<0_ref|0_V> of the MIO ground state and its reference Gaussian as an
+    mpmath number, by quadrature at the working precision.
 
     The amplitude exp(-x^2/2) (1 + a x^2)^(-2/a) drops the constant
     prefactor, so no factor leaves the float range even where the printed
@@ -113,7 +119,7 @@ def mio_reference_fidelity(a: float) -> float:
 
     overlap = mp.quad(lambda u: state(u) * reference(u), breaks)
     norms = mp.quad(lambda u: state(u) ** 2, breaks) * mp.quad(lambda u: reference(u) ** 2, breaks)
-    return float(overlap**2 / norms)
+    return overlap / mp.sqrt(norms)
 
 
 def morse_closed_moments(D: float, alpha: float) -> tuple[float, float]:
@@ -157,7 +163,13 @@ def mpt_closed_det(s: float) -> float:
 
 
 def mio_closed_moments(a: float) -> tuple[float, float]:
-    """(var_x, var_p) of the MIO ground state e^{-x^2/2} (1 + a x^2)^{-2/a}.
+    """(var_x, var_p) of the MIO ground state e^{-x^2/2} (1 + a x^2)^{-2/a};
+    see ``_mio_moments_mp``."""
+    return tuple(float(v) for v in _mio_moments_mp(a))
+
+
+def _mio_moments_mp(a: float):
+    """(var_x, var_p) of the MIO ground state as mpmath numbers good to 25 digits.
 
     With c = 4/a the moments I_k(c) of x^{2k} e^{-x^2} (1 + a x^2)^{-c} are
     a^{-(k+1/2)} Gamma(k + 1/2) U(k + 1/2, k + 3/2 - c, 1/a) (DLMF 13.4.4,
@@ -182,9 +194,51 @@ def mio_closed_moments(a: float) -> tuple[float, float]:
         with mp.workdps(dps):
             current = moments()
             if previous and all(abs(v - w) <= 1e-25 * v for v, w in zip(current, previous)):
-                return float(current[0]), float(current[1])
+                return current
         previous = current
     raise ConvergenceError(f"MIO moments at a={a!r} did not settle up to 320 digits")
+
+
+def fs_log_derivative(p: float, x: float) -> float:
+    """psi'/psi = x - 2 (1+p) x Phi(a+1, 3/2; x^2) / Phi(a, 1/2; x^2), a = (1+p)/2,
+    of the Fellows-Smith ground state e^{x^2/2} / Phi(a, 1/2; x^2), via mpmath."""
+    a, z = (1 + mp.mpf(p)) / 2, mp.mpf(x) ** 2
+    return float(x - 2 * (1 + mp.mpf(p)) * x * kummer_mp(a + 1, 1.5, z) / kummer_mp(a, 0.5, z))
+
+
+def closed_excess(spec) -> float:
+    """det sigma - 1/4 of a Morse, MPT, MIO or Fellows-Smith ground state,
+    formed in mpmath so that the subtraction keeps its digits.
+
+    Morse: det = N psi'(2N)/2 (``morse_closed_moments``); MPT: ``mpt_closed_det``;
+    MIO: ``_mio_moments_mp``; Fellows-Smith: mpmath quadrature of
+    e^{x^2} / Phi^2 with ``kummer_mp`` and ``fs_log_derivative``'s slope.
+    """
+    with mp.workdps(40):
+        if isinstance(spec, Morse):
+            n = mp.sqrt(2 * mp.mpf(spec.D)) / mp.mpf(spec.alpha) - mp.mpf(1) / 2
+            det = n * mp.polygamma(1, 2 * n) / 2
+        elif isinstance(spec, ModifiedPoschlTeller):
+            s = mp.mpf(spec.s)
+            det = s**2 * mp.polygamma(1, s) / (2 * (2 * s + 1))
+        elif isinstance(spec, ModifiedIsotonic):
+            var_x, var_p = _mio_moments_mp(spec.a)
+            det = var_x * var_p
+        else:
+            a = (1 + mp.mpf(spec.p)) / 2
+
+            def density(u):
+                return mp.exp(u * u) / kummer_mp(a, 0.5, u * u) ** 2
+
+            def slope(u):
+                return u - 4 * a * u * kummer_mp(a + 1, 1.5, u * u) / kummer_mp(a, 0.5, u * u)
+
+            breaks = [0, 1, 2, 4, 8, 16]
+            norm = mp.quad(density, breaks)
+            var_x = mp.quad(lambda u: u * u * density(u), breaks) / norm
+            var_p = mp.quad(lambda u: slope(u) ** 2 * density(u), breaks) / norm
+            det = var_x * var_p
+        return float(det - mp.mpf(1) / 4)
 
 
 def _gaussian_mean(poly: Polynomial) -> float:
@@ -315,6 +369,13 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
+def overlap(wf1: SampledWavefunction, wf2: SampledWavefunction) -> float:
+    """<wf1|wf2> of two states sampled on one grid, by the plain node sum
+    that normalizes them."""
+    assert wf1.grid == wf2.grid, (wf1.grid, wf2.grid)
+    return wf1.grid.spacing * float(np.dot(wf1.amplitude, wf2.amplitude))
+
+
 def resampled_overlap(wf1: SampledWavefunction, wf2: SampledWavefunction) -> float:
     """Overlap of two normalized states on different grids: both are
     linearly resampled onto one uniform grid covering both domains at half
@@ -323,18 +384,17 @@ def resampled_overlap(wf1: SampledWavefunction, wf2: SampledWavefunction) -> flo
     lo = min(g1.x_min, g2.x_min)
     hi = max(g1.x_max, g2.x_max)
     n = int(math.ceil((hi - lo) / (0.5 * min(g1.spacing, g2.spacing)))) + 1
-    if n % 2 == 0:
-        n += 1
     common = np.linspace(lo, hi, n)
     a1 = np.interp(common, g1.points(), wf1.amplitude, left=0.0, right=0.0)
     a2 = np.interp(common, g2.points(), wf2.amplitude, left=0.0, right=0.0)
-    return simpson_integral(a1 * a2, common[1] - common[0])
+    return float(np.dot(a1, a2)) * (common[1] - common[0])
 
 
 def sample_ground_state(spec, grid: Grid) -> SampledWavefunction:
     """Tabulate and normalize the analytic ground state on a given grid, the
     way ``sized_ground_state`` treats the sample it keeps."""
-    return SampledWavefunction(grid, np.exp(ground_state_log_amplitude(spec, grid.points())))
+    log_amp, log_derivative = ground_state_log_amplitude(spec, grid.points())
+    return SampledWavefunction(grid, np.exp(log_amp), log_derivative)
 
 
 def refined(grid: Grid) -> Grid:

@@ -17,6 +17,23 @@ from nonlinosc.measures import measure_report
 from nonlinosc.numerics import sized_ground_state
 from nonlinosc.perturbation import parametric_curve, scatter_sample
 from nonlinosc.potentials import Harmonic, parse_potential_spec, with_parameter
+from nonlinosc.specfun import eta_ng_of_excess
+
+import mpmath as mp
+
+
+def mio_quadrature_excess(a: float) -> float:
+    """det sigma - 1/4 of the MIO ground state by 40-digit mpmath quadrature,
+    where the closed form's U function does not converge (a = 1e-6)."""
+    with mp.workdps(40):
+        def density(u):
+            return mp.exp(-(u**2) - (4 / mp.mpf(a)) * mp.log1p(a * u**2))
+
+        breaks = [0, 0.5, 1, 2, 4, 10, mp.inf]
+        norm = mp.quad(density, breaks)
+        var_x = mp.quad(lambda u: u**2 * density(u), breaks) / norm
+        var_p = mp.quad(lambda u: (u * (1 + 4 / (1 + a * u**2))) ** 2 * density(u), breaks) / norm
+        return float(var_x * var_p - mp.mpf(1) / 4)
 
 
 def run_cli(capsys, *argv):
@@ -117,25 +134,29 @@ class TestMeasure:
         assert energy.ground_energy == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("text,tail", [("harmonic:omega=1", 1e-100), ("mio:a=1e-6", 1e-4)])
-    def test_unrepresented_sample_is_a_grid_error_naming_the_grid(self, capsys, text, tail):
-        # Both samples put det sigma a few 1e-9 below 1/4.
-        code, out, err = run_cli(capsys, "measure", "--potential", text, "--tail", repr(tail))
-        assert code == 2
-        assert out == ""
-        [line] = err.splitlines()
-        grid = sized_ground_state(parse_potential_spec(text), tail).grid
-        assert line.startswith("error: det sigma - 1/4 = -")
-        assert f"on 4097 points over [{grid.x_min:.6g}, {grid.x_max:.6g}] at tail {tail:g}" in line
-        assert "entropy_h" not in line
+    def test_sample_once_below_a_quarter_reports_exactly(self, capsys, text, tail):
+        # Simpson moments put det sigma a few 1e-9 below 1/4 here, a GridError;
+        # the excess is a sum of squares and reports eta_NG and det sigma to 1e-15.
+        code, out, err = run_cli(capsys, "measure", "--potential", text, "--tail", repr(tail),
+                                 "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        spec = parse_potential_spec(text)
+        excess = 0.0 if isinstance(spec, Harmonic) else mio_quadrature_excess(spec.a)
+        assert report["det_sigma"] == float(f"{0.25 + excess:.12g}")  # printed to 12 digits
+        assert report["eta_ng"] == pytest.approx(eta_ng_of_excess(excess), abs=1e-15)
 
     def test_truncated_state_names_its_unmet_tail_at_the_cap(self, capsys):
-        # The state is about 1/alpha = 1e4 wide: 6% of its peak is left at the |x| = 200 cap.
+        # The state is about 1/alpha = 1e4 wide: 6% of its peak is left at the |x| = 200 cap,
+        # and the excess moves by 5e-3 of itself on every other node.
         text = "mpt:D=1,alpha=1e-4"
         code, out, err = run_cli(capsys, "measure", "--potential", text)
         assert (code, out) == (2, "")
         [line] = err.splitlines()
         ratio = sized_ground_state(parse_potential_spec(text)).tail_ratio
-        assert line.startswith("error: det sigma - 1/4 = -")
+        assert line.startswith("error: det sigma - 1/4 = 2.19e-05 moves by 1.1e-07 on every other "
+                               "node of 4097 points over [-200, 200] at tail 1e-08: the grid does "
+                               "not resolve the state")
         assert line.endswith(", truncated at the |x| = 200 cap where its tail target is unmet "
                              f"(end/peak ratio {ratio:.3g})")
 
@@ -211,7 +232,7 @@ BAD_GRID_FLAGS = {
     "grid-points": (["--grid-points", "100"], "error: grid requires n_points >= 128, got 100"),
     "even-grid-points": (
         ["--grid-points", "4096"],
-        "error: grid requires an odd n_points for Simpson's rule, got 4096",
+        "error: grid requires an odd n_points for its half grid, got 4096",
     ),
 }
 

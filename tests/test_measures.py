@@ -2,18 +2,18 @@ import contextlib
 import io
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from nonlinosc import measures, perturbation, potentials
 from nonlinosc.cli import main
-from nonlinosc.errors import DomainError
+from nonlinosc.errors import DomainError, GridError
 from nonlinosc.measures import measure_report
 from nonlinosc.numerics import (
     Grid,
     SampledWavefunction,
     covariance_of,
-    overlap,
     sized_ground_state,
 )
 from nonlinosc.oracle import fd_ground_state
@@ -25,7 +25,7 @@ from nonlinosc.potentials import (
     Morse,
     PerturbedHarmonic,
 )
-from nonlinosc.specfun import entropy_h
+from nonlinosc.specfun import entropy_h, eta_ng_of_excess
 
 from helpers import (
     GaussianCovariance,
@@ -34,9 +34,11 @@ from helpers import (
     entropy_oracle,
     mio_closed_moments,
     mio_reference_fidelity,
+    mio_reference_overlap,
     morse_closed_moments,
     morse_reference_fidelity,
     mpt_closed_det,
+    overlap,
     reference_gaussian,
     sample_ground_state,
     three_term_state,
@@ -59,8 +61,9 @@ class TestFidelityAndBures:
     def test_opposite_parity(self):
         grid = Grid(-12.0, 12.0, 4097)
         x = grid.points()
-        even = SampledWavefunction(grid, np.exp(-(x**2) / 2.0))
-        odd = SampledWavefunction(grid, x * np.exp(-(x**2) / 2.0))
+        even = SampledWavefunction(grid, np.exp(-(x**2) / 2.0), -x)
+        with np.errstate(divide="ignore"):
+            odd = SampledWavefunction(grid, x * np.exp(-(x**2) / 2.0), 1.0 / x - x)
         assert overlap(even, odd) ** 2 == pytest.approx(0.0, abs=1e-15)
 
     @pytest.mark.parametrize("f,expected", [(1.0, 0.0), (0.0, math.sqrt(2.0)), (0.25, 1.0)])
@@ -166,9 +169,9 @@ class TestMeasureReport:
         assert report.eta_b > 0.0
         assert report.diagnostics.grid is None
 
-    def test_perturbed_report_evaluates_the_variances_once(self, monkeypatch):
+    def test_perturbed_report_evaluates_the_excess_once(self, monkeypatch):
         calls = []
-        original = perturbation.perturbed_variances
+        original = perturbation.perturbed_excess
 
         def counted(state):
             calls.append(state)
@@ -176,12 +179,14 @@ class TestMeasureReport:
 
         # Count every lookup the report path can make, in either module.
         for module in (perturbation, measures):
-            monkeypatch.setattr(module, "perturbed_variances", counted, raising=False)
+            monkeypatch.setattr(module, "perturbed_excess", counted, raising=False)
         report = measure_report(PerturbedHarmonic(1.0, 0.05, 0.1))
         assert len(calls) == 1
-        var_q, var_p = original(calls[0])
-        assert report.det_sigma == var_q * var_p
-        assert report.eta_ng == entropy_h(math.sqrt(var_q * var_p))
+        excess = original(calls[0])
+        assert report.det_sigma == 0.25 + excess
+        assert report.eta_ng == eta_ng_of_excess(excess)
+        var_q, var_p = perturbation.perturbed_variances(calls[0])
+        assert report.eta_ng == pytest.approx(entropy_h(math.sqrt(var_q * var_p)), abs=1e-15)
 
     def test_perturbed_report_builds_its_first_order_state_once(self, monkeypatch):
         calls = []
@@ -198,8 +203,9 @@ class TestMeasureReport:
         assert calls == [(0.05, 0.1, 1.0)]
 
     def test_perturbed_report_names_a_determinant_below_a_quarter(self, monkeypatch):
-        monkeypatch.setattr(perturbation, "perturbed_variances", lambda state: (0.4, 0.5))
-        with pytest.raises(DomainError, match="dips below 1/4"):
+        for module in (perturbation, measures):
+            monkeypatch.setattr(module, "perturbed_excess", lambda state: -0.05, raising=False)
+        with pytest.raises(DomainError, match=r"det sigma - 1/4 = -0\.05: a determinant below 1/4"):
             measure_report(PerturbedHarmonic(1.0, 0.05, 0.1))
 
     @pytest.mark.parametrize("a", [0.01, 0.0225])
@@ -305,6 +311,64 @@ class TestExactSeeds:
         assert report.fidelity_to_reference == pytest.approx(expected, abs=1e-11)
 
 
+# Every sampled golden spec except the truncated Morse edge: the measure
+# cases, every sweep row and the oracle-check specs.
+GOLDEN_SAMPLED = (
+    [Harmonic(1.3), Morse(1.0, 0.9), Morse(20000.0, 0.5), ModifiedPoschlTeller(2.0, 1.0),
+     ModifiedIsotonic(3.0), FellowsSmith(-0.08)]
+    + [Harmonic(w) for w in (0.5, 1.0, 1.5, 2.0)]
+    + [Morse(1.0, a) for a in (0.2, 0.8, 1.4, 2.0, 2.6)]
+    + [ModifiedPoschlTeller(2.0, float(a)) for a in np.linspace(0.25, 3.0, 5)]
+    + [ModifiedIsotonic(float(a)) for a in np.geomspace(0.01, 0.05, 9)]
+    + [FellowsSmith(float(p)) for p in np.linspace(-0.99, 0.0, 12)]
+    + [Harmonic(0.7), Morse(2.0, 1.2), ModifiedPoschlTeller(1.0, 0.7), ModifiedIsotonic(1.0),
+       FellowsSmith(-0.1), FellowsSmith(-0.85)]
+)
+
+
+class TestHalfGridAlarm:
+    """The excess on every other node against the excess on all of them."""
+
+    @pytest.mark.parametrize("spec", GOLDEN_SAMPLED, ids=repr)
+    def test_silent_on_the_golden_specs(self, spec):
+        assert measure_report(spec).diagnostics.warnings == ()
+
+    def test_warns_near_the_morse_limit(self):
+        # Truncated at the |x| = 200 cap; the excess moves by 3e-7 of itself.
+        truncation, resolution = measure_report(Morse(1.0, 2.76)).diagnostics.warnings
+        assert truncation.startswith("tail target 1e-08 unmet at the grid cap")
+        assert resolution == ("det sigma - 1/4 = 9.84 moves by 3.1e-06 on every other node; "
+                              "measures carry resolution error")
+
+    def test_morse_edge_golden_stays_a_truncated_report(self):
+        warnings = measure_report(Morse(1.0, 2.8)).diagnostics.warnings
+        assert [w.split(" ")[0] for w in warnings] == ["alpha", "tail", "det"]
+
+    @pytest.mark.parametrize("spec", [ModifiedPoschlTeller(1.0, 1e-4), ModifiedIsotonic(1e5),
+                                      ModifiedIsotonic(1e6), ModifiedIsotonic(1e8)], ids=repr)
+    def test_unresolved_state_is_a_grid_error(self, spec):
+        # MPT: truncated at the cap, the excess moves by 5e-3 of itself; MIO: the
+        # inner scale 1/sqrt(a) is not resolved, and it moves by 0.18 to 0.5 of itself.
+        with pytest.raises(GridError, match=r"moves by \S+ on every other node of 4097 points"):
+            measure_report(spec)
+
+
+class TestEtaBWithoutCancellation:
+    @pytest.mark.parametrize("a", [float(a) for a in np.geomspace(0.01, 0.05, 9)])
+    def test_sweep_mio_rows_against_mpmath(self, a):
+        # The rows of sweep_mio.csv: 1 - <psi|phi> is about 1e-6 here, and a
+        # subtraction from 1 left eta_b 1e-14 to 6e-14 off.
+        with mp.workdps(40):
+            exact = float(mp.sqrt(1 - mio_reference_overlap(a)))
+        assert measure_report(ModifiedIsotonic(a)).eta_b == pytest.approx(exact, abs=5e-16)
+
+    def test_reference_norm_defect_is_reported(self):
+        # Morse's reference is cut on the left, where the state met its tail.
+        assert -1e-6 < measure_report(Morse(1.0, 0.9)).diagnostics.ref_norm_defect < -1e-7
+        assert abs(measure_report(Harmonic(1.3)).diagnostics.ref_norm_defect) <= 1e-15
+        assert measure_report(FellowsSmith(-0.6)).diagnostics.ref_norm_defect == 0.0
+
+
 class TestReferenceGaussian:
     def test_vacuum_pass_through(self):
         cov = GaussianCovariance(var_x=0.5, var_p=0.5)
@@ -355,7 +419,7 @@ class TestSymplecticInvariance:
     def test_displaced_gaussian_scores_zero(self):
         grid = Grid(-10.0, 16.0, 4097)
         x = grid.points()
-        wf = SampledWavefunction(grid, np.exp(-((x - 3.0) ** 2) / 2.0))
+        wf = SampledWavefunction(grid, np.exp(-((x - 3.0) ** 2) / 2.0), 3.0 - x)
         det = covariance_of(wf).det
         assert entropy_h(math.sqrt(det)) <= 1e-6
 

@@ -9,22 +9,19 @@ from nonlinosc import numerics
 from nonlinosc.errors import (
     GridError,
     GridGrowthExhaustedError,
-    IncompatibleDomainError,
     NormalizationError,
     UnsupportedSpecError,
 )
-from nonlinosc.measures import measure_report
+from nonlinosc.measures import measure_report, measure_state
 from nonlinosc.numerics import (
     CovarianceMatrix,
     Grid,
     SampledWavefunction,
-    _simpson_weights,
     covariance_of,
-    overlap,
-    simpson_integral,
     sized_ground_state,
 )
 from nonlinosc.potentials import (
+    P_PLUS,
     FellowsSmith,
     Harmonic,
     ModifiedIsotonic,
@@ -35,9 +32,12 @@ from nonlinosc.potentials import (
 
 from helpers import (
     GaussianCovariance,
+    closed_excess,
+    fs_log_derivative,
     mio_closed_moments,
     morse_closed_moments,
     mpt_closed_det,
+    overlap,
     refined,
     resampled_overlap,
     sample_ground_state,
@@ -56,7 +56,14 @@ SMALL_CATALOG = EVEN_SPECS + [Morse(1.0, 1.0), Morse(1.0, 2.0)]
 def gaussian_wavefunction(grid: Grid, center: float = 0.0, width_sq: float = 1.0):
     x = grid.points()
     amp = np.exp(-((x - center) ** 2) / (4.0 * width_sq))
-    return SampledWavefunction(grid, amp)
+    return SampledWavefunction(grid, amp, -(x - center) / (2.0 * width_sq))
+
+
+def odd_wavefunction(grid: Grid):
+    """x e^{-x^2/2}, whose log-derivative 1/x - x is infinite at a node at 0."""
+    x = grid.points()
+    with np.errstate(divide="ignore"):
+        return SampledWavefunction(grid, x * np.exp(-(x**2) / 2.0), 1.0 / x - x)
 
 
 class TestGrid:
@@ -97,39 +104,6 @@ class TestGrid:
             expected = np.linspace(other.x_min, other.x_max, other.n_points)
             assert other.points().tobytes() == expected.tobytes()
         assert g.points() is nodes
-
-
-class TestSimpson:
-    def test_polynomial_exact(self):
-        # Simpson integrates cubics exactly.
-        x = np.linspace(0.0, 2.0, 201)
-        assert simpson_integral(x**3, x[1] - x[0]) == pytest.approx(4.0, rel=1e-13)
-
-    @pytest.mark.parametrize("n", [2, 200, 4096])
-    def test_even_or_too_few_points_are_rejected(self, n):
-        x = np.linspace(0.0, 1.0, n)
-        with pytest.raises(GridError, match=f"odd number of points >= 3, got {n}"):
-            simpson_integral(x**2, x[1] - x[0])
-
-    @pytest.mark.parametrize("n", [201, 4097])
-    def test_cached_weights_give_the_fresh_weight_result(self, n):
-        values = np.exp(-np.linspace(-6.0, 6.0, n) ** 2)
-        h = 12.0 / (n - 1)
-        weights = np.ones(n)
-        weights[1:-1:2] = 4.0
-        weights[2:-1:2] = 2.0
-        expected = float(np.dot(weights, values)) * h / 3.0
-        for _ in range(2):
-            assert simpson_integral(values, h) == expected
-
-    def test_cached_weights_are_read_only(self):
-        values = np.ones(201)
-        before = simpson_integral(values, 0.01)
-        weights = _simpson_weights(201)
-        with pytest.raises(ValueError):
-            weights[1] = 0.0
-        assert _simpson_weights(201) is weights
-        assert simpson_integral(values, 0.01) == before
 
 
 class TestAutoGrid:
@@ -228,7 +202,7 @@ class TestSizedGroundState:
 class TestNormalize:
     def test_idempotent(self):
         wf = gaussian_wavefunction(Grid(-10.0, 10.0, 2049))
-        again = SampledWavefunction(wf.grid, wf.amplitude)
+        again = SampledWavefunction(wf.grid, wf.amplitude, wf.log_derivative)
         assert np.allclose(again.amplitude, wf.amplitude, rtol=1e-12, atol=0.0)
         assert again.norm_defect <= 1e-8
 
@@ -236,15 +210,15 @@ class TestNormalize:
         grid = Grid(-10.0, 10.0, 2049)
         wf = gaussian_wavefunction(grid)
         doubled = 2.0 * wf.amplitude
-        renorm = SampledWavefunction(grid, doubled)
+        renorm = SampledWavefunction(grid, doubled, wf.log_derivative)
         assert np.allclose(renorm.amplitude, doubled / 2.0, rtol=1e-13)
         assert renorm.norm_defect == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_norm_raises(self):
         with pytest.raises(NormalizationError):
-            SampledWavefunction(Grid(-1.0, 1.0, 201), np.zeros(201))
+            SampledWavefunction(Grid(-1.0, 1.0, 201), np.zeros(201), np.zeros(201))
         with pytest.raises(NormalizationError):
-            SampledWavefunction(Grid(-1.0, 1.0, 201), np.full(201, np.inf))
+            SampledWavefunction(Grid(-1.0, 1.0, 201), np.full(201, np.inf), np.zeros(201))
 
 
 class TestCovariance:
@@ -346,22 +320,49 @@ class TestOverlap:
 
     def test_parity_orthogonality(self):
         grid = Grid(-12.0, 12.0, 4097)
-        x = grid.points()
-        even = SampledWavefunction(grid, np.exp(-(x**2) / 2.0))
-        odd = SampledWavefunction(grid, x * np.exp(-(x**2) / 2.0))
-        assert overlap(even, odd) == pytest.approx(0.0, abs=1e-9)
+        even = gaussian_wavefunction(grid, width_sq=0.5)
+        assert overlap(even, odd_wavefunction(grid)) == pytest.approx(0.0, abs=1e-9)
 
-    def test_mismatched_grids_raise(self):
-        wf1 = gaussian_wavefunction(Grid(-10.0, 10.0, 2049))
-        wf2 = gaussian_wavefunction(Grid(-10.0, 10.0, 4097))
-        with pytest.raises(IncompatibleDomainError):
-            overlap(wf1, wf2)
 
-    def test_disjoint_domains_raise(self):
-        left = gaussian_wavefunction(Grid(-30.0, -10.0, 513), center=-20.0)
-        right = gaussian_wavefunction(Grid(10.0, 30.0, 513), center=20.0)
-        with pytest.raises(IncompatibleDomainError):
-            overlap(left, right)
+# The states of the accuracy table behind the node-sum rule: MIO a = 0.01 and
+# 1, Morse (1, 1) and (1e4, 0.05), MPT s = 10 and 0.5, FS p = -0.5 and -0.9.
+EXCESS_TABLE = [
+    ModifiedIsotonic(0.01),
+    ModifiedIsotonic(1.0),
+    Morse(1.0, 1.0),
+    Morse(1e4, 0.05),
+    ModifiedPoschlTeller(55.0, 1.0),
+    ModifiedPoschlTeller(0.375, 1.0),
+    FellowsSmith(-0.5),
+    FellowsSmith(-0.9),
+]
+
+
+class TestExcess:
+    """det sigma - 1/4 as a sum of squares of node sums with exact log-derivatives."""
+
+    @pytest.mark.parametrize("spec", EXCESS_TABLE, ids=repr)
+    def test_matches_the_closed_form(self, spec):
+        excess = covariance_of(sized_ground_state(spec)).excess
+        assert excess == pytest.approx(closed_excess(spec), rel=1e-11)
+
+    @pytest.mark.parametrize("spec", EXCESS_TABLE, ids=repr)
+    def test_det_is_a_quarter_plus_the_excess(self, spec):
+        cov = covariance_of(sized_ground_state(spec))
+        assert cov.det == 0.25 + cov.excess
+        assert cov.det == pytest.approx(cov.var_x * cov.var_p, rel=1e-13)
+
+    @pytest.mark.parametrize("omega", [0.01, 1.0, 1e4])
+    def test_a_gaussian_keeps_its_excess_at_rounding_squared(self, omega):
+        assert covariance_of(sized_ground_state(Harmonic(omega))).excess <= 1e-28
+
+    @pytest.mark.parametrize("p", [0.0, -0.1, P_PLUS, -0.5, -0.9, -0.999])
+    def test_fellows_smith_log_derivative_from_one_kummer_pass(self, p):
+        x = np.linspace(-9.0, 9.0, 37)
+        _, slope = FellowsSmith(p).log_amplitude(x)
+        for value, got in zip(x, slope):
+            expected = fs_log_derivative(p, float(value))
+            assert abs(got - expected) <= 1e-13 * max(1.0, abs(expected)), (value, got)
 
 
 class TestRichardsonSelfConsistency:
@@ -373,17 +374,16 @@ class TestRichardsonSelfConsistency:
         cov_f = covariance_of(sample_ground_state(spec, fine))
         assert abs(cov_c.var_x - cov_f.var_x) <= 1e-7
         assert abs(cov_c.var_p - cov_f.var_p) <= 1e-7
-        ref_c = sample_ground_state(Harmonic(1.0), grid)
-        ref_f = sample_ground_state(Harmonic(1.0), fine)
-        ov_c = overlap(sample_ground_state(spec, grid), ref_c)
-        ov_f = overlap(sample_ground_state(spec, fine), ref_f)
-        assert abs(ov_c - ov_f) <= 1e-7
+        # The report's overlap, with the reference Gaussian kept at its exact norm.
+        fid_c, fid_f = (measure_state(spec, sample_ground_state(spec, g), 1e-8).fidelity_to_reference
+                        for g in (grid, fine))
+        assert (fid_c is None and fid_f is None) or abs(fid_c - fid_f) <= 1e-7
 
 
 class TestCovarianceMatrixType:
     def test_rejects_non_positive_variance(self):
         with pytest.raises(GridError):
-            CovarianceMatrix(var_x=0.0, var_p=1.0)
+            CovarianceMatrix(var_x=0.0, var_p=1.0, excess=0.25)
 
     def test_det_includes_cross_term(self):
         # The cross term lives in the tests' general Gaussian record; a real

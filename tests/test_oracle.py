@@ -120,6 +120,14 @@ class TestFdGroundState:
     def test_overlap_with_analytic_state(self, spec):
         assert fidelity(spec, solved(spec)) >= 1.0 - 1e-12
 
+    def test_harmonic_eta_ng_in_excess_form(self):
+        # det sigma - 1/4 = var_x |Dc + (x - mu) c/(2 var_x)|^2 is left only with the
+        # sinc derivative's cut at the tail (2e-10 at the end nodes); as
+        # var_x var_p - 1/4 it was eigh's rounding, and eta_ng printed 4.9e-13.
+        result = solved(Harmonic(0.7))
+        assert 0.0 <= result.eta_ng <= 1e-17
+        assert result.det_sigma == 0.25
+
     def test_iterations_reported(self):
         # Two solves, 129 and 257 nodes, when the first move is already below tolerance.
         assert solved(Harmonic(1.0)).iterations == 2
@@ -152,8 +160,8 @@ class TestLadder:
         result = fd_ground_state(spec, grid)
         assert (result.grid.n_points, result.iterations) == (257, 2)
         assert result.energy_error <= 5e-13 * max(1.0, abs(result.energy))
-        _, det_coarse, _ = _solve(spec, Grid(grid.x_min, grid.x_max, 129))
-        assert abs(result.det_sigma - det_coarse) <= 5e-13
+        _, excess_coarse, _ = _solve(spec, Grid(grid.x_min, grid.x_max, 129))
+        assert abs(result.det_sigma - (0.25 + excess_coarse)) <= 5e-13
 
     def test_a_long_tail_climbs_the_ladder(self):
         # MIO a = 30 has an inner scale 1/sqrt(a): 257 nodes leave E 2.5e-9 off.

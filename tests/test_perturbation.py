@@ -12,12 +12,12 @@ from nonlinosc.perturbation import (
     alpha_coefficients,
     eta_b_perturbative,
     parametric_curve,
-    perturbed_det,
+    perturbed_excess,
     perturbed_variances,
     scatter_sample,
 )
 from nonlinosc.potentials import PerturbedHarmonic
-from nonlinosc.specfun import entropy_h, eta_ng_of_det
+from nonlinosc.specfun import entropy_h, eta_ng_of_excess
 
 from helpers import three_term_state
 
@@ -117,14 +117,15 @@ class TestEtaBPerturbative:
 
 class TestEtaNgPerturbative:
     def test_unperturbed_zero(self):
-        assert eta_ng_of_det(perturbed_det(PerturbativeState(0.0, 0.0))) == 0.0
+        assert eta_ng_of_excess(perturbed_excess(PerturbativeState(0.0, 0.0))) == 0.0
 
     def test_even_case_closed_determinant(self):
         a2 = -0.1
         n = 1.0 + a2**2
         expected = entropy_h(0.5 * math.sqrt(1.0 + 24.0 * (a2**2 / n) ** 2))
-        det = perturbed_det(PerturbativeState(0.0, a2))
-        assert eta_ng_of_det(det) == pytest.approx(expected, abs=1e-14)
+        excess = perturbed_excess(PerturbativeState(0.0, a2))
+        assert excess == pytest.approx(6.0 * (a2**2 / n) ** 2, rel=1e-15)
+        assert eta_ng_of_excess(excess) == pytest.approx(expected, abs=1e-14)
 
     def test_matches_fock_determinant(self):
         rng = np.random.default_rng(23)
@@ -132,9 +133,42 @@ class TestEtaNgPerturbative:
             a1, a2 = rng.uniform(-0.5, 0.5, 2)
             state = PerturbativeState(float(a1), float(a2))
             _, var_x, var_p = three_term_state(float(a1), float(a2))
-            assert eta_ng_of_det(perturbed_det(state)) == pytest.approx(
+            assert eta_ng_of_excess(perturbed_excess(state)) == pytest.approx(
                 entropy_h(math.sqrt(var_x * var_p)), abs=1e-12
             )
+
+    @staticmethod
+    def exact_excess(state: PerturbativeState) -> mp.mpf:
+        """var_q var_p - 1/4 of the printed variances at 50 digits."""
+        a1, a2 = mp.mpf(state.alpha1), mp.mpf(state.alpha2)
+        r2, n = mp.sqrt(2), 1 + a1**2 + a2**2
+        var_q = (3 * a1**4 - 6 * r2 * a1**2 * a2
+                 + (1 + a2**2) * (1 + 2 * r2 * a2 + 5 * a2**2)) / (2 * n**2)
+        var_p = mp.mpf(3) / 2 - (1 + r2 * a2 - a2**2) / n
+        return var_q * var_p - mp.mpf(1) / 4
+
+    def test_excess_cancels_the_quarter_symbolically(self):
+        # Small, mixed and guard-edge alphas, and the near-cancelling a2 = sqrt2 a1^2 / 3.
+        rng = np.random.default_rng(29)
+        states = [PerturbativeState(float(a1), float(a2)) for a1, a2 in rng.uniform(-0.53, 0.53, (50, 2))]
+        states += [PerturbativeState(a1, a2) for a1, a2 in
+                   ((1e-8, 0.0), (0.0, 1e-8), (1e-3, -2e-4), (1e-4, math.sqrt(2.0) * 1e-8 / 3.0))]
+        with mp.workdps(50):
+            for state in states:
+                assert perturbed_excess(state) == pytest.approx(
+                    float(self.exact_excess(state)), rel=1e-13), state
+
+    @pytest.mark.parametrize("eps3,eps4", [(0.0, 1e-6), (0.0, 1e-4), (1e-6, 0.0), (1e-4, -1e-5)])
+    def test_small_perturbation_eta_ng_without_cancellation(self, eps3, eps4):
+        # pert:omega=1,eps4=0.000001 printed eta_NG = 0 when det sigma - 1/4 was a subtraction.
+        state = alpha_coefficients(eps3, eps4, 1.0)
+        with mp.workdps(50):
+            m = self.exact_excess(state)
+            u = m / (mp.mpf(1) / 2 + mp.sqrt(mp.mpf(1) / 4 + m))
+            exact = float((1 + u) * mp.log1p(u) - u * mp.log(u))
+        report = measure_report(PerturbedHarmonic(1.0, eps3, eps4))
+        assert report.eta_ng > 0.0
+        assert report.eta_ng == pytest.approx(exact, rel=1e-12)
 
 
 class TestParametricCurve:

@@ -8,7 +8,7 @@ import pytest
 from nonlinosc import potentials, specfun
 from nonlinosc.errors import DomainError, SpecError, UnsupportedSpecError
 from nonlinosc.measures import measure_report
-from nonlinosc.numerics import first_derivative, sized_ground_state
+from nonlinosc.numerics import sized_ground_state
 from nonlinosc.potentials import (
     P_PLUS,
     FellowsSmith,
@@ -94,7 +94,7 @@ class TestEvaluatePotential:
 
 class TestGroundState:
     def test_harmonic_amplitude_at_origin(self):
-        assert np.exp(Harmonic(1.0).log_amplitude(np.array([0.0])))[0] == pytest.approx(
+        assert np.exp(Harmonic(1.0).log_amplitude(np.array([0.0]))[0])[0] == pytest.approx(
             math.pi ** -0.25, rel=1e-13
         )
 
@@ -102,7 +102,7 @@ class TestGroundState:
         # s = (-1 + sqrt(1 + 8))/2 = 1, so the amplitude is proportional to sech.
         spec = ModifiedPoschlTeller(1.0, 1.0)
         x = np.array([0.0, 0.5, 1.5, 3.0])
-        amp = np.exp(spec.log_amplitude(x))
+        amp = np.exp(spec.log_amplitude(x)[0])
         ratio = amp / amp[0]
         assert np.allclose(ratio, 1.0 / np.cosh(x), rtol=1e-12)
 
@@ -114,10 +114,19 @@ class TestGroundState:
         x = dvr.grid.points()
         i0 = int(np.argmin(np.abs(x)))
         i1 = int(np.argmin(np.abs(x - 1.0)))
-        amp = np.exp(spec.log_amplitude(x[[i0, i1]]))
+        amp = np.exp(spec.log_amplitude(x[[i0, i1]])[0])
         analytic_ratio = amp[1] / amp[0]
         dvr_ratio = dvr.coefficients[i1] / dvr.coefficients[i0]
         assert analytic_ratio == pytest.approx(dvr_ratio, abs=1e-12)
+
+    @pytest.mark.parametrize("spec", CATALOG)
+    def test_log_derivative_is_the_slope_of_the_log_amplitude(self, spec):
+        # A centered difference of L, step 1e-5, against the family's exact L'.
+        x = sized_ground_state(spec).grid.points()[::128]
+        step = 1e-5
+        _, slope = spec.log_amplitude(x)
+        difference = (spec.log_amplitude(x + step)[0] - spec.log_amplitude(x - step)[0]) / (2 * step)
+        assert np.allclose(slope, difference, rtol=1e-6, atol=1e-6)
 
     def test_perturbed_harmonic_unsupported(self):
         with pytest.raises(UnsupportedSpecError):
@@ -417,11 +426,11 @@ class TestPrefactorCache:
     )
     def test_with_parameter_carries_its_own_prefactor(self, spec, axis, value):
         x = np.linspace(-3.0, 3.0, 7)
-        before = spec.log_amplitude(x)
+        before = np.stack(spec.log_amplitude(x))
         other = with_parameter(spec, axis, value)
         fresh = type(spec)(**{**dataclasses.asdict(spec), axis: value})
-        assert other.log_amplitude(x).tobytes() == fresh.log_amplitude(x).tobytes()
-        assert spec.log_amplitude(x).tobytes() == before.tobytes()
+        assert np.stack(other.log_amplitude(x)).tobytes() == np.stack(fresh.log_amplitude(x)).tobytes()
+        assert np.stack(spec.log_amplitude(x)).tobytes() == before.tobytes()
 
 
 class TestSchrodingerConsistency:
@@ -451,13 +460,12 @@ class TestSchrodingerConsistency:
         wf = sized_ground_state(spec)
         grid = wf.grid
         x = grid.points()
-        log_amp = np.log(np.maximum(wf.amplitude, 1e-300))
-        slope = first_derivative(log_amp, grid.spacing)
+        slope = wf.log_derivative
         # analytic log-slope: -alpha N + alpha (N + 1/2) e^{-alpha x}
         for target_x in (0.6 * grid.x_max, 0.85 * grid.x_max):
             i = int(np.argmin(np.abs(x - target_x)))
             expected = -spec.alpha * n + spec.alpha * (n + 0.5) * math.exp(-spec.alpha * x[i])
-            assert slope[i] == pytest.approx(expected, rel=1e-3)
+            assert slope[i] == pytest.approx(expected, rel=1e-12)
         # double-exponential wall on the left: slope far exceeds the right decay
         i_left = int(np.argmin(np.abs(x - 0.9 * grid.x_min)))
         assert slope[i_left] > 5.0 * spec.alpha * n

@@ -11,7 +11,7 @@ from nonlinosc.numerics import sized_ground_state
 from nonlinosc.potentials import P_PLUS, FellowsSmith
 from nonlinosc.specfun import (
     entropy_h,
-    eta_ng_of_det,
+    eta_ng_of_excess,
     kummer_phi_log_grid,
 )
 
@@ -63,10 +63,21 @@ class TestGamma:
             assert math.lgamma(x) == pytest.approx(stirling_log_gamma(x), rel=1e-13, abs=1e-13)
 
 
+def assert_matches_mpmath(a: float, b: float, z: list[float]) -> None:
+    """log Phi(a, b; z) and rho = z (a/b) Phi(a+1, b+1; z) / Phi(a, b; z) against mpmath."""
+    logs, rhos = kummer_phi_log_grid(a, b, np.array(z))
+    for zi, li, ri in zip(z, logs, rhos):
+        phi = kummer_mp(a, b, zi)
+        assert li == pytest.approx(float(mp.log(phi)), rel=1e-14, abs=1e-14)
+        rho = float(zi * mp.mpf(a) / b * kummer_mp(a + 1, b + 1, zi) / phi)
+        assert ri == pytest.approx(rho, rel=1e-13, abs=1e-300)
+
+
 class TestKummer:
     @pytest.mark.parametrize("a,b", [(0.3, 0.7), (2.0, 5.5), (19.0, 0.4)])
     def test_empty_sum_at_zero(self, a, b):
-        assert kummer_phi_log_grid(a, b, np.array([0.0])).tolist() == [0.0]
+        log_phi, rho = kummer_phi_log_grid(a, b, np.array([0.0]))
+        assert (log_phi.tolist(), rho.tolist()) == ([0.0], [0.0])
 
     @pytest.mark.parametrize("b", [0.0, -1.0, -6.0])
     def test_parameter_pole_raises(self, b):
@@ -74,12 +85,13 @@ class TestKummer:
             kummer_phi_log_grid(1.0, b, np.array([1.0]))
 
     def test_exponential_identity(self):
-        log_phi = kummer_phi_log_grid(1.0, 1.0, np.array([2.0]))
+        log_phi, rho = kummer_phi_log_grid(1.0, 1.0, np.array([2.0]))
         assert math.exp(log_phi[0]) == pytest.approx(math.exp(2.0), rel=1e-13)
+        assert rho[0] == pytest.approx(2.0, rel=1e-14)  # z d(log e^z)/dz = z
 
     def test_value_inf_when_overflowing(self):
         # Phi(1, 1; 800) = e^800 overflows a float; its log does not.
-        log_phi = kummer_phi_log_grid(1.0, 1.0, np.array([800.0]))
+        log_phi, _ = kummer_phi_log_grid(1.0, 1.0, np.array([800.0]))
         with np.errstate(over="ignore"):
             assert np.exp(log_phi[0]) == math.inf
         assert log_phi[0] == pytest.approx(800.0, rel=1e-12)
@@ -90,7 +102,7 @@ class TestKummer:
             a = float(rng.uniform(0.05, 20.0))
             b = float(rng.uniform(0.05, 20.0))
             z = float(rng.uniform(0.0, 1200.0))
-            log_phi = kummer_phi_log_grid(a, b, np.array([z]))
+            log_phi, _ = kummer_phi_log_grid(a, b, np.array([z]))
             reference = kummer_mp(a, b, z)
             assert log_phi[0] == pytest.approx(float(mp.log(reference)), rel=1e-14, abs=1e-14)
 
@@ -108,9 +120,7 @@ class TestKummer:
         ],
     )
     def test_log_grid_matches_mpmath(self, a, b, z):
-        logs = kummer_phi_log_grid(a, b, np.array(z))
-        for zi, li in zip(z, logs):
-            assert li == pytest.approx(float(mp.log(kummer_mp(a, b, zi))), rel=1e-14, abs=1e-14)
+        assert_matches_mpmath(a, b, z)
 
     @given(
         st.floats(min_value=1e-3, max_value=20.0),
@@ -118,10 +128,7 @@ class TestKummer:
         st.lists(st.floats(min_value=0.0, max_value=1200.0), min_size=1, max_size=6),
     )
     def test_log_grid_against_mpmath(self, a, b, z):
-        logs = kummer_phi_log_grid(a, b, np.array(z))
-        for zi, li in zip(z, logs):
-            expected = float(mp.log(kummer_mp(a, b, zi)))
-            assert li == pytest.approx(expected, rel=1e-14, abs=1e-14)
+        assert_matches_mpmath(a, b, z)
 
     @pytest.mark.parametrize("p", [0.0, -0.1, P_PLUS, -0.6, -0.9])
     def test_log_grid_on_fellows_smith_grids(self, p):
@@ -130,7 +137,7 @@ class TestKummer:
         z = sized_ground_state(FellowsSmith(p)).grid.points() ** 2
         assert z.size == 4097
         for a, b in (((1.0 + p) / 2.0, 0.5), ((3.0 + p) / 2.0, 1.5)):
-            logs = kummer_phi_log_grid(a, b, z)
+            logs, _ = kummer_phi_log_grid(a, b, z)
             for zi, li in zip(z[::64], logs[::64]):
                 expected = float(mp.log(kummer_mp(a, b, zi)))
                 assert li == pytest.approx(expected, rel=1e-14, abs=1e-14)
@@ -146,17 +153,16 @@ class TestKummer:
         ],
     )
     def test_log_grid_rescales_inside_a_block(self, a, b, z):
-        logs = kummer_phi_log_grid(a, b, np.array(z))
-        for zi, li in zip(z, logs):
-            assert li == pytest.approx(float(mp.log(kummer_mp(a, b, zi))), rel=1e-14, abs=1e-14)
+        assert_matches_mpmath(a, b, z)
 
     def test_log_grid_keeps_the_shape_of_z(self):
-        scalar = kummer_phi_log_grid(1.0, 1.0, np.float64(2.0))
-        assert scalar.shape == () and scalar == pytest.approx(2.0, rel=1e-15)
+        for scalar in kummer_phi_log_grid(1.0, 1.0, np.float64(2.0)):
+            assert scalar.shape == () and scalar == pytest.approx(2.0, rel=1e-15)
         z = np.array([[0.0, 1.0, 2.0], [3.0, 40.0, 5.0]])
-        logs = kummer_phi_log_grid(0.2, 0.5, z)
-        assert logs.shape == z.shape
-        assert logs.ravel().tolist() == kummer_phi_log_grid(0.2, 0.5, z.ravel()).tolist()
+        flat = kummer_phi_log_grid(0.2, 0.5, z.ravel())
+        for grid, values in zip(kummer_phi_log_grid(0.2, 0.5, z), flat):
+            assert grid.shape == z.shape
+            assert grid.ravel().tolist() == values.tolist()
 
     def test_log_grid_series_cap_raises(self, monkeypatch):
         monkeypatch.setattr(specfun, "_SERIES_CAP", 10)
@@ -178,7 +184,7 @@ class TestKummer:
             kummer_phi_log_grid(0.2, 0.5, np.array([0.0, 3.0, 1e20]))
 
     def test_log_grid_empty_input(self):
-        assert kummer_phi_log_grid(0.2, 0.5, np.array([])).size == 0
+        assert [v.size for v in kummer_phi_log_grid(0.2, 0.5, np.array([]))] == [0, 0]
 
     def test_log_grid_rejects_negative(self):
         with pytest.raises(DomainError):
@@ -217,10 +223,21 @@ class TestEntropyH:
 
 
 class TestEtaNgOfDet:
+    """eta_NG = h(sqrt(det sigma)), taken from the excess det sigma - 1/4."""
+
     @pytest.mark.parametrize("det", [0.25, 0.2500001, 0.3, 2.25, 40.0])
     def test_is_h_of_sqrt_det(self, det):
-        assert eta_ng_of_det(det) == entropy_h(math.sqrt(det))
+        assert eta_ng_of_excess(det - 0.25) == pytest.approx(entropy_h(math.sqrt(det)), rel=1e-14)
 
     def test_below_heisenberg_bound_raises(self):
-        with pytest.raises(DomainError):
-            eta_ng_of_det(0.2)
+        for excess in (-0.05, math.nan, math.inf):
+            with pytest.raises(DomainError, match="below 1/4"):
+                eta_ng_of_excess(excess)
+
+    @pytest.mark.parametrize("excess", [0.0, 1e-300, 1e-30, 1e-16, 1e-9, 1e-3, 0.5, 1e6])
+    def test_keeps_its_digits_near_a_gaussian(self, excess):
+        # h(1/2 + u) with u = sqrt(1/4 + m) - 1/2, at 50 digits.
+        with mp.workdps(50):
+            u = excess / (mp.mpf(1) / 2 + mp.sqrt(mp.mpf(1) / 4 + excess))
+            exact = float((1 + u) * mp.log1p(u) - (u * mp.log(u) if u else 0))
+        assert eta_ng_of_excess(excess) == pytest.approx(exact, rel=1e-14, abs=0.0)
