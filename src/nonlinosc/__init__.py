@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": (
-        "ConvergenceError", "DomainError", "GridError", "GridGrowthExhaustedError",
-        "NormalizationError", "SpecError", "UnsupportedSpecError",
+        "ConvergenceError", "DomainError", "GridError", "NormalizationError", "SpecError",
+        "UnsupportedSpecError",
     ),
     "measures": ("MeasureReport", "ReportDiagnostics", "measure_report"),
     "numerics": (

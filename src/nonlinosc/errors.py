@@ -21,10 +21,6 @@ class GridError(RuntimeError):
     """Grid construction or grid compatibility failure."""
 
 
-class GridGrowthExhaustedError(GridError):
-    """A sampled state is still above 10% of its peak at the grid extent cap."""
-
-
 class NormalizationError(ValueError):
     """Wavefunction has zero or non-finite norm."""
 

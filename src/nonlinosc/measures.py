@@ -24,14 +24,13 @@ from .errors import GridError
 from .numerics import (
     DEFAULT_N_POINTS,
     DEFAULT_TARGET_TAIL,
-    EXTENT_CAP,
     Grid,
     SampledWavefunction,
     covariance_of,
     sized_ground_state,
 )
 from .perturbation import eta_b_perturbative, perturbed_excess
-from .potentials import Harmonic, PerturbedHarmonic, PotentialSpec
+from .potentials import PerturbedHarmonic, PotentialSpec
 from .specfun import eta_ng_of_excess
 
 # d per unit of the excess above which a report warns and fails, and the floor for rounding.
@@ -85,14 +84,11 @@ def measure_state(spec: PotentialSpec, wf: SampledWavefunction, target_tail: flo
     excess = covariance_of(wf).excess
     spread = abs(excess - covariance_of(wf, stride=2).excess)
     grid = wf.grid
-    truncated = wf.tail_ratio > target_tail  # only a side capped at EXTENT_CAP misses its tail
     moves = f"det sigma - 1/4 = {excess:.3g} moves by {spread:.2g} on every other node"
     if spread > FAIL_SPREAD * excess + SPREAD_FLOOR:
-        cause = (f", truncated at the |x| = {EXTENT_CAP:g} cap where its tail target is unmet "
-                 f"(end/peak ratio {wf.tail_ratio:.3g})") if truncated else ""
         raise GridError(f"{moves} of {grid.n_points} points over [{grid.x_min:.6g}, "
                         f"{grid.x_max:.6g}] at tail {target_tail:g}: the grid does not resolve "
-                        f"the state{cause}")
+                        "the state")
     omega_r = spec.omega_r()
     eta_b = fidelity = None
     ref_norm_defect = 0.0
@@ -100,8 +96,13 @@ def measure_state(spec: PotentialSpec, wf: SampledWavefunction, target_tail: flo
         # The reference sits at x = 0: every catalog potential has its global
         # minimum at the printed origin (the Morse coordinate is the displacement).
         # It keeps its exact norm: the grid only truncates it where the state met its tail.
-        h = grid.spacing
-        log_reference, _ = Harmonic(omega_r).log_amplitude(grid.points())
+        # Harmonic(omega_r)'s log amplitude in grid units, so (x/u)^2 stays in
+        # range at any extent; the scaling is exact.
+        h, unit = grid.spacing, grid.unit
+        log_reference = grid.points() * (1.0 / unit)
+        log_reference *= log_reference
+        log_reference *= -0.5 * omega_r * unit * unit
+        log_reference += 0.25 * math.log(omega_r / math.pi)
         reference = np.exp(log_reference)
         norm_sq = h * float(np.dot(reference, reference))
         ref_norm_defect = norm_sq - 1.0
@@ -119,11 +120,6 @@ def measure_state(spec: PotentialSpec, wf: SampledWavefunction, target_tail: flo
         eta_b = math.sqrt(max(0.0, infidelity))
         fidelity = (1.0 - infidelity) ** 2
     warnings = list(spec.quadrature_warnings())
-    if truncated:
-        warnings.append(
-            f"tail target {target_tail:g} unmet at the grid cap "
-            f"(end/peak ratio {wf.tail_ratio:.3g}); measures carry truncation error"
-        )
     if spread > WARN_SPREAD * excess + SPREAD_FLOOR:
         warnings.append(f"{moves}; measures carry resolution error")
     return MeasureReport(

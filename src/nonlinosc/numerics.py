@@ -6,6 +6,9 @@ sinc-DVR oracle; for the smooth, tail-cut catalog states it converges
 geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014). Each sample
 carries its family's exact log-derivative psi'/psi, so no stencil is needed.
 Grids have an odd number of nodes, so every other node spans the same extent.
+A grid spans its family's exact seed, whatever its size, and moments are
+taken in its unit, a power of two near the spacing, so x and psi' stay in
+the float range at any scale.
 """
 
 from __future__ import annotations
@@ -16,14 +19,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridError, GridGrowthExhaustedError, NormalizationError
+from .errors import GridError, NormalizationError
 from .potentials import PotentialSpec, ground_state_log_amplitude
 
 DEFAULT_N_POINTS = 4097
 DEFAULT_TARGET_TAIL = 1e-8
-EXTENT_CAP = 200.0
-# End-amplitude ratio beyond which a side capped at |x| = EXTENT_CAP is rejected.
-_CAP_ACCEPT_RATIO = 0.1
 
 
 def require_grid_settings(target_tail: float, n_points: int) -> None:
@@ -59,6 +59,11 @@ class Grid:
     @property
     def spacing(self) -> float:
         return (self.x_max - self.x_min) / (self.n_points - 1)
+
+    @property
+    def unit(self) -> float:
+        """The power of two in (h, 2h] for the spacing h: moments scaled by it are exact."""
+        return math.ldexp(1.0, math.frexp(self.spacing)[1])
 
     def points(self) -> np.ndarray:
         """The nodes: one read-only array, built on first use and shared."""
@@ -116,14 +121,14 @@ class CovarianceMatrix:
     mean_x: float = 0.0
 
     def __post_init__(self):
-        if not (self.var_x > 0.0 and self.var_p > 0.0):
-            raise GridError(
-                f"covariance requires positive variances, got ({self.var_x}, {self.var_p})"
-            )
         for name, value in (("<x^2>", self.var_x), ("<p^2>", self.var_p),
                             ("det sigma - 1/4", self.excess)):
             if not math.isfinite(value):
                 raise GridError(f"{name} = {value} overflowed the float range")
+        if not (self.var_x > 0.0 and self.var_p > 0.0):
+            raise GridError(
+                f"covariance requires positive variances, got ({self.var_x}, {self.var_p})"
+            )
 
     @property
     def det(self) -> float:
@@ -138,44 +143,38 @@ def sized_ground_state(
     """Sample the analytic ground state once, on the grid of its family's
     exact seed halfwidths for the tail target, and normalize it.
 
-    A side is capped at |x| = EXTENT_CAP. A capped side that misses the tail
-    is accepted, with degraded quadrature, if its end amplitude is below 10%
-    of the peak (near-threshold Morse wells spread past the cap); otherwise
-    GridGrowthExhaustedError. A side below the cap that misses the tail is a
-    fault of the seed: GridError. No family's log amplitude peaks beyond
-    +-180 on a grid this accepts, so the squared amplitude stays in range.
+    The grid spans the seed whatever its size; a side that misses the tail
+    is a fault of the seed: GridError. Whether the grid resolves the state is
+    for the half-grid check of the report. No family's log amplitude peaks
+    beyond +-180, so the squared amplitude stays in range.
     """
     require_grid_settings(target_tail, n_points)
-    left, right = (min(w, EXTENT_CAP) for w in spec.seed_halfwidths(math.log(1.0 / target_tail)))
+    left, right = spec.seed_halfwidths(math.log(1.0 / target_tail))
     grid = Grid(-left, right, n_points)
     log_amp, log_derivative = ground_state_log_amplitude(spec, grid.points())
     peak = float(np.max(log_amp))
-    for side, width, end in (("left", left, log_amp[0]), ("right", right, log_amp[-1])):
+    for side, end in (("left", log_amp[0]), ("right", log_amp[-1])):
         ratio = math.exp(float(end) - peak)
-        if ratio > target_tail and width < EXTENT_CAP:
+        if ratio > target_tail:
             raise GridError(f"{spec.kind} seed misses the {side} tail (end/peak ratio {ratio:.3g})")
-        if ratio > _CAP_ACCEPT_RATIO:
-            raise GridGrowthExhaustedError(
-                f"amplitude has not decayed at the {side} cap |x|={EXTENT_CAP} "
-                f"(end/peak ratio {ratio:.3g}); state looks non-normalizable or "
-                "pathologically wide"
-            )
     return SampledWavefunction(grid, np.exp(log_amp), log_derivative)
 
 
 def covariance_of(wf: SampledWavefunction, stride: int = 1) -> CovarianceMatrix:
     """Canonical (x, p) covariance of a real wavefunction from the node sums
     over every ``stride``-th node, with psi' = psi L'."""
-    amplitude = wf.amplitude[::stride]
+    amplitude, unit = wf.amplitude[::stride], wf.grid.unit
     with np.errstate(over="ignore", invalid="ignore"):  # sampled_covariance rejects an overflow
         derivative = amplitude * wf.log_derivative[::stride]
-    return sampled_covariance(wf.grid.points()[::stride], amplitude, derivative)
+        derivative *= unit
+    return sampled_covariance(wf.grid.points()[::stride], amplitude, derivative, unit)
 
 
-def sampled_covariance(x: np.ndarray, amplitude: np.ndarray, derivative: np.ndarray
-                       ) -> CovarianceMatrix:
+def sampled_covariance(x: np.ndarray, amplitude: np.ndarray, derivative: np.ndarray,
+                       unit: float) -> CovarianceMatrix:
     """Covariance of a real amplitude of any norm and its derivative on the
-    nodes x, from plain node sums.
+    nodes x, from plain node sums in units of ``unit``, a power of two:
+    ``derivative`` is psi' times the unit, and the moments are scaled back.
 
     <p^2> = <psi'^2>, and det sigma - 1/4 = var_x |psi' + (x - mu) psi / (2 var_x)|^2
     (Lagrange's identity, as <psi' (x - mu) psi> = -1/2): a sum of squares,
@@ -184,6 +183,7 @@ def sampled_covariance(x: np.ndarray, amplitude: np.ndarray, derivative: np.ndar
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # CovarianceMatrix checks
         norm = float(np.dot(amplitude, amplitude))
         spread = amplitude * x
+        spread *= 1.0 / unit  # exact, as the unit is a power of two
         mean_x = float(np.dot(amplitude, spread)) / norm
         spread -= mean_x * amplitude  # psi (x - mu)
         var_x = float(np.dot(spread, spread)) / norm
@@ -191,4 +191,5 @@ def sampled_covariance(x: np.ndarray, amplitude: np.ndarray, derivative: np.ndar
         residual = spread * (0.5 / var_x)
         residual += derivative
         excess = var_x * float(np.dot(residual, residual)) / norm
-    return CovarianceMatrix(var_x=var_x, var_p=var_p, excess=excess, mean_x=mean_x)
+    return CovarianceMatrix(var_x=var_x * unit * unit, var_p=var_p / unit / unit,
+                            excess=excess, mean_x=mean_x * unit)

@@ -139,12 +139,12 @@ def _solve(spec: PotentialSpec, grid: Grid) -> tuple[float, float, np.ndarray]:
         )
     if c[np.argmax(np.abs(c))] < 0.0:
         c = -c
-    n, h = grid.n_points, grid.spacing
+    n, unit = grid.n_points, grid.unit
     offsets = np.arange(1.0 - n, n)  # i - j of D_ij, so D c is a convolution with this row
-    row = np.divide((-1.0) ** offsets, h * offsets, out=np.zeros_like(offsets),
-                    where=offsets != 0.0)
-    derivative = np.convolve(c, row)[n - 1 : 2 * n - 1]
-    return energy, sampled_covariance(grid.points(), c, derivative).excess, c
+    row = np.divide((-1.0) ** offsets, (grid.spacing / unit) * offsets,
+                    out=np.zeros_like(offsets), where=offsets != 0.0)
+    derivative = np.convolve(c, row)[n - 1 : 2 * n - 1]  # per grid unit
+    return energy, sampled_covariance(grid.points(), c, derivative, unit).excess, c
 
 
 def fidelity(spec: PotentialSpec, result: EigenResult) -> float:

@@ -52,10 +52,11 @@ class _Family:
     ``energy()`` (ground energy) and ``seed_halfwidths(depth)``: exact
     halfwidths left and right of the origin, with a small margin, beyond
     which the amplitude stays ``depth`` e-foldings below its peak.
-    ``sized_ground_state`` samples that grid once; a seed that misses its
-    tail is a fault, not a reason to grow. Its dataclass fields are its
-    parse keys and sweep axes. A family with a printed normalization adds
-    its constant log prefactor in ``log_amplitude``; Morse and MIO have none.
+    ``sized_ground_state`` samples that grid once, at any size, with no cap
+    on its extent; a seed that misses its tail is a fault, not a reason to
+    grow. Its dataclass fields are its parse keys and sweep axes. A family
+    with a printed normalization adds its constant log prefactor in
+    ``log_amplitude``; Morse and MIO have none.
     """
 
     kind: ClassVar[str]

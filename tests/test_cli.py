@@ -11,15 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlinosc.cli import main
-from nonlinosc.errors import SpecError
+from nonlinosc.cli import _HANDLED_ERRORS as HANDLED_ERRORS, main
 from nonlinosc.measures import measure_report
-from nonlinosc.numerics import sized_ground_state
 from nonlinosc.perturbation import parametric_curve, scatter_sample
 from nonlinosc.potentials import Harmonic, parse_potential_spec, with_parameter
 from nonlinosc.specfun import eta_ng_of_excess
 
 import mpmath as mp
+
+from helpers import closed_excess
 
 
 def mio_quadrature_excess(a: float) -> float:
@@ -116,11 +116,19 @@ class TestMeasure:
             f"error: omega={float(omega)!r}: (2 omega)^1.5 or omega^2 under- or overflows"
         ]
 
-    def test_overflowing_kinetic_moment_is_one_error_line(self):
+    def test_narrowest_harmonic_reports_exactly(self):
+        # The grid is 1e-149 wide: in physical units <p^2> would overflow.
         done = run_fresh("measure", "--potential", "harmonic:omega=1e300")
-        assert done.returncode == 2
-        assert done.stdout == ""
-        assert done.stderr.splitlines() == ["error: <p^2> = inf overflowed the float range"]
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.splitlines()[1] == "0,1.76259991802e-30,1e+300,5e+299,0.25,1"
+
+    def test_overflowing_position_moment_is_one_error_line(self):
+        # N = 7e30 and omega_R = 3.4e-318: the grid is 7e159 wide and var_x is
+        # about 1 / (2 omega_R) = 1.5e317, past the float range.
+        done = run_fresh("measure", "--potential",
+                         "morse:D=1.2143592524595229e-287,alpha=6.848754358786849e-175")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.splitlines() == ["error: <x^2> = inf overflowed the float range"]
 
     def test_morse_energy_with_n_squared_past_the_float_range(self, capsys):
         # N = 1.5e160: N**2 alone overflows, while E = -(alpha N)^2 / 2 is finite.
@@ -146,19 +154,24 @@ class TestMeasure:
         assert report["det_sigma"] == float(f"{0.25 + excess:.12g}")  # printed to 12 digits
         assert report["eta_ng"] == pytest.approx(eta_ng_of_excess(excess), abs=1e-15)
 
-    def test_truncated_state_names_its_unmet_tail_at_the_cap(self, capsys):
-        # The state is about 1/alpha = 1e4 wide: 6% of its peak is left at the |x| = 200 cap,
-        # and the excess moves by 5e-3 of itself on every other node.
+    def test_wide_state_reports_exactly(self, capsys):
+        # The state is 1,048 wide: its whole seed is sampled, and eta_NG is the closed form's.
         text = "mpt:D=1,alpha=1e-4"
-        code, out, err = run_cli(capsys, "measure", "--potential", text)
+        code, out, err = run_cli(capsys, "measure", "--potential", text, "--format", "json")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        excess = closed_excess(parse_potential_spec(text))
+        assert report["det_sigma"] == float(f"{0.25 + excess:.12g}")  # printed to 12 digits
+        assert report["eta_ng"] == pytest.approx(eta_ng_of_excess(excess), rel=2e-13)
+
+    def test_morse_edge_at_the_default_grid_is_unresolved(self, capsys):
+        # The state is 1,370 wide with a peak 1/alpha = 0.36 wide: 4,097 points
+        # cannot resolve it, and the measure-morse-edge golden uses 16,385.
+        code, out, err = run_cli(capsys, "measure", "--potential", "morse:D=1,alpha=2.8")
         assert (code, out) == (2, "")
-        [line] = err.splitlines()
-        ratio = sized_ground_state(parse_potential_spec(text)).tail_ratio
-        assert line.startswith("error: det sigma - 1/4 = 2.19e-05 moves by 1.1e-07 on every other "
-                               "node of 4097 points over [-200, 200] at tail 1e-08: the grid does "
-                               "not resolve the state")
-        assert line.endswith(", truncated at the |x| = 200 cap where its tail target is unmet "
-                             f"(end/peak ratio {ratio:.3g})")
+        assert err.splitlines() == [
+            "error: det sigma - 1/4 = 24.3 moves by 4.1 on every other node of 4097 points over "
+            "[-1.30421, 1368.35] at tail 1e-08: the grid does not resolve the state"]
 
     def test_parse_error_nonzero_exit(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--potential", "nope:x=1")
@@ -329,7 +342,7 @@ class TestSweep:
         for value, row in zip(values, json.loads(out)["rows"], strict=True):
             try:
                 report = measure_report(with_parameter(base, axis, float(value)))
-            except SpecError as exc:
+            except HANDLED_ERRORS as exc:
                 assert row["error"] == f"{type(exc).__name__}: {exc}".replace(",", ";")
                 continue
             assert row["error"] is None

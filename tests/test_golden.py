@@ -30,9 +30,11 @@ CASES = {
     "measure_morse_deep.csv": ["measure", "--potential", "morse:D=20000,alpha=0.5"],
     "measure_mpt.csv": ["measure", "--potential", "mpt:D=2,alpha=1"],
     "measure_mio.json": ["measure", "--potential", "mio:a=3", "--format", "json"],
-    # Near the Morse bound-state edge: the JSON warnings list is not empty.
+    # Near the Morse bound-state edge: the state is 1,370 wide with a peak
+    # 1/alpha = 0.36 wide, so it needs 16,385 points; its JSON warnings list
+    # is not empty.
     "measure_morse_edge.json": ["measure", "--potential", "morse:D=1,alpha=2.8",
-                                "--format", "json"],
+                                "--grid-points", "16385", "--format", "json"],
     "measure_fs.csv": ["measure", "--potential", "fs:p=-0.08"],
     "measure_pert.json": ["measure", "--potential", "pert:omega=1,eps3=0.05,eps4=0.1",
                           "--format", "json"],

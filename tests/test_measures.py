@@ -31,6 +31,7 @@ from helpers import (
     GaussianCovariance,
     UnphysicalCovarianceError,
     bures_distance,
+    closed_excess,
     entropy_oracle,
     mio_closed_moments,
     mio_reference_fidelity,
@@ -113,7 +114,7 @@ class TestEtaNg:
         assert entropy_h(math.pi / 6.0) == pytest.approx(0.1122893011, abs=1e-9)
 
     def test_morse_edge_grows_large(self):
-        assert measure_report(Morse(1.0, 2.8)).eta_ng > 1.0
+        assert measure_report(Morse(1.0, 2.8), n_points=16385).eta_ng > 1.0
 
     def test_perturbed_matches_fock_oracle(self):
         spec = PerturbedHarmonic(1.0, 0.1, -0.2)
@@ -159,7 +160,7 @@ class TestMeasureReport:
             assert (report.eta_b is None) == (report.omega_r is None)
 
     def test_morse_edge_warning(self):
-        report = measure_report(Morse(1.0, 2.8))
+        report = measure_report(Morse(1.0, 2.8), n_points=16385)
         assert any("bound-state limit" in w for w in report.diagnostics.warnings)
 
     def test_perturbed_report(self):
@@ -311,8 +312,8 @@ class TestExactSeeds:
         assert report.fidelity_to_reference == pytest.approx(expected, abs=1e-11)
 
 
-# Every sampled golden spec except the truncated Morse edge: the measure
-# cases, every sweep row and the oracle-check specs.
+# Every sampled golden spec except the Morse edge: the measure cases, every
+# sweep row and the oracle-check specs.
 GOLDEN_SAMPLED = (
     [Harmonic(1.3), Morse(1.0, 0.9), Morse(20000.0, 0.5), ModifiedPoschlTeller(2.0, 1.0),
      ModifiedIsotonic(3.0), FellowsSmith(-0.08)]
@@ -333,24 +334,46 @@ class TestHalfGridAlarm:
     def test_silent_on_the_golden_specs(self, spec):
         assert measure_report(spec).diagnostics.warnings == ()
 
-    def test_warns_near_the_morse_limit(self):
-        # Truncated at the |x| = 200 cap; the excess moves by 3e-7 of itself.
-        truncation, resolution = measure_report(Morse(1.0, 2.76)).diagnostics.warnings
-        assert truncation.startswith("tail target 1e-08 unmet at the grid cap")
-        assert resolution == ("det sigma - 1/4 = 9.84 moves by 3.1e-06 on every other node; "
-                              "measures carry resolution error")
+    def test_warns_near_the_morse_limit_and_reports_the_closed_form(self):
+        # The state is 570 wide; the excess moves by 3e-4 of itself on every
+        # other node, while det sigma is 2.6e-9 off.
+        spec = Morse(1.0, 2.76)
+        report = measure_report(spec)
+        assert report.diagnostics.warnings == (
+            "det sigma - 1/4 = 9.84 moves by 0.0033 on every other node; "
+            "measures carry resolution error",)
+        var_x, var_p = morse_closed_moments(spec.D, spec.alpha)
+        assert report.det_sigma == pytest.approx(var_x * var_p, rel=1e-8)
+        assert report.fidelity_to_reference == pytest.approx(
+            morse_reference_fidelity(spec.D, spec.alpha), rel=1e-11)
 
-    def test_morse_edge_golden_stays_a_truncated_report(self):
-        warnings = measure_report(Morse(1.0, 2.8)).diagnostics.warnings
-        assert [w.split(" ")[0] for w in warnings] == ["alpha", "tail", "det"]
+    def test_morse_edge_golden_reports_the_closed_form(self):
+        # At the default 4,097 points the edge is a GridError; at 16,385 it
+        # reports det sigma and the fidelity to 1e-13 and still warns.
+        spec = Morse(1.0, 2.8)
+        with pytest.raises(GridError, match="the grid does not resolve the state"):
+            measure_report(spec)
+        report = measure_report(spec, n_points=16385)
+        assert [w.split(" ")[0] for w in report.diagnostics.warnings] == ["alpha", "det"]
+        var_x, var_p = morse_closed_moments(spec.D, spec.alpha)
+        assert report.det_sigma == pytest.approx(var_x * var_p, rel=1e-13)
+        assert report.fidelity_to_reference == pytest.approx(
+            morse_reference_fidelity(spec.D, spec.alpha), rel=1e-12)
 
-    @pytest.mark.parametrize("spec", [ModifiedPoschlTeller(1.0, 1e-4), ModifiedIsotonic(1e5),
-                                      ModifiedIsotonic(1e6), ModifiedIsotonic(1e8)], ids=repr)
+    @pytest.mark.parametrize("spec", [ModifiedIsotonic(1e5), ModifiedIsotonic(1e6),
+                                      ModifiedIsotonic(1e8)], ids=repr)
     def test_unresolved_state_is_a_grid_error(self, spec):
-        # MPT: truncated at the cap, the excess moves by 5e-3 of itself; MIO: the
-        # inner scale 1/sqrt(a) is not resolved, and it moves by 0.18 to 0.5 of itself.
+        # The inner scale 1/sqrt(a) is not resolved: the excess moves by 0.18
+        # to 0.5 of itself.
         with pytest.raises(GridError, match=r"moves by \S+ on every other node of 4097 points"):
             measure_report(spec)
+
+    def test_wide_mpt_state_reports_the_closed_form(self):
+        # s = 14,141: the state is 1,048 wide and the excess 2.1e-10.
+        spec = ModifiedPoschlTeller(1.0, 1e-4)
+        report = measure_report(spec)
+        assert report.diagnostics.warnings == ()
+        assert report.eta_ng == pytest.approx(eta_ng_of_excess(closed_excess(spec)), rel=2e-13)
 
 
 class TestEtaBWithoutCancellation:

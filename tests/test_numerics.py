@@ -8,7 +8,6 @@ import pytest
 from nonlinosc import numerics
 from nonlinosc.errors import (
     GridError,
-    GridGrowthExhaustedError,
     NormalizationError,
     UnsupportedSpecError,
 )
@@ -124,11 +123,20 @@ class TestAutoGrid:
         with pytest.raises(GridError):
             sized_ground_state(Harmonic(1.0), target_tail=0.0)
 
-    def test_pathologically_wide_state_exhausts_growth(self):
-        # So close to the bound-state limit that the amplitude is still at
-        # ~75% of its peak at the |x| = 200 cap.
-        with pytest.raises(GridGrowthExhaustedError):
-            sized_ground_state(Morse(1.0, 0.999 * 2.0 * math.sqrt(2.0)))
+    def test_pathologically_wide_state_spans_its_seed(self):
+        # So close to the bound-state limit that the state is 13,735 wide with
+        # a peak about 1/alpha = 0.35 wide: 4,097 points do not resolve it,
+        # and 262,145 give the closed-form det sigma.
+        spec = Morse(1.0, 0.999 * 2.0 * math.sqrt(2.0))
+        left, right = spec.seed_halfwidths(math.log(1e8))
+        wf = sized_ground_state(spec)
+        assert (wf.grid.x_min, wf.grid.x_max) == (-left, right)
+        assert right > 13000.0 and wf.tail_ratio <= 1e-8
+        with pytest.raises(GridError, match="the grid does not resolve the state"):
+            measure_report(spec)
+        var_x, var_p = morse_closed_moments(spec.D, spec.alpha)
+        report = measure_report(spec, n_points=262145)
+        assert report.det_sigma == pytest.approx(var_x * var_p, rel=1e-12)
 
     def test_seed_that_misses_its_tail_is_a_grid_error(self, monkeypatch):
         monkeypatch.setattr(Harmonic, "seed_halfwidths", lambda self, depth: (8.0, 3.0))
@@ -193,10 +201,20 @@ class TestSizedGroundState:
             sized_ground_state(PerturbedHarmonic(1.0))
 
     @pytest.mark.parametrize("n_points", [129, 513, 1025, 4097, 8193])
-    def test_cap_accepts_near_threshold_morse_at_every_point_count(self, n_points):
-        wf = sized_ground_state(Morse(1.0, 2.7), n_points=n_points)
-        assert wf.grid.x_max == 200.0
-        assert 1e-8 < wf.tail_ratio < 0.1
+    def test_near_threshold_morse_spans_its_seed_at_every_point_count(self, n_points):
+        # The state is 304 wide: below 4,097 points the half-grid check
+        # fails; from there det sigma is the closed form's.
+        spec = Morse(1.0, 2.7)
+        wf = sized_ground_state(spec, n_points=n_points)
+        assert wf.grid.x_max == spec.seed_halfwidths(math.log(1e8))[1]
+        assert wf.tail_ratio <= 1e-8
+        if n_points < 4097:
+            with pytest.raises(GridError, match="the grid does not resolve the state"):
+                measure_report(spec, n_points=n_points)
+        else:
+            var_x, var_p = morse_closed_moments(spec.D, spec.alpha)
+            report = measure_report(spec, n_points=n_points)
+            assert report.det_sigma == pytest.approx(var_x * var_p, rel=1e-12)
 
 
 class TestNormalize:
@@ -384,6 +402,10 @@ class TestCovarianceMatrixType:
     def test_rejects_non_positive_variance(self):
         with pytest.raises(GridError):
             CovarianceMatrix(var_x=0.0, var_p=1.0, excess=0.25)
+
+    def test_names_an_overflow_before_a_vanished_variance(self):
+        with pytest.raises(GridError, match=r"^<x\^2> = inf overflowed the float range$"):
+            CovarianceMatrix(var_x=math.inf, var_p=0.0, excess=0.25)
 
     def test_det_includes_cross_term(self):
         # The cross term lives in the tests' general Gaussian record; a real

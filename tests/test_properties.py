@@ -6,7 +6,9 @@ det sigma >= 1/4 - 1e-6, every value finite), or exit 2 with an ``error:``
 line from one of the package's error classes. An exception that escapes
 ``cli.main`` fails the test. Over the same boxes, each sampled state is
 sized in one evaluation of its amplitude, and ``oracle-check`` prints the
-eta_ng that ``measure`` prints, or fails where ``measure`` fails.
+eta_ng that ``measure`` prints, or fails where ``measure`` fails. Both
+measures are free of units: a well rescaled by any factor reports them as
+the unscaled well does.
 """
 
 import contextlib
@@ -20,8 +22,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from nonlinosc import numerics
 from nonlinosc.cli import main
-from nonlinosc.errors import GridGrowthExhaustedError, SpecError
-from nonlinosc.numerics import EXTENT_CAP, sized_ground_state
+from nonlinosc.errors import GridError, SpecError
+from nonlinosc.measures import measure_report
+from nonlinosc.numerics import sized_ground_state
 from nonlinosc.potentials import (
     P_PLUS,
     FellowsSmith,
@@ -93,7 +96,7 @@ def check_measure(
 
 @SETTINGS
 @given(omega=SCALE)
-@example(omega=1e-8)  # wider than the grid cap
+@example(omega=1e-8)  # 1.3e5 wide
 @example(omega=5e-324)  # omega/pi underflows to 0
 def test_harmonic(omega):
     check_measure(f"harmonic:omega={omega!r}")
@@ -109,7 +112,7 @@ def test_morse(depth, fraction):
 @SETTINGS
 @given(depth=SCALE, alpha=SCALE)
 @example(depth=1e6, alpha=1.0)  # a state 0.006 wide: the seed spans it with the whole grid
-@example(depth=1.0, alpha=1e-4)  # truncated at the grid cap
+@example(depth=1.0, alpha=1e-4)  # 1,048 wide
 @example(depth=1e300, alpha=1e-300)  # alpha^2 underflows to 0
 @example(depth=1e-300, alpha=1e300)  # alpha^2 overflows
 def test_mpt(depth, alpha):
@@ -179,6 +182,54 @@ def test_pert(omega, eps3, eps4):
         assert report["det_sigma"] >= 0.25, (omega, eps3, eps4, report)
 
 
+# A change of units x -> x / k takes the well (D, alpha) to (D k^2, alpha k)
+# and keeps the state's shape; grids then span 1e-100 to 1e100.
+UNITS = log_uniform(-100.0, 100.0)
+
+
+def assert_free_of_units(build, depth: float, alpha: float, k: float,
+                         eta_b_tol: float = 1e-12) -> None:
+    """eta_ng of the well and of the well in units 1/k agree to 1e-12, eta_b
+    to ``eta_b_tol``, both relative."""
+    base, scaled = (measure_report(build(depth * c * c, alpha * c)) for c in (1.0, k))
+    for name, tol in (("eta_ng", 1e-12), ("eta_b", eta_b_tol)):
+        expected, value = getattr(base, name), getattr(scaled, name)
+        assert math.isclose(value, expected, rel_tol=tol), (depth, alpha, k, name, value)
+
+
+@SETTINGS
+@given(depth=log_uniform(-3.0, 3.0), fraction=st.floats(min_value=0.01, max_value=0.9),
+       k=UNITS)
+@example(depth=1.0, fraction=0.5, k=1e-100)
+@example(depth=691.140569983156, fraction=0.01974858852860678, k=8.404458507663003e-80)
+def test_morse_measures_are_free_of_units(depth, fraction, k):
+    # The reference Gaussian's norm defect, about -2e-13 where the state cuts
+    # it, is dropped when it is below 16 ulps per unit of the log prefactor
+    # 0.25 log(omega_R / pi), which depends on the units: up to 117 here. That
+    # moves 1 - <psi|phi> by at most 2e-13 and so eta_b, at least 0.055 in
+    # this box, by at most 3.3e-11 of itself.
+    assert_free_of_units(Morse, depth, fraction * 2.0 * math.sqrt(2.0 * depth), k, 5e-11)
+
+
+@SETTINGS
+@given(alpha=log_uniform(-3.0, 3.0), s=st.floats(min_value=0.1, max_value=100.0), k=UNITS)
+@example(alpha=1.0, s=1.0, k=1e100)
+def test_mpt_measures_are_free_of_units(alpha, s, k):
+    # D = alpha^2 s (s + 1) / 2 for the depth index s; below s = 0.1 the
+    # default grid does not resolve the sech^s tails.
+    assert_free_of_units(ModifiedPoschlTeller, 0.5 * alpha**2 * s * (s + 1.0), alpha, k)
+
+
+@SETTINGS
+@given(exponent=st.floats(min_value=-300.0, max_value=300.0))
+@example(exponent=-300.0)
+@example(exponent=300.0)
+def test_harmonic_reports_zero_at_every_frequency(exponent):
+    report = check_measure(f"harmonic:omega={10.0**exponent!r}")
+    assert report is not None, exponent
+    assert (report["eta_b"], report["det_sigma"]) == (0.0, 0.25), (exponent, report)
+
+
 def morse_at(depth: float, fraction: float) -> Morse:
     """The Morse well of depth D at a fraction of its bound-state limit."""
     return Morse(depth, fraction * 2.0 * math.sqrt(2.0 * depth))
@@ -201,12 +252,11 @@ SAMPLED_FAMILIES = st.one_of(
 @example(family=(morse_at, (1.5e40, 7.4e-4 / (2.0 * math.sqrt(3e40)))), tail=1e-8)
 @example(family=(ModifiedPoschlTeller, (1e35, 1.0)), tail=1e-8)
 @example(family=(ModifiedIsotonic, (1e300,)), tail=1e-300)
-@example(family=(morse_at, (1.0, 0.99)), tail=1e-4)  # capped on the right
-def test_sizing_samples_once_and_meets_the_tail_below_the_cap(family, tail):
-    # The seed is exact: one evaluation of the amplitude, and every side
-    # below the grid cap ends below the tail. A seed that missed would raise
-    # GridError here. An accepted log amplitude peaks within +-180, so it
-    # is exponentiated as it is.
+@example(family=(morse_at, (1.0, 0.99)), tail=1e-4)  # 724 wide on the right
+def test_sizing_samples_once_and_meets_the_tail(family, tail):
+    # The seed is exact: one evaluation of the amplitude, and both sides end
+    # below the tail. A seed that missed would raise GridError here. An
+    # accepted log amplitude peaks within +-180, so it is exponentiated as it is.
     build, params = family
     try:
         spec = build(*params)
@@ -223,15 +273,16 @@ def test_sizing_samples_once_and_meets_the_tail_below_the_cap(family, tail):
     with mock.patch.object(numerics, "ground_state_log_amplitude", counted):
         try:
             wf = sized_ground_state(spec, tail)
-        except GridGrowthExhaustedError:  # a capped side still above 10% of the peak
-            wf = None
+        except GridError as exc:  # a seed past the float range
+            assert str(exc) == "grid bounds must be finite", (spec, tail)
+            assert calls == [], (spec, tail)
+            return
     [(size, peak)] = calls
     assert size == numerics.DEFAULT_N_POINTS, (spec, tail)
-    if wf is not None:
-        assert abs(peak) <= 180.0, (spec, tail, peak)
-        peak = float(np.max(np.abs(wf.amplitude)))
-        for width, end in ((-wf.grid.x_min, wf.amplitude[0]), (wf.grid.x_max, wf.amplitude[-1])):
-            assert width == EXTENT_CAP or abs(end) <= tail * peak, (spec, tail, width, end / peak)
+    assert abs(peak) <= 180.0, (spec, tail, peak)
+    peak = float(np.max(np.abs(wf.amplitude)))
+    for end in (wf.amplitude[0], wf.amplitude[-1]):
+        assert abs(end) <= tail * peak, (spec, tail, end / peak)
 
 
 # The text of every family with a sampled state, from the boxes above.
