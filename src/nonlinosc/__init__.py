@@ -17,10 +17,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "errors": (
-        "ConvergenceError", "DomainError", "GridError", "NormalizationError", "SpecError",
-        "UnsupportedSpecError",
-    ),
+    "errors": ("ConvergenceError", "DomainError", "GridError", "NormalizationError", "SpecError"),
     "measures": ("MeasureReport", "ReportDiagnostics", "measure_report"),
     "numerics": (
         "CovarianceMatrix", "Grid", "SampledWavefunction", "covariance_of", "sized_ground_state",
@@ -28,14 +25,13 @@ _EXPORTS = {
     "oracle": ("EigenResult", "fd_ground_state"),
     "perturbation": (
         "CurvePoint", "PerturbativeState", "alpha_coefficients", "eta_b_perturbative",
-        "parametric_curve", "perturbed_variances", "scatter_sample",
+        "parametric_curve", "scatter_sample",
     ),
     "potentials": (
         "P_PLUS", "FellowsSmith", "Harmonic", "ModifiedIsotonic", "ModifiedPoschlTeller",
         "Morse", "PerturbedHarmonic", "PotentialSpec", "evaluate_potential",
         "parse_potential_spec",
     ),
-    "specfun": ("entropy_h",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

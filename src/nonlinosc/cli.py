@@ -34,13 +34,8 @@ from .errors import (
     NormalizationError,
     SpecError,
 )
-from .measures import MeasureReport, measure_report, measure_state
-from .numerics import (
-    DEFAULT_N_POINTS,
-    DEFAULT_TARGET_TAIL,
-    require_grid_settings,
-    sized_ground_state,
-)
+from .measures import MeasureReport, measure_report
+from .numerics import DEFAULT_N_POINTS, DEFAULT_TARGET_TAIL, require_grid_settings
 from .oracle import fd_ground_state, fidelity as oracle_fidelity
 from .perturbation import parametric_curve, scatter_sample
 from .potentials import PerturbedHarmonic, parse_potential_params, parse_potential_spec
@@ -190,10 +185,11 @@ def _run_curve(args: argparse.Namespace) -> int:
 
 def _run_oracle_check(args: argparse.Namespace) -> int:
     spec = parse_potential_spec(args.potential)
-    sample = sized_ground_state(spec, args.tail, args.grid_points)
     # Reported before the DVR solve, so a spec that measure cannot report fails as it does there.
-    analytic = measure_state(spec, sample, args.tail)
-    result = fd_ground_state(spec, sample.grid)
+    analytic = measure_report(spec, target_tail=args.tail, n_points=args.grid_points)
+    if analytic.diagnostics.grid is None:
+        raise SpecError(f"{spec.kind} has a closed-form report and no sampled state to check")
+    result = fd_ground_state(spec, analytic.diagnostics.grid)
     e_analytic = analytic.ground_energy
     infidelity = 1.0 - oracle_fidelity(spec, result)
     fields = {

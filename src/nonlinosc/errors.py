@@ -5,10 +5,6 @@ class SpecError(ValueError):
     """Invalid potential parameters or unparseable potential text."""
 
 
-class UnsupportedSpecError(SpecError):
-    """Valid potential passed to an operation that does not support it."""
-
-
 class DomainError(ValueError):
     """Argument outside the mathematical domain of a special function."""
 

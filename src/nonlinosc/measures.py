@@ -8,9 +8,11 @@ of the ground state, which for a pure state is h(sqrt(det sigma)) with
 sigma its canonical covariance matrix. Both vanish exactly on harmonic
 ground states; eta_ng needs no reference potential at all.
 
-``measure_state`` is the one evaluator of a sampled analytic state. Its
-alarm is the half-grid difference d of the excess det sigma - 1/4 taken on
-all nodes and on every other node.
+``measure_report`` is the one evaluator from a spec to its report, for
+every command: a family with a sampled state gets it sized and sampled
+once, with the half-grid difference d of the excess det sigma - 1/4 (all
+nodes against every other node) as its alarm; ``pert`` gets the closed
+forms of its first-order state and no grid.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .numerics import (
-    DEFAULT_N_POINTS,
-    DEFAULT_TARGET_TAIL,
-    Grid,
-    SampledWavefunction,
-    covariance_of,
-    sized_ground_state,
-)
+from .numerics import DEFAULT_N_POINTS, DEFAULT_TARGET_TAIL, Grid, covariance_of, sized_ground_state
 from .perturbation import eta_b_perturbative, perturbed_excess
 from .potentials import PerturbedHarmonic, PotentialSpec
 from .specfun import eta_ng_of_excess
@@ -73,14 +68,11 @@ def measure_report(
     target_tail: float = DEFAULT_TARGET_TAIL,
     n_points: int = DEFAULT_N_POINTS,
 ) -> MeasureReport:
-    """Evaluate everything for one potential instance in a single pass."""
+    """Evaluate everything for one potential instance in a single pass; the
+    report's grid is the one its state was sampled on, None for ``pert``."""
     if isinstance(spec, PerturbedHarmonic):
         return _perturbative_report(spec)
-    return measure_state(spec, sized_ground_state(spec, target_tail, n_points), target_tail)
-
-
-def measure_state(spec: PotentialSpec, wf: SampledWavefunction, target_tail: float) -> MeasureReport:
-    """The report of a state of ``spec`` sampled on a grid cut at ``target_tail``."""
+    wf = sized_ground_state(spec, target_tail, n_points)
     excess = covariance_of(wf).excess
     spread = abs(excess - covariance_of(wf, stride=2).excess)
     grid = wf.grid

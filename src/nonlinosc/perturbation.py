@@ -4,7 +4,7 @@ randomized ensemble relating them.
 The ground state of V = omega^2 x^2 / 2 + eps3 x^3 + eps4 x^4 is truncated
 to its three-term first-order expansion N^{-1/2} (|0> + alpha1 |1> +
 alpha2 |2>) with N = 1 + alpha1^2 + alpha2^2. Everything downstream
-(variances, both nonlinearity measures, the parametric curve) follows in
+(det sigma - 1/4, both nonlinearity measures, the parametric curve) follows in
 closed form; the tests check every formula against exact Gaussian moments
 of the three-term state in position space.
 """
@@ -73,11 +73,11 @@ def alpha_coefficients(eps3: float, eps4: float, omega: float = 1.0) -> Perturba
     """
     if not (math.isfinite(omega) and omega > 0.0):
         raise SpecError(f"omega must be positive, got {omega!r}")
-    try:
-        alpha1 = -3.0 * eps3 / (2.0 * omega) ** 1.5
-        alpha2 = -0.5 * eps4 * (3.0 / _SQRT2) / omega**2
-    except (ZeroDivisionError, OverflowError):
-        raise SpecError(f"omega={omega!r}: (2 omega)^1.5 or omega^2 under- or overflows") from None
+    # omega * omega leaves the float range exactly where omega**2 would, and before (2 omega)^1.5.
+    if not 0.0 < omega * omega < math.inf:
+        raise SpecError(f"omega={omega!r}: (2 omega)^1.5 or omega^2 under- or overflows")
+    alpha1 = -3.0 * eps3 / (2.0 * omega) ** 1.5
+    alpha2 = -0.5 * eps4 * (3.0 / _SQRT2) / omega**2
     for name, value in (("alpha1", alpha1), ("alpha2", alpha2)):
         if not abs(value) <= ALPHA_GUARD:
             raise SpecError(
@@ -85,20 +85,6 @@ def alpha_coefficients(eps3: float, eps4: float, omega: float = 1.0) -> Perturba
                 f"{ALPHA_GUARD!r} (eps3={eps3!r}, eps4={eps4!r}, omega={omega!r})"
             )
     return PerturbativeState(alpha1=alpha1, alpha2=alpha2)
-
-
-def perturbed_variances(state: PerturbativeState) -> tuple[float, float]:
-    """Position and momentum variances of the three-term state (omega = 1
-    ladder units)."""
-    a1, a2 = state.alpha1, state.alpha2
-    n = state.norm_n
-    var_q = (
-        3.0 * a1**4
-        - 6.0 * _SQRT2 * a1**2 * a2
-        + (1.0 + a2**2) * (1.0 + 2.0 * _SQRT2 * a2 + 5.0 * a2**2)
-    ) / (2.0 * n**2)
-    var_p = 1.5 - (1.0 + _SQRT2 * a2 - a2**2) / n
-    return var_q, var_p
 
 
 def eta_b_perturbative(state: PerturbativeState) -> float:

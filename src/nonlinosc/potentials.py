@@ -19,7 +19,7 @@ from typing import ClassVar, Union, get_args
 
 import numpy as np
 
-from .errors import DomainError, SpecError, UnsupportedSpecError
+from .errors import DomainError, SpecError
 from .perturbation import alpha_coefficients
 from .specfun import kummer_phi_log_grid
 
@@ -46,17 +46,19 @@ class _Family:
     """Physics shared by every catalog dataclass.
 
     Each family sets ``kind``, its name in the text form, and defines
-    ``potential(x)`` (V on an array), ``log_amplitude(x)`` (the log L of the
+    ``potential(x)`` (V on an array, in numpy arithmetic only, so it
+    overflows to inf rather than raising), ``omega_r()`` (reference
+    frequency or None) and ``energy()`` (ground energy). A family with a
+    sampled state also defines ``log_amplitude(x)`` (the log L of the
     analytic ground state and its exact x-derivative L', from one
-    evaluation), ``omega_r()`` (reference frequency or None),
-    ``energy()`` (ground energy) and ``seed_halfwidths(depth)``: exact
-    halfwidths left and right of the origin, with a small margin, beyond
-    which the amplitude stays ``depth`` e-foldings below its peak.
-    ``sized_ground_state`` samples that grid once, at any size, with no cap
-    on its extent; a seed that misses its tail is a fault, not a reason to
-    grow. Its dataclass fields are its parse keys and sweep axes. A family
-    with a printed normalization adds its constant log prefactor in
-    ``log_amplitude``; Morse and MIO have none.
+    evaluation) and ``seed_halfwidths(depth)``: exact halfwidths left and
+    right of the origin, with a small margin, beyond which the amplitude
+    stays ``depth`` e-foldings below its peak. ``sized_ground_state``
+    samples that grid once, at any size, with no cap on its extent; a seed
+    that misses its tail is a fault, not a reason to grow. Its dataclass
+    fields are its parse keys and sweep axes. A family with a printed
+    normalization adds its constant log prefactor in ``log_amplitude``;
+    Morse and MIO have none.
     """
 
     kind: ClassVar[str]
@@ -79,7 +81,7 @@ class Harmonic(_Family):
         _require_finite_positive("harmonic omega/pi", self.omega / math.pi)
 
     def potential(self, x: np.ndarray) -> np.ndarray:
-        return 0.5 * self.omega**2 * x**2
+        return 0.5 * (self.omega * x) ** 2
 
     def log_amplitude(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         log_prefactor = 0.25 * math.log(self.omega / math.pi)
@@ -285,15 +287,14 @@ class FellowsSmith(_Family):
             raise SpecError(f"Fellows-Smith p must lie in (-1, 0], got {self.p!r}")
 
     def potential(self, x: np.ndarray) -> np.ndarray:
-        # V = -2p + x^2/2 + 4(1+p) x^2 r [(1+p) r - 1], r = Phi_3/Phi_1. Both
-        # Phi factors grow like e^{x^2} but their ratio stays O(1), so only the
-        # ratio ever leaves log space.
+        # V = -2p + z/2 + 4(1+p) z r [(1+p) r - 1], z = x^2, with r the ratio
+        # Phi((3+p)/2, 3/2; z)/Phi((1+p)/2, 1/2; z) = rho/((1+p) z) (DLMF 13.3.15),
+        # so V = -2p + z/2 + 4 rho (rho/z - 1) from the state's own pass; rho/z = 1+p at 0.
         p = self.p
         z = x * x
-        log_phi1, _ = kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
-        log_phi3, _ = kummer_phi_log_grid((3.0 + p) / 2.0, 1.5, z)
-        ratio = np.exp(log_phi3 - log_phi1)
-        return -2.0 * p + 0.5 * z + 4.0 * (1.0 + p) * z * ratio * ((1.0 + p) * ratio - 1.0)
+        _, rho = kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
+        slope = np.divide(rho, z, out=np.full_like(z, 1.0 + p), where=z != 0.0)
+        return -2.0 * p + 0.5 * z + 4.0 * rho * (slope - 1.0)
 
     def log_amplitude(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # L' = x - 2 rho/x (0 at x = 0), rho = z d(log Phi)/dz from the same Kummer pass.
@@ -338,11 +339,6 @@ class FellowsSmith(_Family):
         return 1.1 * w, 1.1 * w
 
 
-_PERTURBED_UNSUPPORTED = (
-    "perturbed-harmonic ground state is a number-basis expansion; use the perturbation module"
-)
-
-
 @dataclass(frozen=True)
 class PerturbedHarmonic(_Family):
     """V(x) = omega^2 x^2 / 2 + eps3 x^3 + eps4 x^4, treated perturbatively.
@@ -352,9 +348,9 @@ class PerturbedHarmonic(_Family):
     where the first-order three-term ground-state expansion is meaningful.
     The guard's result, the first-order state, is kept as ``first_order``
     (an attribute, not a field: fields are parse keys and sweep axes). The
-    state has no position-space amplitude: ``log_amplitude`` and
-    ``seed_halfwidths`` raise UnsupportedSpecError, and ``measure_report``
-    takes the perturbative route.
+    state is a number-basis expansion with no sampled amplitude, so the
+    family defines no ``log_amplitude`` or ``seed_halfwidths``:
+    ``measure_report`` gives it a closed-form report with no grid.
     """
 
     omega: float
@@ -369,10 +365,7 @@ class PerturbedHarmonic(_Family):
         object.__setattr__(self, "first_order", state)  # the dataclass is frozen
 
     def potential(self, x: np.ndarray) -> np.ndarray:
-        return 0.5 * self.omega**2 * x**2 + self.eps3 * x**3 + self.eps4 * x**4
-
-    def log_amplitude(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        raise UnsupportedSpecError(_PERTURBED_UNSUPPORTED)
+        return 0.5 * (self.omega * x) ** 2 + self.eps3 * x**3 + self.eps4 * x**4
 
     def omega_r(self) -> float:
         return self.omega
@@ -381,9 +374,6 @@ class PerturbedHarmonic(_Family):
         # First-order ground energy: omega/2 + eps4 <0|x^4|0> (the cubic term
         # enters only at second order).
         return 0.5 * self.omega + self.eps4 * 0.75 / self.omega**2
-
-    def seed_halfwidths(self, depth: float) -> tuple[float, float]:
-        raise UnsupportedSpecError(_PERTURBED_UNSUPPORTED)
 
 
 PotentialSpec = Union[

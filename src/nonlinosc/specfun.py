@@ -1,16 +1,17 @@
-"""Special functions: Kummer's confluent hypergeometric on a grid, the
-Gaussian-state entropy function and the non-Gaussianity of a pure state
-from its covariance determinant's excess over 1/4. log Gamma is
-``math.lgamma``.
+"""Special functions: Kummer's confluent hypergeometric on a grid and the
+non-Gaussianity of a pure state from its covariance determinant's excess
+over 1/4. log Gamma is ``math.lgamma``.
 
 All functions are pure and stateless. Kummer Phi enters the catalog only
-through the Fellows-Smith ground state and potential, as Phi(a, b; x^2)
-sampled on a whole grid, where the series value can exceed the float
-range. ``kummer_phi_log_grid`` is that one log-space evaluator: it sums the
+through the Fellows-Smith family, as Phi((1+p)/2, 1/2; x^2) sampled on a
+whole grid, where the series value can exceed the float range.
+``kummer_phi_log_grid`` is that one log-space evaluator: it sums the
 positive series terms in linear space, 16 terms per BLAS matrix-vector
 product against a table of powers of z, and rescales each element into a
 log scale before the sum can overflow. The same pass sums the terms
-weighted by their index, which gives z d(log Phi)/dz.
+weighted by their index, which gives rho = z d(log Phi)/dz: the state's
+log-derivative and, through the contiguous relation of DLMF 13.3(ii), its
+potential come from that one pass.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ _TAIL_RATIO = math.exp(-40.0)  # series stop: last term below e^-40 of the sum
 _LOG_RESCALE_AT = math.log(1e150)  # growth bound that triggers a rescale in the grid kernel
 _BLOCK = 16  # series terms summed by one matrix-vector product
 _CHUNK = 8 * _BLOCK  # series coefficients computed at once
-HEISENBERG_SLACK = 1e-9  # noise allowed below the Heisenberg minimum 1/2 of entropy_h
 
 
 def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -122,29 +122,10 @@ def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, 
     raise ConvergenceError(f"kummer_phi_log_grid did not converge for a={a}, b={b}")
 
 
-def entropy_h(x: float) -> float:
-    """Entropy of a Gaussian state with symplectic eigenvalue x:
-    h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2).
-
-    Inputs within HEISENBERG_SLACK below 1/2 are clamped to exactly 1/2
-    (quadrature noise on a pure Gaussian can push sqrt(det sigma) marginally
-    under the Heisenberg minimum); anything lower is a genuine domain violation.
-    h(1/2) = 0 by the x -> 1/2 limit, and h is strictly increasing.
-    """
-    if not math.isfinite(x):
-        raise DomainError(f"entropy_h requires finite x, got {x!r}")
-    if x < 0.5 - HEISENBERG_SLACK:
-        raise DomainError(
-            f"entropy_h argument {x!r} is below 1/2: unphysical covariance determinant"
-        )
-    x = max(x, 0.5)
-    minus = x - 0.5
-    tail = 0.0 if minus == 0.0 else minus * math.log(minus)
-    return (x + 0.5) * math.log(x + 0.5) - tail
-
-
 def eta_ng_of_excess(excess: float) -> float:
-    """h(sqrt(det sigma)) of a pure state from its excess m = det sigma - 1/4.
+    """h(sqrt(det sigma)) of a pure state from its excess m = det sigma - 1/4,
+    where h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2) is the entropy
+    of a Gaussian state with symplectic eigenvalue x.
 
     With u = sqrt(det sigma) - 1/2 = m / (1/2 + sqrt(1/4 + m)), h(1/2 + u) =
     log1p(u) + u log((1 + u)/u): two positive terms, with no cancellation

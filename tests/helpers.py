@@ -4,9 +4,10 @@ The oracles are deliberately decoupled from the package's own evaluation
 paths: Stirling series for Gamma, exact-rational series for the confluent
 hypergeometric function, mpmath quadrature for moments, exact Gaussian
 moments for the three-term perturbative state, and plain finite
-differences for local energies. The Gaussian-state, Bures-distance,
-Gamma, overlap, fixed-grid sampling, grid-refinement and bound-state-count
-aids at the end serve tests only; no package path needs them.
+differences for local energies. The printed perturbative variances, the
+Gaussian-state entropy h, and the Gaussian-state, Bures-distance, Gamma,
+overlap, fixed-grid sampling, grid-refinement and bound-state-count aids
+serve tests only; no package path needs them.
 """
 
 import math
@@ -18,8 +19,9 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-from nonlinosc.errors import ConvergenceError, DomainError, UnsupportedSpecError
+from nonlinosc.errors import ConvergenceError, DomainError, SpecError
 from nonlinosc.numerics import Grid, SampledWavefunction
+from nonlinosc.perturbation import PerturbativeState
 from nonlinosc.potentials import (
     ModifiedIsotonic,
     ModifiedPoschlTeller,
@@ -268,11 +270,50 @@ def three_term_state(a1: float, a2: float) -> tuple[float, float, float]:
     return _gaussian_mean(p) / math.sqrt(norm), var_x, var_p
 
 
+def perturbed_variances(state: PerturbativeState) -> tuple[float, float]:
+    """Position and momentum variances of the three-term state (omega = 1
+    ladder units), as printed."""
+    a1, a2 = state.alpha1, state.alpha2
+    n = state.norm_n
+    root2 = math.sqrt(2.0)
+    var_q = (
+        3.0 * a1**4
+        - 6.0 * root2 * a1**2 * a2
+        + (1.0 + a2**2) * (1.0 + 2.0 * root2 * a2 + 5.0 * a2**2)
+    ) / (2.0 * n**2)
+    var_p = 1.5 - (1.0 + root2 * a2 - a2**2) / n
+    return var_q, var_p
+
+
 def entropy_oracle(x: float) -> float:
     xm = mp.mpf(x)
     if xm == mp.mpf("0.5"):
         return 0.0
     return float((xm + 0.5) * mp.log(xm + 0.5) - (xm - 0.5) * mp.log(xm - 0.5))
+
+
+HEISENBERG_SLACK = 1e-9  # noise allowed below the Heisenberg minimum 1/2 of entropy_h
+
+
+def entropy_h(x: float) -> float:
+    """Entropy of a Gaussian state with symplectic eigenvalue x:
+    h(x) = (x + 1/2) ln(x + 1/2) - (x - 1/2) ln(x - 1/2).
+
+    Inputs within HEISENBERG_SLACK below 1/2 are clamped to exactly 1/2
+    (quadrature noise on a pure Gaussian can push sqrt(det sigma) marginally
+    under the Heisenberg minimum); anything lower is a genuine domain violation.
+    h(1/2) = 0 by the x -> 1/2 limit, and h is strictly increasing.
+    """
+    if not math.isfinite(x):
+        raise DomainError(f"entropy_h requires finite x, got {x!r}")
+    if x < 0.5 - HEISENBERG_SLACK:
+        raise DomainError(
+            f"entropy_h argument {x!r} is below 1/2: unphysical covariance determinant"
+        )
+    x = max(x, 0.5)
+    minus = x - 0.5
+    tail = 0.0 if minus == 0.0 else minus * math.log(minus)
+    return (x + 0.5) * math.log(x + 0.5) - tail
 
 
 def second_difference(fn, x: float, h: float = 1e-3) -> float:
@@ -436,7 +477,7 @@ def count_negative_eigenvalues(spec, grid: Grid) -> int:
     discretization has not converged.
     """
     if not isinstance(spec, (Morse, ModifiedPoschlTeller)):
-        raise UnsupportedSpecError(
+        raise SpecError(
             "negative-eigenvalue counting needs V -> 0 at +infinity; confining "
             "potentials have no natural zero threshold"
         )

@@ -16,7 +16,6 @@ from nonlinosc.perturbation import (
     PerturbativeState,
     eta_b_perturbative,
     parametric_curve,
-    perturbed_variances,
 )
 from nonlinosc.potentials import (
     P_PLUS,
@@ -27,9 +26,8 @@ from nonlinosc.potentials import (
     Morse,
     PerturbedHarmonic,
 )
-from nonlinosc.specfun import entropy_h
 
-from helpers import three_term_state
+from helpers import entropy_h, perturbed_variances, three_term_state
 
 STANDARD_SET = [
     Morse(1.0, 0.5),

@@ -25,13 +25,14 @@ from nonlinosc.potentials import (
     Morse,
     PerturbedHarmonic,
 )
-from nonlinosc.specfun import entropy_h, eta_ng_of_excess
+from nonlinosc.specfun import eta_ng_of_excess
 
 from helpers import (
     GaussianCovariance,
     UnphysicalCovarianceError,
     bures_distance,
     closed_excess,
+    entropy_h,
     entropy_oracle,
     mio_closed_moments,
     mio_reference_fidelity,
@@ -40,6 +41,7 @@ from helpers import (
     morse_reference_fidelity,
     mpt_closed_det,
     overlap,
+    perturbed_variances,
     reference_gaussian,
     sample_ground_state,
     three_term_state,
@@ -186,7 +188,7 @@ class TestMeasureReport:
         excess = original(calls[0])
         assert report.det_sigma == 0.25 + excess
         assert report.eta_ng == eta_ng_of_excess(excess)
-        var_q, var_p = perturbation.perturbed_variances(calls[0])
+        var_q, var_p = perturbed_variances(calls[0])
         assert report.eta_ng == pytest.approx(entropy_h(math.sqrt(var_q * var_p)), abs=1e-15)
 
     def test_perturbed_report_builds_its_first_order_state_once(self, monkeypatch):

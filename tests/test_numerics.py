@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 
 from nonlinosc import numerics
-from nonlinosc.errors import (
-    GridError,
-    NormalizationError,
-    UnsupportedSpecError,
-)
-from nonlinosc.measures import measure_report, measure_state
+from nonlinosc.errors import GridError, NormalizationError
+from nonlinosc.measures import measure_report
 from nonlinosc.numerics import (
     CovarianceMatrix,
     Grid,
@@ -26,7 +22,6 @@ from nonlinosc.potentials import (
     ModifiedIsotonic,
     ModifiedPoschlTeller,
     Morse,
-    PerturbedHarmonic,
 )
 
 from helpers import (
@@ -195,10 +190,6 @@ class TestSizedGroundState:
         report = measure_report(spec)
         assert report.diagnostics.grid == kept.grid
         assert report.det_sigma == covariance_of(public).det
-
-    def test_perturbed_harmonic_is_unsupported(self):
-        with pytest.raises(UnsupportedSpecError, match="number-basis expansion"):
-            sized_ground_state(PerturbedHarmonic(1.0))
 
     @pytest.mark.parametrize("n_points", [129, 513, 1025, 4097, 8193])
     def test_near_threshold_morse_spans_its_seed_at_every_point_count(self, n_points):
@@ -392,8 +383,9 @@ class TestRichardsonSelfConsistency:
         cov_f = covariance_of(sample_ground_state(spec, fine))
         assert abs(cov_c.var_x - cov_f.var_x) <= 1e-7
         assert abs(cov_c.var_p - cov_f.var_p) <= 1e-7
-        # The report's overlap, with the reference Gaussian kept at its exact norm.
-        fid_c, fid_f = (measure_state(spec, sample_ground_state(spec, g), 1e-8).fidelity_to_reference
+        # The report's overlap, with the reference Gaussian kept at its exact norm;
+        # the seed's extent does not depend on the point count.
+        fid_c, fid_f = (measure_report(spec, n_points=g.n_points).fidelity_to_reference
                         for g in (grid, fine))
         assert (fid_c is None and fid_f is None) or abs(fid_c - fid_f) <= 1e-7
 

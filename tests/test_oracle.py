@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nonlinosc.errors import ConvergenceError, GridError, SpecError, UnsupportedSpecError
+from nonlinosc.errors import ConvergenceError, GridError, SpecError
 from nonlinosc.numerics import Grid, sized_ground_state
 from nonlinosc.oracle import (
     EigenResult,
@@ -17,11 +17,12 @@ from nonlinosc.potentials import (
     ModifiedPoschlTeller,
     Morse,
 )
-from nonlinosc.perturbation import PerturbativeState, perturbed_variances
+from nonlinosc.perturbation import PerturbativeState
 
 from helpers import (
     count_negative_eigenvalues,
     morse_bound_state_count,
+    perturbed_variances,
     three_term_state,
 )
 
@@ -229,9 +230,9 @@ class TestCountNegativeEigenvalues:
         assert count_negative_eigenvalues(ModifiedPoschlTeller(1.0, 1.0), Grid(-25.0, 25.0, 4097)) == 1
 
     def test_confining_potentials_unsupported(self):
-        with pytest.raises(UnsupportedSpecError):
+        with pytest.raises(SpecError):
             count_negative_eigenvalues(Harmonic(1.0), Grid(-10.0, 10.0, 1025))
-        with pytest.raises(UnsupportedSpecError):
+        with pytest.raises(SpecError):
             count_negative_eigenvalues(ModifiedIsotonic(1.0), Grid(-10.0, 10.0, 1025))
 
 

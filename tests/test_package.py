@@ -30,7 +30,8 @@ def test_unknown_name_is_an_attribute_error():
     for name in ("eta_bures", "ground_state_amplitude", "fellows_smith_well_structure",
                  "WellRegion", "P_MINUS", "FockState", "fock_covariance", "TruncationError",
                  "ScatterRecord", "eta_ng_perturbative", "simpson_integral", "overlap",
-                 "IncompatibleDomainError"):
+                 "IncompatibleDomainError", "UnsupportedSpecError", "perturbed_variances",
+                 "entropy_h"):
         with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
             getattr(nonlinosc, name)
 

@@ -13,13 +13,12 @@ from nonlinosc.perturbation import (
     eta_b_perturbative,
     parametric_curve,
     perturbed_excess,
-    perturbed_variances,
     scatter_sample,
 )
 from nonlinosc.potentials import PerturbedHarmonic
-from nonlinosc.specfun import entropy_h, eta_ng_of_excess
+from nonlinosc.specfun import eta_ng_of_excess
 
-from helpers import three_term_state
+from helpers import entropy_h, perturbed_variances, three_term_state
 
 
 class ScatterRow(NamedTuple):

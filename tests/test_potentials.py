@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nonlinosc import potentials, specfun
-from nonlinosc.errors import DomainError, SpecError, UnsupportedSpecError
+from nonlinosc.errors import DomainError, SpecError
 from nonlinosc.measures import measure_report
 from nonlinosc.numerics import sized_ground_state
 from nonlinosc.potentials import (
@@ -67,12 +67,26 @@ class TestEvaluatePotential:
     def test_mpt_at_origin(self):
         assert evaluate_potential(ModifiedPoschlTeller(2.0, 1.0), 0.0) == pytest.approx(-2.0)
 
-    @pytest.mark.parametrize("x", [0.0, 0.7, 1.6, 3.0])
-    def test_fellows_smith_against_series_oracle(self, x):
-        p = -0.6
-        assert evaluate_potential(FellowsSmith(p), x) == pytest.approx(
-            fs_potential_oracle(p, x), rel=1e-10, abs=1e-10
-        )
+    @pytest.mark.parametrize("p", [-0.99, -0.85, -0.6, -0.3, -0.1, 0.0])
+    def test_fellows_smith_against_series_oracle(self, p):
+        # Every 64th node of the report grid, against 40-digit mpmath.
+        x = sized_ground_state(FellowsSmith(p)).grid.points()[::64]
+        for value, got in zip(x, evaluate_potential(FellowsSmith(p), x)):
+            expected = fs_potential_oracle(p, float(value))
+            assert abs(got - expected) <= 1e-14 * max(1.0, abs(expected)), (value, got, expected)
+
+    def test_fellows_smith_potential_makes_one_kummer_call(self, monkeypatch):
+        # V comes from rho of the state's own pass, not from a second series.
+        calls = []
+        original = potentials.kummer_phi_log_grid
+
+        def counted(a, b, z):
+            calls.append((a, b))
+            return original(a, b, z)
+
+        monkeypatch.setattr(potentials, "kummer_phi_log_grid", counted)
+        FellowsSmith(-0.6).potential(np.linspace(-5.0, 5.0, 129))
+        assert calls == [(0.2, 0.5)]
 
     def test_fellows_smith_wide_range_no_overflow(self):
         x = np.linspace(-30.0, 30.0, 201)
@@ -127,10 +141,6 @@ class TestGroundState:
         _, slope = spec.log_amplitude(x)
         difference = (spec.log_amplitude(x + step)[0] - spec.log_amplitude(x - step)[0]) / (2 * step)
         assert np.allclose(slope, difference, rtol=1e-6, atol=1e-6)
-
-    def test_perturbed_harmonic_unsupported(self):
-        with pytest.raises(UnsupportedSpecError):
-            PerturbedHarmonic(1.0, 0.1, 0.1).log_amplitude(np.array([0.0]))
 
     @pytest.mark.parametrize("spec", CATALOG)
     def test_decay_at_infinity(self, spec):

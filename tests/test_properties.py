@@ -230,6 +230,23 @@ def test_harmonic_reports_zero_at_every_frequency(exponent):
     assert (report["eta_b"], report["det_sigma"]) == (0.0, 0.25), (exponent, report)
 
 
+@SETTINGS
+@given(exponent=st.floats(min_value=-300.0, max_value=304.0))
+@example(exponent=-300.0)
+@example(exponent=-162.0)  # omega^2 underflowed in V: the DVR missed its tail
+@example(exponent=-161.0)  # V was subnormal: an oracle mismatch
+@example(exponent=-160.0)  # E_dvr 5.6e-6 off
+@example(exponent=155.0)  # omega^2 overflowed in V
+@example(exponent=304.0)  # T's spectrum plus max |V| is below the float range up to 1e304
+def test_harmonic_oracle_check_matches_measure_at_every_frequency(exponent):
+    text = f"harmonic:omega={10.0**exponent!r}"
+    code, out, err = run("oracle-check", "--potential", text, "--format", "json")
+    assert (code, err) == (0, ""), (text, code, err)
+    row = json.loads(out)
+    assert row["eta_ng_analytic"] <= 1e-28 and row["eta_ng_fd"] <= 1e-16, (text, row)
+    assert abs(row["e_diff"]) <= 1e-11 * row["e_analytic"], (text, row)
+
+
 def morse_at(depth: float, fraction: float) -> Morse:
     """The Morse well of depth D at a fraction of its bound-state limit."""
     return Morse(depth, fraction * 2.0 * math.sqrt(2.0 * depth))

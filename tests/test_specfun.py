@@ -9,13 +9,10 @@ from nonlinosc import specfun
 from nonlinosc.errors import ConvergenceError, DomainError
 from nonlinosc.numerics import sized_ground_state
 from nonlinosc.potentials import P_PLUS, FellowsSmith
-from nonlinosc.specfun import (
-    entropy_h,
-    eta_ng_of_excess,
-    kummer_phi_log_grid,
-)
+from nonlinosc.specfun import eta_ng_of_excess, kummer_phi_log_grid
 
 from helpers import (
+    entropy_h,
     entropy_oracle,
     gamma_fn,
     gamma_oracle,
