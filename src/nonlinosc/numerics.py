@@ -43,7 +43,7 @@ def _require_n_points(n_points: int) -> None:
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform position grid with an odd number of nodes."""
+    """Uniform position grid with an odd number of nodes, built from both ends."""
 
     x_min: float
     x_max: float
@@ -71,7 +71,12 @@ class Grid:
 
     @cached_property
     def _nodes(self) -> np.ndarray:
-        nodes = np.linspace(self.x_min, self.x_max, self.n_points)
+        half = self.n_points // 2
+        steps = np.arange(half) * self.spacing
+        nodes = np.empty(self.n_points)
+        np.add(steps, self.x_min, out=nodes[:half])  # np.linspace's nodes, bit for bit
+        np.subtract(self.x_max, steps[::-1], out=nodes[half + 1 :])  # mirror-exact if symmetric
+        nodes[half] = self.x_min + 0.5 * (self.x_max - self.x_min)
         nodes.flags.writeable = False
         return nodes
 
@@ -151,7 +156,13 @@ def sized_ground_state(
     require_grid_settings(target_tail, n_points)
     left, right = spec.seed_halfwidths(math.log(1.0 / target_tail))
     grid = Grid(-left, right, n_points)
-    log_amp, log_derivative = ground_state_log_amplitude(spec, grid.points())
+    x = grid.points()
+    if spec.even and grid.x_min == -grid.x_max:  # L is even and L' odd: sample x >= 0 and mirror
+        log_amp, log_derivative = ground_state_log_amplitude(spec, x[n_points // 2 :])
+        log_amp = np.concatenate((log_amp[:0:-1], log_amp))
+        log_derivative = np.concatenate((-log_derivative[:0:-1], log_derivative))
+    else:
+        log_amp, log_derivative = ground_state_log_amplitude(spec, x)
     peak = float(np.max(log_amp))
     for side, end in (("left", log_amp[0]), ("right", log_amp[-1])):
         ratio = math.exp(float(end) - peak)

@@ -55,13 +55,15 @@ class _Family:
     right of the origin, with a small margin, beyond which the amplitude
     stays ``depth`` e-foldings below its peak. ``sized_ground_state``
     samples that grid once, at any size, with no cap on its extent; a seed
-    that misses its tail is a fault, not a reason to grow. Its dataclass
+    that misses its tail is a fault, not a reason to grow; an ``even`` one
+    (not Morse) is sampled on x >= 0 and mirrored. Its dataclass
     fields are its parse keys and sweep axes. A family with a printed
     normalization adds its constant log prefactor in ``log_amplitude``;
     Morse and MIO have none.
     """
 
     kind: ClassVar[str]
+    even: ClassVar[bool] = True
 
     def quadrature_warnings(self) -> tuple[str, ...]:
         """Parameter regimes known to degrade the grid quadrature."""
@@ -111,6 +113,7 @@ class Morse(_Family):
     alpha: float
 
     kind: ClassVar[str] = "morse"
+    even: ClassVar[bool] = False
 
     def __post_init__(self):
         _require_finite_positive("Morse D", self.D)

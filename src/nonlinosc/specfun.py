@@ -6,8 +6,8 @@ All functions are pure and stateless. Kummer Phi enters the catalog only
 through the Fellows-Smith family, as Phi((1+p)/2, 1/2; x^2) sampled on a
 whole grid, where the series value can exceed the float range.
 ``kummer_phi_log_grid`` is that one log-space evaluator: it sums the
-positive series terms in linear space, 16 terms per BLAS matrix-vector
-product against a table of powers of z, and rescales each element into a
+positive series terms in linear space, 16 terms per BLAS matrix product
+against a table of powers of z, and rescales each element into a
 log scale before the sum can overflow. The same pass sums the terms
 weighted by their index, which gives rho = z d(log Phi)/dz: the state's
 log-derivative and, through the contiguous relation of DLMF 13.3(ii), its
@@ -25,7 +25,7 @@ from .errors import ConvergenceError, DomainError
 _SERIES_CAP = 100_000
 _TAIL_RATIO = math.exp(-40.0)  # series stop: last term below e^-40 of the sum
 _LOG_RESCALE_AT = math.log(1e150)  # growth bound that triggers a rescale in the grid kernel
-_BLOCK = 16  # series terms summed by one matrix-vector product
+_BLOCK = 16  # series terms summed by one matrix product
 _CHUNK = 8 * _BLOCK  # series coefficients computed at once
 
 
@@ -34,22 +34,22 @@ def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, 
     with t_m the series terms, for an array of arguments z >= 0 (a, b > 0),
     each in the shape of z.
 
-    Sums the positive series terms in linear space, _BLOCK terms per
-    matrix-vector product. With s the power of two above max z, so that z/s
-    is exact, the table of powers (z/s)^1 ... (z/s)^_BLOCK is built once.
-    The term ratios c_n = (a+n)/((b+n)(n+1)) are computed as arrays,
-    _CHUNK at a time. A block's coefficients c_n s, c_n c_{n+1} s^2, ...
-    are scalars relative to its first term, so one product of them with the
-    table sums the block for every element, and a second product, with them
-    times their term indices, its index-weighted sum; the table's last row
-    times the last coefficient gives the next term. A scalar bound on the growth
-    since the last rescale, the product of max(1, c_n z_max), keeps the
+    Sums the positive series terms in linear space, _BLOCK terms per matrix
+    product. With s the power of two above max z, so that z/s is exact, the
+    table of powers (z/s)^1 ... (z/s)^_BLOCK is built once. The term ratios
+    c_n = (a+n)/((b+n)(n+1)) are computed as arrays, _CHUNK at a time. A
+    block's coefficients c_n s, c_n c_{n+1} s^2, ... are scalars relative to
+    its first term: each chunk forms them for all its blocks, over a row of
+    them times their term indices, so one (2 x k) product with the table gives
+    a block's sum and index-weighted sum for every element; the table's last
+    row times the last coefficient gives the next term. A scalar bound on the
+    growth since the last rescale, the product of max(1, c_n z_max), keeps the
     arrays inside the float range: a block ends at the term where it passes
-    1e150, and every element then divides its term and total by its total
-    and adds log(total) to its own log scale. The sum stops when a block's
-    last term is past the ratio peak and below e^-40 of the sum everywhere.
-    An input whose largest z cannot pass the ratio peak within _SERIES_CAP
-    terms raises ConvergenceError before any array work.
+    1e150, and every element then divides its term and total by its total and
+    adds log(total) to its own log scale. The sum stops when a block's last
+    term is past the ratio peak and below e^-40 of the sum everywhere. An input
+    whose largest z cannot pass the ratio peak within _SERIES_CAP terms raises
+    ConvergenceError before any array work.
     """
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"kummer_phi_log_grid requires a, b > 0, got a={a}, b={b}")
@@ -92,17 +92,19 @@ def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, 
         log_growths = log_growth + np.cumsum(np.log(np.maximum(c * z_max, 1.0)))
         length = min(int(np.searchsorted(log_growths, _LOG_RESCALE_AT, side="right")) + 1, c.size)
         log_growth = float(log_growths[length - 1])
-        steps = c[:length] * s
-        for start in range(0, length, _BLOCK):
-            coef = np.cumprod(steps[start : start + _BLOCK])
-            k = coef.size
-            block = coef @ powers[:k]
-            # The block's terms are t_{n+1} ... t_{n+k}; a second row weights them by index.
-            weighted += term * ((coef * np.arange(n + 1.0, n + k + 1.0)) @ powers[:k])
-            block *= term
-            total += block
+        end = n + length
+        steps = np.ones(-(-length // _BLOCK) * _BLOCK)
+        steps[:length] = c[:length] * s
+        coef = np.cumprod(steps.reshape(-1, 1, _BLOCK), axis=2)  # restarts at every block
+        weights = np.arange(n + 1.0, n + 1.0 + steps.size).reshape(coef.shape)
+        for rows in np.concatenate((coef, coef * weights), axis=1):
+            k = min(_BLOCK, end - n)  # the block's terms are t_{n+1} ... t_{n+k}
+            sums = rows[:, :k] @ powers[:k]
+            sums *= term
+            total += sums[0]
+            weighted += sums[1]
             term *= powers[k - 1]
-            term *= coef[-1]
+            term *= rows[0, k - 1]
             n += k
             # term/total grows with z at every n, so the largest z settles
             # last; testing it first skips the full-array test on most blocks.

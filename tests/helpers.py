@@ -432,8 +432,8 @@ def resampled_overlap(wf1: SampledWavefunction, wf2: SampledWavefunction) -> flo
 
 
 def sample_ground_state(spec, grid: Grid) -> SampledWavefunction:
-    """Tabulate and normalize the analytic ground state on a given grid, the
-    way ``sized_ground_state`` treats the sample it keeps."""
+    """Tabulate and normalize the analytic ground state on every node of a
+    given grid; ``sized_ground_state`` samples an even state on the half grid."""
     log_amp, log_derivative = ground_state_log_amplitude(spec, grid.points())
     return SampledWavefunction(grid, np.exp(log_amp), log_derivative)
 

@@ -118,9 +118,11 @@ class TestMeasure:
 
     def test_narrowest_harmonic_reports_exactly(self):
         # The grid is 1e-149 wide: in physical units <p^2> would overflow.
+        # eta_ng is rounding (exact 0) of the half-grid sample on the
+        # grid built from both ends.
         done = run_fresh("measure", "--potential", "harmonic:omega=1e300")
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.splitlines()[1] == "0,1.76259991802e-30,1e+300,5e+299,0.25,1"
+        assert done.stdout.splitlines()[1] == "0,1.7617597219e-30,1e+300,5e+299,0.25,1"
 
     def test_overflowing_position_moment_is_one_error_line(self):
         # N = 7e30 and omega_R = 3.4e-318: the grid is 7e159 wide and var_x is

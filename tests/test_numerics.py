@@ -60,6 +60,15 @@ def odd_wavefunction(grid: Grid):
         return SampledWavefunction(grid, x * np.exp(-(x**2) / 2.0), 1.0 / x - x)
 
 
+def both_ends(x_min: float, x_max: float, n: int) -> np.ndarray:
+    """x_min + k h on the left half, the midpoint, and x_max - k h on the
+    right half, in Python floats."""
+    h, half = (x_max - x_min) / (n - 1), n // 2
+    left = [x_min + k * h for k in range(half)]
+    right = [x_max - k * h for k in reversed(range(half))]
+    return np.array(left + [x_min + 0.5 * (x_max - x_min)] + right)
+
+
 class TestGrid:
     def test_spacing(self):
         g = Grid(-1.0, 1.0, 201)
@@ -77,10 +86,14 @@ class TestGrid:
         g = Grid(-1.0, 1.0, 201)
         assert refined(g).spacing == pytest.approx(g.spacing / 2.0)
 
-    def test_points_are_linspace_bit_for_bit(self):
+    def test_points_step_in_from_both_ends(self):
+        # The left half is np.linspace's, bit for bit; the right half steps
+        # down from x_max, so it differs from np.linspace by an ulp at some nodes.
         g = Grid(-3.7, 11.3, 4097)
         nodes = g.points()
-        assert nodes.tobytes() == np.linspace(-3.7, 11.3, 4097).tobytes()
+        assert nodes.tobytes() == both_ends(-3.7, 11.3, 4097).tobytes()
+        assert nodes[:2048].tobytes() == np.linspace(-3.7, 11.3, 4097)[:2048].tobytes()
+        assert (nodes[-1], nodes[2048]) == (11.3, 3.8)
         assert g.points() is nodes
 
     def test_points_are_read_only(self):
@@ -95,7 +108,7 @@ class TestGrid:
         nodes = g.points()
         for other in (refined(g), dataclasses.replace(g, x_max=2.0)):
             assert other.points() is not nodes
-            expected = np.linspace(other.x_min, other.x_max, other.n_points)
+            expected = both_ends(other.x_min, other.x_max, other.n_points)
             assert other.points().tobytes() == expected.tobytes()
         assert g.points() is nodes
 
@@ -169,10 +182,12 @@ class TestSizedGroundState:
         ids=["harmonic", "morse", "mpt", "mio", "mio-100", "mpt-s3.5"],
     )
     def test_report_without_growth_evaluates_its_amplitude_once(self, spec, monkeypatch):
+        # An even state is evaluated once on the 2,049 nodes x >= 0 of its
+        # symmetric grid, Morse once on all 4,097.
         grids = count_amplitude_calls(monkeypatch, spec)
         report = measure_report(spec)
         left, right = spec.seed_halfwidths(math.log(1e8))
-        assert grids == [(-left, right, 4097)]
+        assert grids == [(0.0, right, 2049) if spec.even else (-left, right, 4097)]
         assert (report.diagnostics.grid.x_min, report.diagnostics.grid.x_max) == (-left, right)
         assert report.diagnostics.tail_ratio <= 1e-8
 
@@ -183,6 +198,7 @@ class TestSizedGroundState:
         ids=lambda spec: spec.kind,
     )
     def test_report_sample_is_the_public_path_bit_for_bit(self, spec):
+        # An even state's half-grid sample, mirrored, is a whole-grid pass's amplitude.
         kept = sized_ground_state(spec)
         public = sample_ground_state(spec, kept.grid)
         assert kept.amplitude.tobytes() == public.amplitude.tobytes()

@@ -412,7 +412,8 @@ class TestPrefactorCache:
 
     @pytest.mark.parametrize("p", [0.0, -0.1, P_PLUS, -0.6, P_MINUS, -0.9999, -1.0 + 1e-9])
     def test_fellows_smith_report_makes_one_kummer_call(self, p, monkeypatch):
-        # The seed meets the tail at once, and the report keeps that sample.
+        # The seed meets the tail at once, and the report keeps that sample,
+        # taken on the 2,049 nodes x >= 0 of its 4,097-node symmetric grid.
         calls = []
         original = potentials.kummer_phi_log_grid
 
@@ -422,7 +423,7 @@ class TestPrefactorCache:
 
         monkeypatch.setattr(potentials, "kummer_phi_log_grid", counted)
         assert measure_report(FellowsSmith(p)).eta_ng >= 0.0
-        assert calls == [4097]
+        assert calls == [2049]
 
     @pytest.mark.parametrize(
         "spec,axis,value",
