@@ -30,8 +30,6 @@ from .specfun import eta_ng_of_excess
 
 # d per unit of the excess above which a report warns and fails, and the floor for rounding.
 WARN_SPREAD, FAIL_SPREAD, SPREAD_FLOOR = 1e-9, 1e-3, 1e-15
-# Rounding of the reference's norm sum: 16 ulps per unit of its log prefactor's size.
-REF_ROUNDING = 16.0 * 2.0**-52
 
 
 @dataclass(frozen=True)
@@ -87,33 +85,33 @@ def measure_report(
     if omega_r is not None:
         # The reference sits at x = 0: every catalog potential has its global
         # minimum at the printed origin (the Morse coordinate is the displacement).
-        # It keeps its exact norm: the grid only truncates it where the state met its tail.
-        # Harmonic(omega_r)'s log amplitude in grid units, so (x/u)^2 stays in
-        # range at any extent; the scaling is exact.
+        # Harmonic(omega_r)'s log amplitude less its prefactor, in grid units, so
+        # (x/u)^2 stays in range at any extent; the scaling is exact, and no
+        # units-dependent log prefactor rounds the sample.
         h, unit = grid.spacing, grid.unit
         log_reference = grid.points() * (1.0 / unit)
         log_reference *= log_reference
         log_reference *= -0.5 * omega_r * unit * unit
-        log_reference += 0.25 * math.log(omega_r / math.pi)
         reference = np.exp(log_reference)
-        norm_sq = h * float(np.dot(reference, reference))
-        ref_norm_defect = norm_sq - 1.0
+        mass = h * float(np.dot(reference, reference))
+        ref_norm_defect = mass * math.sqrt(omega_r) / math.sqrt(math.pi) - 1.0
         if ref_norm_defect > 1e-8:
             raise GridError(f"grid spacing {h:.3g} cannot resolve the reference Gaussian "
                             f"of omega_R = {omega_r:.6g}: its norm on the grid exceeds 1")
-        rounding = REF_ROUNDING * max(1.0, abs(float(log_reference.max())))
-        delta = ref_norm_defect if abs(ref_norm_defect) > rounding else 0.0
+        # Where phi meets the tail at both ends, as psi does, its norm on the grid
+        # is its norm; otherwise it keeps its exact norm 1, and delta books the cut.
+        cut = max(log_reference[0], log_reference[-1]) - log_reference.max()
+        delta = 0.0 if cut <= math.log(target_tail) else ref_norm_defect
         # 1 - <psi|phi> = c s - delta/(1 + s), s = sqrt(1 + delta), from the
         # c = |psi - phi_hat|^2 / 2 of the grid-normalized phi_hat: no 1 - (1 - x).
-        reference /= math.sqrt(norm_sq)
+        reference /= math.sqrt(mass)
         reference -= wf.amplitude
         scale = math.sqrt(1.0 + delta)
         infidelity = 0.5 * h * float(np.dot(reference, reference)) * scale - delta / (1.0 + scale)
         eta_b = math.sqrt(max(0.0, infidelity))
         fidelity = (1.0 - infidelity) ** 2
-    warnings = list(spec.quadrature_warnings())
-    if spread > WARN_SPREAD * excess + SPREAD_FLOOR:
-        warnings.append(f"{moves}; measures carry resolution error")
+    warnings = ((f"{moves}; measures carry resolution error",)
+                if spread > WARN_SPREAD * excess + SPREAD_FLOOR else ())
     return MeasureReport(
         eta_b=eta_b,
         eta_ng=eta_ng_of_excess(excess),
@@ -126,7 +124,7 @@ def measure_report(
             norm_defect=wf.norm_defect,
             tail_ratio=wf.tail_ratio,
             ref_norm_defect=ref_norm_defect,
-            warnings=tuple(warnings),
+            warnings=warnings,
         ),
     )
 

@@ -149,12 +149,22 @@ def sized_ground_state(
     exact seed halfwidths for the tail target, and normalize it.
 
     The grid spans the seed whatever its size; a side that misses the tail
-    is a fault of the seed: GridError. Whether the grid resolves the state is
-    for the half-grid check of the report. No family's log amplitude peaks
-    beyond +-180, so the squared amplitude stays in range.
+    is a fault of the seed: GridError. With a reference, each side widens
+    toward the reference Gaussian's seed, but not past the state's own seed at
+    twice the depth, where the state is below tail^2 of its peak. Whether the
+    grid resolves the state is for the half-grid check of the report. No
+    family's log amplitude peaks beyond +-180, so the squared amplitude stays
+    in range.
     """
     require_grid_settings(target_tail, n_points)
-    left, right = spec.seed_halfwidths(math.log(1.0 / target_tail))
+    depth = math.log(1.0 / target_tail)
+    left, right = spec.seed_halfwidths(depth)
+    omega_r = spec.omega_r()
+    # Harmonic(omega_r)'s seed, inline: Harmonic rejects omega < pi * 5e-324, which Morse allows.
+    reach = 0.0 if omega_r is None else 1.1 * math.sqrt(2.0 * depth / omega_r)
+    if reach > min(left, right):
+        left, right = (max(side, min(reach, bound))
+                       for side, bound in zip((left, right), spec.seed_halfwidths(2.0 * depth)))
     grid = Grid(-left, right, n_points)
     x = grid.points()
     if spec.even and grid.x_min == -grid.x_max:  # L is even and L' odd: sample x >= 0 and mirror

@@ -7,8 +7,8 @@ small frozen dataclass validated on construction; the union of them is the
 
 Printed normalization prefactors of the analytic ground states are carried
 along but never trusted: downstream numerics renormalize every sampled
-amplitude before use. Morse and MIO carry none; their log amplitudes are
-measured from their peak, where they are 0.
+amplitude before use. Harmonic, Morse and MIO carry none; their log
+amplitudes are measured from their peak, where they are 0.
 """
 
 from __future__ import annotations
@@ -59,15 +59,11 @@ class _Family:
     (not Morse) is sampled on x >= 0 and mirrored. Its dataclass
     fields are its parse keys and sweep axes. A family with a printed
     normalization adds its constant log prefactor in ``log_amplitude``;
-    Morse and MIO have none.
+    harmonic, Morse and MIO have none.
     """
 
     kind: ClassVar[str]
     even: ClassVar[bool] = True
-
-    def quadrature_warnings(self) -> tuple[str, ...]:
-        """Parameter regimes known to degrade the grid quadrature."""
-        return ()
 
 
 @dataclass(frozen=True)
@@ -86,8 +82,7 @@ class Harmonic(_Family):
         return 0.5 * (self.omega * x) ** 2
 
     def log_amplitude(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        log_prefactor = 0.25 * math.log(self.omega / math.pi)
-        return log_prefactor - 0.5 * self.omega * x**2, -self.omega * x
+        return -0.5 * self.omega * x**2, -self.omega * x
 
     def omega_r(self) -> float:
         return self.omega
@@ -165,13 +160,6 @@ class Morse(_Family):
             left, right = (d + (_phi(d) - tau) / math.expm1(-d) for d in (left, right))
         shift = math.log1p(0.5 / n)
         return -(left + shift) / self.alpha, (right + shift) / self.alpha
-
-    def quadrature_warnings(self) -> tuple[str, ...]:
-        if self.alpha > 0.98 * 2.0 * math.sqrt(2.0 * self.D):
-            return (
-                "alpha is within 2% of the bound-state limit 2*sqrt(2D); quadrature degrades",
-            )
-        return ()
 
 
 @dataclass(frozen=True)

@@ -438,6 +438,21 @@ def sample_ground_state(spec, grid: Grid) -> SampledWavefunction:
     return SampledWavefunction(grid, np.exp(log_amp), log_derivative)
 
 
+def report_extent(spec, tail: float = 1e-8) -> tuple[float, float]:
+    """(x_min, x_max) of a report's grid: the state's seed for the tail and,
+    with a reference of frequency w, each side moved toward the reference
+    Gaussian's seed 1.1 sqrt(2 depth / w), clipped to the state's seed at
+    twice the depth."""
+    depth = math.log(1.0 / tail)
+    sides = spec.seed_halfwidths(depth)
+    omega = spec.omega_r()
+    if omega is not None:
+        reach = 1.1 * math.sqrt(2.0 * depth / omega)
+        sides = [min(max(reach, near), far)
+                 for near, far in zip(sides, spec.seed_halfwidths(2.0 * depth))]
+    return -sides[0], sides[1]
+
+
 def refined(grid: Grid) -> Grid:
     """Same extent with halved spacing."""
     return replace(grid, n_points=2 * grid.n_points - 1)

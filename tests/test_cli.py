@@ -122,7 +122,7 @@ class TestMeasure:
         # grid built from both ends.
         done = run_fresh("measure", "--potential", "harmonic:omega=1e300")
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout.splitlines()[1] == "0,1.7617597219e-30,1e+300,5e+299,0.25,1"
+        assert done.stdout.splitlines()[1] == "0,1.91704109479e-30,1e+300,5e+299,0.25,1"
 
     def test_overflowing_position_moment_is_one_error_line(self):
         # N = 7e30 and omega_R = 3.4e-318: the grid is 7e159 wide and var_x is
@@ -172,8 +172,8 @@ class TestMeasure:
         code, out, err = run_cli(capsys, "measure", "--potential", "morse:D=1,alpha=2.8")
         assert (code, out) == (2, "")
         assert err.splitlines() == [
-            "error: det sigma - 1/4 = 24.3 moves by 4.1 on every other node of 4097 points over "
-            "[-1.30421, 1368.35] at tail 1e-08: the grid does not resolve the state"]
+            "error: det sigma - 1/4 = 24.4 moves by 2.8 on every other node of 4097 points over "
+            "[-1.54206, 1368.35] at tail 1e-08: the grid does not resolve the state"]
 
     def test_parse_error_nonzero_exit(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--potential", "nope:x=1")

@@ -33,6 +33,7 @@ from helpers import (
     mpt_closed_det,
     overlap,
     refined,
+    report_extent,
     resampled_overlap,
     sample_ground_state,
     sech_state_moments,
@@ -136,10 +137,12 @@ class TestAutoGrid:
         # a peak about 1/alpha = 0.35 wide: 4,097 points do not resolve it,
         # and 262,145 give the closed-form det sigma.
         spec = Morse(1.0, 0.999 * 2.0 * math.sqrt(2.0))
-        left, right = spec.seed_halfwidths(math.log(1e8))
+        x_min, x_max = report_extent(spec)
         wf = sized_ground_state(spec)
-        assert (wf.grid.x_min, wf.grid.x_max) == (-left, right)
-        assert right > 13000.0 and wf.tail_ratio <= 1e-8
+        assert (wf.grid.x_min, wf.grid.x_max) == (x_min, x_max)
+        # The right side is the state's seed; the left one widens toward the reference's.
+        assert x_max == spec.seed_halfwidths(math.log(1e8))[1] > 13000.0
+        assert x_min < -spec.seed_halfwidths(math.log(1e8))[0] and wf.tail_ratio <= 1e-8
         with pytest.raises(GridError, match="the grid does not resolve the state"):
             measure_report(spec)
         var_x, var_p = morse_closed_moments(spec.D, spec.alpha)
@@ -183,12 +186,16 @@ class TestSizedGroundState:
     )
     def test_report_without_growth_evaluates_its_amplitude_once(self, spec, monkeypatch):
         # An even state is evaluated once on the 2,049 nodes x >= 0 of its
-        # symmetric grid, Morse once on all 4,097.
+        # symmetric grid, Morse once on all 4,097, of its left side widened
+        # toward the reference's seed.
         grids = count_amplitude_calls(monkeypatch, spec)
         report = measure_report(spec)
+        x_min, x_max = report_extent(spec)
+        assert grids == [(0.0, x_max, 2049) if spec.even else (x_min, x_max, 4097)]
+        assert (report.diagnostics.grid.x_min, report.diagnostics.grid.x_max) == (x_min, x_max)
+        # Of these, only Morse's reference is wider than its state, on the left.
         left, right = spec.seed_halfwidths(math.log(1e8))
-        assert grids == [(0.0, right, 2049) if spec.even else (-left, right, 4097)]
-        assert (report.diagnostics.grid.x_min, report.diagnostics.grid.x_max) == (-left, right)
+        assert (x_min < -left if spec.kind == "morse" else x_min == -left) and x_max == right
         assert report.diagnostics.tail_ratio <= 1e-8
 
     @pytest.mark.parametrize(

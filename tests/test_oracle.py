@@ -175,7 +175,7 @@ class TestLadder:
         spec = Morse(1.0, 2.6)
         grid = sized_ground_state(spec).grid
         with pytest.raises(ConvergenceError, match=(
-            r"^the DVR oracle has not converged at 1025 nodes over \[-1\.38124, 171\.391\]: "
+            r"^the DVR oracle has not converged at 1025 nodes over \[-1\.63512, 171\.391\]: "
             r"its last moves are \|dE\| = \S+ and \|d eta_ng\| = \S+$"
         )):
             fd_ground_state(spec, grid)

@@ -108,9 +108,11 @@ class TestEvaluatePotential:
 
 class TestGroundState:
     def test_harmonic_amplitude_at_origin(self):
-        assert np.exp(Harmonic(1.0).log_amplitude(np.array([0.0]))[0])[0] == pytest.approx(
-            math.pi ** -0.25, rel=1e-13
-        )
+        # The log amplitude carries no prefactor: it peaks at 0, and the
+        # normalized sample at its centre node is pi^(-1/4).
+        assert Harmonic(1.0).log_amplitude(np.array([0.0]))[0][0] == 0.0
+        wf = sized_ground_state(Harmonic(1.0))
+        assert wf.amplitude[wf.grid.n_points // 2] == pytest.approx(math.pi ** -0.25, rel=1e-13)
 
     def test_mpt_sech_profile_for_unit_s(self):
         # s = (-1 + sqrt(1 + 8))/2 = 1, so the amplitude is proportional to sech.

@@ -34,7 +34,7 @@ from nonlinosc.potentials import (
     Morse,
 )
 
-from helpers import P_MINUS
+from helpers import P_MINUS, report_extent
 
 FIELDS = ("eta_b", "eta_ng", "omega_r", "ground_energy", "det_sigma", "fidelity_to_reference")
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -141,11 +141,11 @@ def test_mio(a):
 @example(p=-0.9999, tail=1e-30)
 @example(p=-1.0 + 1e-9, tail=1e-300)
 def test_fellows_smith(p, tail):
-    # Sizing: the seed meets the tail at once, so the grid is never grown.
+    # Sizing: the seed meets the tail at once, so the grid is never grown;
+    # above p+ it widens toward the reference's seed, within bounds.
     spec = FellowsSmith(p)
-    left, right = spec.seed_halfwidths(math.log(1.0 / tail))
     wf = sized_ground_state(spec, tail)
-    assert (wf.grid.x_min, wf.grid.x_max) == (-left, right), (p, tail)
+    assert (wf.grid.x_min, wf.grid.x_max) == report_extent(spec, tail), (p, tail)
     assert wf.tail_ratio <= tail, (p, tail)
     # Below a tail of about 1e-100 the p = 0 (harmonic) report fails with the
     # GridError of an unrepresented sample that Harmonic(1) also meets there.
@@ -187,14 +187,13 @@ def test_pert(omega, eps3, eps4):
 UNITS = log_uniform(-100.0, 100.0)
 
 
-def assert_free_of_units(build, depth: float, alpha: float, k: float,
-                         eta_b_tol: float = 1e-12) -> None:
-    """eta_ng of the well and of the well in units 1/k agree to 1e-12, eta_b
-    to ``eta_b_tol``, both relative."""
+def assert_free_of_units(build, depth: float, alpha: float, k: float) -> None:
+    """eta_ng and eta_b of the well and of the well in units 1/k agree to
+    1e-12 relative."""
     base, scaled = (measure_report(build(depth * c * c, alpha * c)) for c in (1.0, k))
-    for name, tol in (("eta_ng", 1e-12), ("eta_b", eta_b_tol)):
+    for name in ("eta_ng", "eta_b"):
         expected, value = getattr(base, name), getattr(scaled, name)
-        assert math.isclose(value, expected, rel_tol=tol), (depth, alpha, k, name, value)
+        assert math.isclose(value, expected, rel_tol=1e-12), (depth, alpha, k, name, value)
 
 
 @SETTINGS
@@ -203,12 +202,7 @@ def assert_free_of_units(build, depth: float, alpha: float, k: float,
 @example(depth=1.0, fraction=0.5, k=1e-100)
 @example(depth=691.140569983156, fraction=0.01974858852860678, k=8.404458507663003e-80)
 def test_morse_measures_are_free_of_units(depth, fraction, k):
-    # The reference Gaussian's norm defect, about -2e-13 where the state cuts
-    # it, is dropped when it is below 16 ulps per unit of the log prefactor
-    # 0.25 log(omega_R / pi), which depends on the units: up to 117 here. That
-    # moves 1 - <psi|phi> by at most 2e-13 and so eta_b, at least 0.055 in
-    # this box, by at most 3.3e-11 of itself.
-    assert_free_of_units(Morse, depth, fraction * 2.0 * math.sqrt(2.0 * depth), k, 5e-11)
+    assert_free_of_units(Morse, depth, fraction * 2.0 * math.sqrt(2.0 * depth), k)
 
 
 @SETTINGS
@@ -221,13 +215,55 @@ def test_mpt_measures_are_free_of_units(alpha, s, k):
 
 
 @SETTINGS
-@given(exponent=st.floats(min_value=-300.0, max_value=300.0))
-@example(exponent=-300.0)
-@example(exponent=300.0)
-def test_harmonic_reports_zero_at_every_frequency(exponent):
-    report = check_measure(f"harmonic:omega={10.0**exponent!r}")
-    assert report is not None, exponent
-    assert (report["eta_b"], report["det_sigma"]) == (0.0, 0.25), (exponent, report)
+@given(omega=log_uniform(-300.0, 300.0), tail=st.one_of(st.just(1e-8), log_uniform(-300.0, -4.0)))
+@example(omega=1e-300, tail=1e-8)
+@example(omega=1e300, tail=1e-8)
+# The grid cuts psi and phi alike; phi's norm on the grid is its norm.
+@example(omega=1.0, tail=1e-4)
+@example(omega=5.664248341266697, tail=8.98e-06)
+def test_harmonic_reports_zero_at_every_frequency(omega, tail):
+    report = check_measure(f"harmonic:omega={omega!r}", "--tail", repr(tail))
+    assert report is not None, (omega, tail)
+    assert (report["eta_b"], report["det_sigma"]) == (0.0, 0.25), (omega, tail, report)
+
+
+# eta_b at the default tail against the same report at tail 1e-30, where the
+# reference Gaussian is wider than the state: Morse on the left, and
+# Fellows-Smith as p nears p+ and omega_R goes to 0.
+WIDE_REFERENCES = st.one_of(
+    st.tuples(st.just(Morse), st.tuples(SCALE, MORSE_FRACTION).map(
+        lambda well: (well[0], well[1] * 2.0 * math.sqrt(2.0 * well[0])))),
+    st.tuples(st.just(FellowsSmith),
+              st.tuples(st.floats(min_value=P_PLUS, max_value=0.0, exclude_min=True))),
+)
+
+
+@SETTINGS
+@given(family=WIDE_REFERENCES)
+@example(family=(Morse, (1.0, 0.9)))
+@example(family=(Morse, (1.0, 2.0)))
+@example(family=(Morse, (1.0, 0.2)))
+@example(family=(Morse, (1.0, 1.4)))
+@example(family=(FellowsSmith, (-0.14,)))
+@example(family=(FellowsSmith, (P_PLUS + 1e-3,)))
+@example(family=(FellowsSmith, (P_PLUS + 1e-4,)))
+@example(family=(FellowsSmith, (P_PLUS + 1e-6,)))
+@example(family=(FellowsSmith, (P_PLUS + 1e-16,)))
+def test_eta_b_does_not_depend_on_the_tail(family):
+    # The grid meets the tail on both factors of the overlap, or books the
+    # reference's cut mass: either way the tail moves eta_b by rounding only.
+    # The tail-1e-30 grid is wider, so it gets 16,385 points; a report that
+    # warns of resolution error, or fails, claims no digits.
+    build, params = family
+    try:
+        spec = build(*params)
+        reports = [measure_report(spec), measure_report(spec, 1e-30, 16385)]
+    except (SpecError, GridError):
+        return
+    if any(report.diagnostics.warnings for report in reports):
+        return
+    value, exact = (report.eta_b for report in reports)
+    assert abs(value - exact) <= 1e-14 * exact + 1e-15, (spec, value, exact)
 
 
 @SETTINGS
