@@ -25,7 +25,7 @@ import numpy as np
 from .errors import GridError
 from .numerics import DEFAULT_N_POINTS, DEFAULT_TARGET_TAIL, Grid, covariance_of, sized_ground_state
 from .perturbation import eta_b_perturbative, perturbed_excess
-from .potentials import PerturbedHarmonic, PotentialSpec
+from .potentials import Harmonic, PerturbedHarmonic, PotentialSpec
 from .specfun import eta_ng_of_excess
 
 # d per unit of the excess above which a report warns and fails, and the floor for rounding.
@@ -35,10 +35,10 @@ WARN_SPREAD, FAIL_SPREAD, SPREAD_FLOOR = 1e-9, 1e-3, 1e-15
 @dataclass(frozen=True)
 class ReportDiagnostics:
     """Provenance of the quadrature behind a report; ``ref_norm_defect`` is
-    h sum(phi^2) - 1 of the reference Gaussian phi on the grid."""
+    h sum(phi^2) - 1 of the reference Gaussian phi, Harmonic(omega_R)'s own
+    state, on the grid."""
 
     grid: Grid | None
-    norm_defect: float
     tail_ratio: float
     ref_norm_defect: float = 0.0
     warnings: tuple[str, ...] = ()
@@ -85,13 +85,8 @@ def measure_report(
     if omega_r is not None:
         # The reference sits at x = 0: every catalog potential has its global
         # minimum at the printed origin (the Morse coordinate is the displacement).
-        # Harmonic(omega_r)'s log amplitude less its prefactor, in grid units, so
-        # (x/u)^2 stays in range at any extent; the scaling is exact, and no
-        # units-dependent log prefactor rounds the sample.
-        h, unit = grid.spacing, grid.unit
-        log_reference = grid.points() * (1.0 / unit)
-        log_reference *= log_reference
-        log_reference *= -0.5 * omega_r * unit * unit
+        h = grid.spacing
+        log_reference = Harmonic(omega_r).log_amplitude(grid.points())[0]
         reference = np.exp(log_reference)
         mass = h * float(np.dot(reference, reference))
         ref_norm_defect = mass * math.sqrt(omega_r) / math.sqrt(math.pi) - 1.0
@@ -121,7 +116,6 @@ def measure_report(
         fidelity_to_reference=fidelity,
         diagnostics=ReportDiagnostics(
             grid=grid,
-            norm_defect=wf.norm_defect,
             tail_ratio=wf.tail_ratio,
             ref_norm_defect=ref_norm_defect,
             warnings=warnings,
@@ -139,5 +133,5 @@ def _perturbative_report(spec: PerturbedHarmonic) -> MeasureReport:
         ground_energy=spec.energy(),
         det_sigma=0.25 + excess,
         fidelity_to_reference=1.0 / state.norm_n,
-        diagnostics=ReportDiagnostics(grid=None, norm_defect=0.0, tail_ratio=0.0),
+        diagnostics=ReportDiagnostics(grid=None, tail_ratio=0.0),
     )

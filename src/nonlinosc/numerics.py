@@ -14,13 +14,13 @@ the float range at any scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import GridError, NormalizationError
-from .potentials import PotentialSpec, ground_state_log_amplitude
+from .potentials import Harmonic, PotentialSpec, ground_state_log_amplitude
 
 DEFAULT_N_POINTS = 4097
 DEFAULT_TARGET_TAIL = 1e-8
@@ -47,7 +47,7 @@ class Grid:
 
     x_min: float
     x_max: float
-    n_points: int = DEFAULT_N_POINTS
+    n_points: int
 
     def __post_init__(self):
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
@@ -86,15 +86,14 @@ class SampledWavefunction:
     """Real amplitude tabulated on a grid, normalized when it is built, with
     its log-derivative psi'/psi on the same nodes.
 
-    The amplitude passed in is rescaled so its node-sum norm is exactly 1
-    and kept read-only; norm_defect records |1 - norm| of the amplitude as
-    given. A zero or non-finite norm raises NormalizationError.
+    The amplitude passed in, of any norm, is rescaled so its node-sum norm
+    is exactly 1 and kept read-only. A zero or non-finite norm raises
+    NormalizationError.
     """
 
     grid: Grid
     amplitude: np.ndarray
     log_derivative: np.ndarray
-    norm_defect: float = field(init=False)
 
     def __post_init__(self):
         norm_sq = self.grid.spacing * float(np.dot(self.amplitude, self.amplitude))
@@ -102,7 +101,6 @@ class SampledWavefunction:
             raise NormalizationError(f"cannot normalize wavefunction with norm^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitude", self.amplitude / math.sqrt(norm_sq))
         self.amplitude.flags.writeable = False
-        object.__setattr__(self, "norm_defect", abs(1.0 - math.sqrt(norm_sq)))
 
     @cached_property
     def tail_ratio(self) -> float:
@@ -148,23 +146,24 @@ def sized_ground_state(
     """Sample the analytic ground state once, on the grid of its family's
     exact seed halfwidths for the tail target, and normalize it.
 
-    The grid spans the seed whatever its size; a side that misses the tail
-    is a fault of the seed: GridError. With a reference, each side widens
-    toward the reference Gaussian's seed, but not past the state's own seed at
-    twice the depth, where the state is below tail^2 of its peak. Whether the
-    grid resolves the state is for the half-grid check of the report. No
-    family's log amplitude peaks beyond +-180, so the squared amplitude stays
-    in range.
+    The grid spans the seed whatever its size; a seed that leaves the float
+    range, or a side that misses the tail, is a GridError. With a reference,
+    each side widens toward the seed of Harmonic(omega_R), but not past the
+    state's own seed at twice the depth, where the state is below tail^2 of
+    its peak. Whether the grid resolves the state is for the half-grid check
+    of the report. No family's log amplitude peaks beyond +-180, so the
+    squared amplitude stays in range.
     """
     require_grid_settings(target_tail, n_points)
     depth = math.log(1.0 / target_tail)
     left, right = spec.seed_halfwidths(depth)
     omega_r = spec.omega_r()
-    # Harmonic(omega_r)'s seed, inline: Harmonic rejects omega < pi * 5e-324, which Morse allows.
-    reach = 0.0 if omega_r is None else 1.1 * math.sqrt(2.0 * depth / omega_r)
+    reach = 0.0 if omega_r is None else Harmonic(omega_r).seed_halfwidths(depth)[0]
     if reach > min(left, right):
         left, right = (max(side, min(reach, bound))
                        for side, bound in zip((left, right), spec.seed_halfwidths(2.0 * depth)))
+    if not (math.isfinite(left) and math.isfinite(right)):
+        raise GridError(f"{spec.kind} seed for tail {target_tail:g} leaves the float range")
     grid = Grid(-left, right, n_points)
     x = grid.points()
     if spec.even and grid.x_min == -grid.x_max:  # L is even and L' odd: sample x >= 0 and mirror

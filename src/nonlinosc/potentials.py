@@ -5,10 +5,10 @@ Conventions: hbar = m = 1, Hamiltonian H = p^2/2 + V(x). Each potential is a
 small frozen dataclass validated on construction; the union of them is the
 ``PotentialSpec`` type accepted by every operation in the package.
 
-Printed normalization prefactors of the analytic ground states are carried
-along but never trusted: downstream numerics renormalize every sampled
-amplitude before use. Harmonic, Morse and MIO carry none; their log
-amplitudes are measured from their peak, where they are 0.
+No analytic ground state carries its printed normalization: downstream
+numerics normalize every sampled amplitude on its grid, so each log
+amplitude is written without a constant, 0 at the origin (Morse: at its
+peak).
 """
 
 from __future__ import annotations
@@ -57,9 +57,8 @@ class _Family:
     samples that grid once, at any size, with no cap on its extent; a seed
     that misses its tail is a fault, not a reason to grow; an ``even`` one
     (not Morse) is sampled on x >= 0 and mirrored. Its dataclass
-    fields are its parse keys and sweep axes. A family with a printed
-    normalization adds its constant log prefactor in ``log_amplitude``;
-    harmonic, Morse and MIO have none.
+    fields are its parse keys and sweep axes. No ``log_amplitude`` adds a
+    constant: sampling normalizes the state, so none has one to round.
     """
 
     kind: ClassVar[str]
@@ -76,13 +75,17 @@ class Harmonic(_Family):
 
     def __post_init__(self):
         _require_finite_positive("harmonic omega", self.omega)
-        _require_finite_positive("harmonic omega/pi", self.omega / math.pi)
 
     def potential(self, x: np.ndarray) -> np.ndarray:
         return 0.5 * (self.omega * x) ** 2
 
     def log_amplitude(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return -0.5 * self.omega * x**2, -self.omega * x
+        # (x 2^k)^2 with 2^k near sqrt(omega): exact scalings that keep x^2 in range at any omega
+        mantissa, exponent = math.frexp(self.omega)
+        log_amp = x * math.ldexp(1.0, exponent // 2)
+        log_amp *= log_amp
+        log_amp *= math.ldexp(-0.5 * mantissa, exponent % 2)
+        return log_amp, -self.omega * x
 
     def omega_r(self) -> float:
         return self.omega
@@ -188,15 +191,12 @@ class ModifiedPoschlTeller(_Family):
 
     def log_amplitude(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s = self.s
-        log_prefactor = -0.25 * math.log(math.pi) + 0.5 * (
-            math.log(self.alpha) + math.lgamma(0.5 + s) - math.lgamma(s)
-        )
         u = np.abs(self.alpha * x)
         if s > 1e6:  # the seed keeps u below about 0.04, where sinh is safe
             log_cosh = np.log1p(2.0 * np.sinh(0.5 * u) ** 2)
         else:
             log_cosh = u + np.log1p(0.5 * np.expm1(-2.0 * u))
-        return log_prefactor - s * log_cosh, -s * self.alpha * np.tanh(self.alpha * x)
+        return -s * log_cosh, -s * self.alpha * np.tanh(self.alpha * x)
 
     def omega_r(self) -> float:
         return math.sqrt(2.0 * self.D) * self.alpha
@@ -290,15 +290,10 @@ class FellowsSmith(_Family):
     def log_amplitude(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # L' = x - 2 rho/x (0 at x = 0), rho = z d(log Phi)/dz from the same Kummer pass.
         p = self.p
-        log_prefactor = (
-            -0.25 * math.log(math.pi)
-            + 0.5 * (p * math.log(2.0) - math.lgamma(1.0 + p))
-            + math.lgamma(1.0 + p / 2.0)
-        )
         z = x * x
         log_phi, rho = kummer_phi_log_grid((1.0 + p) / 2.0, 0.5, z)
         slope = x - np.divide(2.0 * rho, x, out=np.zeros_like(x), where=x != 0.0)
-        return log_prefactor + 0.5 * z - log_phi, slope
+        return 0.5 * z - log_phi, slope
 
     def omega_r(self) -> float | None:
         """None below p+: the curvature at x = 0 vanishes at p+ and turns
@@ -384,9 +379,9 @@ def evaluate_potential(spec: PotentialSpec, x):
 
 
 def ground_state_log_amplitude(spec: PotentialSpec, x) -> tuple[np.ndarray, np.ndarray]:
-    """log of the analytic ground-state amplitude, with the family's printed
-    prefactor if it carries one, and its exact x-derivative. Log space keeps
-    the hypergeometric and the deep-well states representable on wide grids."""
+    """log of the analytic ground-state amplitude, without a normalization
+    constant, and its exact x-derivative. Log space keeps the hypergeometric
+    and the deep-well states representable on wide grids."""
     return spec.log_amplitude(np.asarray(x, dtype=float))
 
 

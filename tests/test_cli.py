@@ -124,6 +124,17 @@ class TestMeasure:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout.splitlines()[1] == "0,1.91704109479e-30,1e+300,5e+299,0.25,1"
 
+    @pytest.mark.parametrize("omega, flags, tail", [
+        ("1e-308", (), "1e-08"),
+        ("5e-324", (), "1e-08"),
+        ("1e-306", ("--tail", "1e-300"), "1e-300"),
+    ], ids=["1e-308", "5e-324", "1e-306-tail-1e-300"])
+    def test_seed_past_the_float_range_is_named(self, capsys, omega, flags, tail):
+        # 2 depth / omega overflows, so the seed halfwidth is inf.
+        code, out, err = run_cli(capsys, "measure", "--potential", f"harmonic:omega={omega}", *flags)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: harmonic seed for tail {tail} leaves the float range"]
+
     def test_overflowing_position_moment_is_one_error_line(self):
         # N = 7e30 and omega_R = 3.4e-318: the grid is 7e159 wide and var_x is
         # about 1 / (2 omega_R) = 1.5e317, past the float range.

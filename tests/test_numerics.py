@@ -209,7 +209,6 @@ class TestSizedGroundState:
         kept = sized_ground_state(spec)
         public = sample_ground_state(spec, kept.grid)
         assert kept.amplitude.tobytes() == public.amplitude.tobytes()
-        assert kept.norm_defect == public.norm_defect
         report = measure_report(spec)
         assert report.diagnostics.grid == kept.grid
         assert report.det_sigma == covariance_of(public).det
@@ -236,7 +235,6 @@ class TestNormalize:
         wf = gaussian_wavefunction(Grid(-10.0, 10.0, 2049))
         again = SampledWavefunction(wf.grid, wf.amplitude, wf.log_derivative)
         assert np.allclose(again.amplitude, wf.amplitude, rtol=1e-12, atol=0.0)
-        assert again.norm_defect <= 1e-8
 
     def test_scaling_by_half(self):
         grid = Grid(-10.0, 10.0, 2049)
@@ -244,7 +242,6 @@ class TestNormalize:
         doubled = 2.0 * wf.amplitude
         renorm = SampledWavefunction(grid, doubled, wf.log_derivative)
         assert np.allclose(renorm.amplitude, doubled / 2.0, rtol=1e-13)
-        assert renorm.norm_defect == pytest.approx(1.0, rel=1e-9)
 
     def test_zero_norm_raises(self):
         with pytest.raises(NormalizationError):

@@ -114,6 +114,22 @@ class TestGroundState:
         wf = sized_ground_state(Harmonic(1.0))
         assert wf.amplitude[wf.grid.n_points // 2] == pytest.approx(math.pi ** -0.25, rel=1e-13)
 
+    @pytest.mark.parametrize(
+        "spec, peak",
+        [(Harmonic(1.0), 0.0), (Harmonic(1.7976931348623157e308), 0.0),
+         (ModifiedPoschlTeller(1.0, 0.5), 0.0), (ModifiedPoschlTeller(1e13, 1.0), 0.0),
+         (ModifiedIsotonic(2.0), 0.0), (FellowsSmith(0.0), 0.0), (FellowsSmith(-0.3), 0.0),
+         (FellowsSmith(-0.9), 0.0),
+         # alpha = 1, so alpha x - log1p(1/2N) is exactly 0 at the peak.
+         (Morse(1.0, 1.0), math.log1p(0.5 / Morse(1.0, 1.0).n_index)),
+         (Morse(1e13, 1.0), math.log1p(0.5 / Morse(1e13, 1.0).n_index))],
+        ids=["harmonic", "harmonic-max", "mpt", "mpt-deep", "mio", "fs-0", "fs-0.3", "fs-0.9",
+             "morse", "morse-deep"],
+    )
+    def test_log_amplitude_carries_no_constant(self, spec, peak):
+        # Sampling normalizes every state, so L is 0 at the origin (Morse: at its peak).
+        assert spec.log_amplitude(np.array([peak]))[0][0] == 0.0
+
     def test_mpt_sech_profile_for_unit_s(self):
         # s = (-1 + sqrt(1 + 8))/2 = 1, so the amplitude is proportional to sech.
         spec = ModifiedPoschlTeller(1.0, 1.0)
@@ -389,7 +405,7 @@ class TestFellowsSmithSeed:
 
 
 class TestPrefactorCache:
-    """Each family adds its constant log prefactor where it samples; only
+    """No family computes a log prefactor, so there is none to cache; only
     the Fellows-Smith family evaluates Kummer Phi."""
 
     @pytest.mark.parametrize(

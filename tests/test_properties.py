@@ -97,7 +97,7 @@ def check_measure(
 @SETTINGS
 @given(omega=SCALE)
 @example(omega=1e-8)  # 1.3e5 wide
-@example(omega=5e-324)  # omega/pi underflows to 0
+@example(omega=5e-324)  # the seed leaves the float range
 def test_harmonic(omega):
     check_measure(f"harmonic:omega={omega!r}")
 
@@ -214,17 +214,26 @@ def test_mpt_measures_are_free_of_units(alpha, s, k):
     assert_free_of_units(ModifiedPoschlTeller, 0.5 * alpha**2 * s * (s + 1.0), alpha, k)
 
 
+# omega over the whole range where the seed at tail 1e-8 is finite; a
+# smaller tail moves its lower end up, and past it the seed's error is named.
 @SETTINGS
-@given(omega=log_uniform(-300.0, 300.0), tail=st.one_of(st.just(1e-8), log_uniform(-300.0, -4.0)))
+@given(omega=log_uniform(-306.6, 308.25), tail=st.one_of(st.just(1e-8), log_uniform(-300.0, -4.0)))
 @example(omega=1e-300, tail=1e-8)
 @example(omega=1e300, tail=1e-8)
+# Near both ends of the float range, where a plain x^2 leaves it.
+@example(omega=2.1e-307, tail=1e-8)
+@example(omega=1e307, tail=1e-8)
+@example(omega=1.7976931348623157e308, tail=1e-8)
 # The grid cuts psi and phi alike; phi's norm on the grid is its norm.
 @example(omega=1.0, tail=1e-4)
 @example(omega=5.664248341266697, tail=8.98e-06)
 def test_harmonic_reports_zero_at_every_frequency(omega, tail):
-    report = check_measure(f"harmonic:omega={omega!r}", "--tail", repr(tail))
-    assert report is not None, (omega, tail)
-    assert (report["eta_b"], report["det_sigma"]) == (0.0, 0.25), (omega, tail, report)
+    seed = Harmonic(omega).seed_halfwidths(math.log(1.0 / tail))[0]
+    report = check_measure(f"harmonic:omega={omega!r}", "--tail", repr(tail),
+                           names=("seed for tail",))
+    assert (report is not None) == math.isfinite(seed), (omega, tail, seed)
+    if report is not None:
+        assert (report["eta_b"], report["det_sigma"]) == (0.0, 0.25), (omega, tail, report)
 
 
 # eta_b at the default tail against the same report at tail 1e-30, where the
