@@ -27,26 +27,12 @@ if __name__ == "__main__":
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    GridError,
-    NormalizationError,
-    SpecError,
-)
+from .errors import NonlinoscError, SpecError
 from .measures import MeasureReport, measure_report
 from .numerics import DEFAULT_N_POINTS, DEFAULT_TARGET_TAIL, require_grid_settings
 from .oracle import fd_ground_state, fidelity as oracle_fidelity
 from .perturbation import parametric_curve, scatter_sample
 from .potentials import PerturbedHarmonic, parse_potential_params, parse_potential_spec
-
-_HANDLED_ERRORS = (
-    SpecError,
-    DomainError,
-    GridError,
-    ConvergenceError,
-    NormalizationError,
-)
 
 # oracle-check passes when |E_dvr - E| <= 10 error bars + 1e-9 max(1, |E|) and 1 - fidelity <= 1e-8.
 _ENERGY_MARGIN, _ENERGY_FLOOR, _INFIDELITY_BOUND = 10.0, 1e-9, 1e-8
@@ -98,11 +84,16 @@ def _report_fields(report: MeasureReport) -> dict:
     return {c: _round12(getattr(report, c)) for c in _MEASURE_COLUMNS}
 
 
-def _run_measure(args: argparse.Namespace) -> int:
-    spec = parse_potential_spec(args.potential)
+def _report(spec, args: argparse.Namespace, where: str = "") -> MeasureReport:
+    """``measure_report`` at the command's grid flags; warnings go to stderr after ``where``."""
     report = measure_report(spec, target_tail=args.tail, n_points=args.grid_points)
     for warning in report.diagnostics.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+        print(f"warning: {where}{warning}", file=sys.stderr)
+    return report
+
+
+def _run_measure(args: argparse.Namespace) -> int:
+    report = _report(parse_potential_spec(args.potential), args)
     fields = _report_fields(report)
     document = {"potential": args.potential, **fields,
                 "warnings": list(report.diagnostics.warnings)}
@@ -138,9 +129,9 @@ def _run_sweep(args: argparse.Namespace) -> int:
     rows = []
     for value in values:
         try:
-            spec = family(**{**params, args.axis: float(value)})
-            report = measure_report(spec, target_tail=args.tail, n_points=args.grid_points)
-        except _HANDLED_ERRORS as exc:
+            report = _report(family(**{**params, args.axis: float(value)}), args,
+                             where=f"{args.axis}={value:.12g}: ")
+        except NonlinoscError as exc:
             fields = dict.fromkeys(_MEASURE_COLUMNS)
             error = _sanitize_reason(exc)
         else:
@@ -186,7 +177,7 @@ def _run_curve(args: argparse.Namespace) -> int:
 def _run_oracle_check(args: argparse.Namespace) -> int:
     spec = parse_potential_spec(args.potential)
     # Reported before the DVR solve, so a spec that measure cannot report fails as it does there.
-    analytic = measure_report(spec, target_tail=args.tail, n_points=args.grid_points)
+    analytic = _report(spec, args)
     if analytic.diagnostics.grid is None:
         raise SpecError(f"{spec.kind} has a closed-form report and no sampled state to check")
     result = fd_ground_state(spec, analytic.diagnostics.grid)
@@ -231,7 +222,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, potential=True):
+    def common(p, run, potential=True):
+        p.set_defaults(run=run)
         if potential:
             p.add_argument("--potential", required=True,
                            help="text form, e.g. morse:D=1,alpha=1 or fs:p=-0.4")
@@ -242,10 +234,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--tail", type=float, default=DEFAULT_TARGET_TAIL)
 
     p_measure = sub.add_parser("measure", help="evaluate both measures for one potential")
-    common(p_measure)
+    common(p_measure, _run_measure)
 
     p_sweep = sub.add_parser("sweep", help="sweep one parameter axis")
-    common(p_sweep)
+    common(p_sweep, _run_sweep)
     p_sweep.add_argument("--axis", required=True)
     p_sweep.add_argument("--from", dest="sweep_from", type=float, required=True)
     p_sweep.add_argument("--to", dest="sweep_to", type=float, required=True)
@@ -253,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--log-spacing", action="store_true")
 
     p_scatter = sub.add_parser("scatter", help="randomized perturbative ensemble")
-    common(p_scatter, potential=False)
+    common(p_scatter, _run_scatter, potential=False)
     p_scatter.add_argument("--n", type=int, default=500)
     p_scatter.add_argument("--seed", type=int, default=0)
     p_scatter.add_argument("--eps3", type=_parse_range, default=(-0.1, 0.1))
@@ -261,24 +253,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_scatter.add_argument("--omega", type=float, default=1.0)
 
     p_curve = sub.add_parser("curve", help="even-perturbation parametric curve")
-    common(p_curve, potential=False)
+    common(p_curve, _run_curve, potential=False)
     p_curve.add_argument("--from", dest="sweep_from", type=float, default=0.0)
     p_curve.add_argument("--to", dest="sweep_to", type=float, default=0.9)
     p_curve.add_argument("--points", type=int, default=50)
 
     p_oracle = sub.add_parser("oracle-check",
                               help="validate an analytic ground state against the DVR solver")
-    common(p_oracle)
+    common(p_oracle, _run_oracle_check)
     return parser
-
-
-_DISPATCH = {
-    "measure": _run_measure,
-    "sweep": _run_sweep,
-    "scatter": _run_scatter,
-    "curve": _run_curve,
-    "oracle-check": _run_oracle_check,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -288,8 +271,8 @@ def main(argv: list[str] | None = None) -> int:
             require_grid_settings(args.tail, args.grid_points)
         if args.out:
             _require_writable(args.out)
-        return _DISPATCH[args.command](args)
-    except (*_HANDLED_ERRORS, OSError) as exc:  # OSError: the --out path cannot be written
+        return args.run(args)
+    except (NonlinoscError, OSError) as exc:  # OSError: the --out path cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -164,19 +164,24 @@ def sized_ground_state(
                        for side, bound in zip((left, right), spec.seed_halfwidths(2.0 * depth)))
     if not (math.isfinite(left) and math.isfinite(right)):
         raise GridError(f"{spec.kind} seed for tail {target_tail:g} leaves the float range")
-    grid = Grid(-left, right, n_points)
+    wf = sample_ground_state(spec, Grid(-left, right, n_points))
+    if wf.tail_ratio > target_tail:
+        side = "left" if wf.amplitude[0] >= wf.amplitude[-1] else "right"
+        raise GridError(f"{spec.kind} seed misses the {side} tail "
+                        f"(end/peak ratio {wf.tail_ratio:.3g})")
+    return wf
+
+
+def sample_ground_state(spec: PotentialSpec, grid: Grid) -> SampledWavefunction:
+    """The analytic ground state on the nodes of ``grid``, normalized; an
+    even state on a symmetric grid is evaluated on x >= 0 and mirrored."""
     x = grid.points()
-    if spec.even and grid.x_min == -grid.x_max:  # L is even and L' odd: sample x >= 0 and mirror
-        log_amp, log_derivative = ground_state_log_amplitude(spec, x[n_points // 2 :])
+    if spec.even and grid.x_min == -grid.x_max:  # L is even and L' odd
+        log_amp, log_derivative = ground_state_log_amplitude(spec, x[grid.n_points // 2 :])
         log_amp = np.concatenate((log_amp[:0:-1], log_amp))
         log_derivative = np.concatenate((-log_derivative[:0:-1], log_derivative))
     else:
         log_amp, log_derivative = ground_state_log_amplitude(spec, x)
-    peak = float(np.max(log_amp))
-    for side, end in (("left", log_amp[0]), ("right", log_amp[-1])):
-        ratio = math.exp(float(end) - peak)
-        if ratio > target_tail:
-            raise GridError(f"{spec.kind} seed misses the {side} tail (end/peak ratio {ratio:.3g})")
     return SampledWavefunction(grid, np.exp(log_amp), log_derivative)
 
 

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, GridError
-from .numerics import Grid, sampled_covariance
-from .potentials import PotentialSpec, evaluate_potential, ground_state_log_amplitude
+from .numerics import Grid, sample_ground_state, sampled_covariance
+from .potentials import PotentialSpec, evaluate_potential
 from .specfun import eta_ng_of_excess
 
 # The ladder's node counts; each rung keeps the nodes of the one before. eigh
@@ -146,8 +146,7 @@ def _solve(spec: PotentialSpec, grid: Grid) -> tuple[float, float, np.ndarray]:
 
 
 def fidelity(spec: PotentialSpec, result: EigenResult) -> float:
-    """(sum_j c_j phi_j)^2, with phi the analytic amplitude sampled on the
-    DVR nodes and normalized by the same plain sum."""
-    log_amp, _ = ground_state_log_amplitude(spec, result.grid.points())
-    phi = np.exp(log_amp - np.max(log_amp))
-    return float(np.dot(result.coefficients, phi)) ** 2 / float(np.dot(phi, phi))
+    """h (sum_j c_j psi_j)^2, with psi the analytic state sampled on the DVR
+    nodes and normalized by the same plain sum h sum psi^2 = 1."""
+    psi = sample_ground_state(spec, result.grid).amplitude
+    return result.grid.spacing * float(np.dot(result.coefficients, psi)) ** 2

@@ -6,7 +6,7 @@ hypergeometric function, mpmath quadrature for moments, exact Gaussian
 moments for the three-term perturbative state, and plain finite
 differences for local energies. The printed perturbative variances, the
 Gaussian-state entropy h, and the Gaussian-state, Bures-distance, Gamma,
-overlap, fixed-grid sampling, grid-refinement and bound-state-count aids
+overlap, grid-refinement and bound-state-count aids
 serve tests only; no package path needs them.
 """
 
@@ -27,7 +27,6 @@ from nonlinosc.potentials import (
     ModifiedPoschlTeller,
     Morse,
     evaluate_potential,
-    ground_state_log_amplitude,
 )
 
 mp.mp.dps = 40
@@ -151,8 +150,10 @@ def morse_reference_fidelity(D: float, alpha: float) -> float:
         state = mp.exp(-alpha * n * u - (n + mp.mpf(1) / 2) * mp.exp(-alpha * u))
         return state * (omega / mp.pi) ** mp.mpf(0.25) * mp.exp(-omega * u**2 / 2)
 
-    width = 1 / mp.sqrt(omega)  # the reference is below e^{-72} past 12 widths
-    overlap = mp.quad(product, [k * width for k in (-12, -4, -1, 0, 1, 4, 12)])
+    # The reference is below e^{-72} past 12 widths; a deep well is narrow on
+    # the same scale, so the quadrature breaks at every quarter width.
+    width = 1 / mp.sqrt(omega)
+    overlap = mp.quad(product, [k * width / 4 for k in range(-48, 49)])
     return float(overlap**2 / norm_sq)
 
 
@@ -429,13 +430,6 @@ def resampled_overlap(wf1: SampledWavefunction, wf2: SampledWavefunction) -> flo
     a1 = np.interp(common, g1.points(), wf1.amplitude, left=0.0, right=0.0)
     a2 = np.interp(common, g2.points(), wf2.amplitude, left=0.0, right=0.0)
     return float(np.dot(a1, a2)) * (common[1] - common[0])
-
-
-def sample_ground_state(spec, grid: Grid) -> SampledWavefunction:
-    """Tabulate and normalize the analytic ground state on every node of a
-    given grid; ``sized_ground_state`` samples an even state on the half grid."""
-    log_amp, log_derivative = ground_state_log_amplitude(spec, grid.points())
-    return SampledWavefunction(grid, np.exp(log_amp), log_derivative)
 
 
 def report_extent(spec, tail: float = 1e-8) -> tuple[float, float]:

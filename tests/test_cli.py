@@ -11,10 +11,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nonlinosc.cli import _HANDLED_ERRORS as HANDLED_ERRORS, main
+from nonlinosc import cli
+from nonlinosc.cli import main
+from nonlinosc.errors import (
+    ConvergenceError,
+    DomainError,
+    GridError,
+    NonlinoscError as HANDLED_ERRORS,
+    NormalizationError,
+    SpecError,
+)
 from nonlinosc.measures import measure_report
 from nonlinosc.perturbation import parametric_curve, scatter_sample
-from nonlinosc.potentials import Harmonic, parse_potential_spec, with_parameter
+from nonlinosc.potentials import Harmonic, Morse, parse_potential_spec, with_parameter
 from nonlinosc.specfun import eta_ng_of_excess
 
 import mpmath as mp
@@ -328,6 +337,25 @@ class TestSweep:
         assert code != 0
         assert "every sweep point failed" in err
 
+    def test_row_warnings_reach_stderr_after_their_row(self, capsys):
+        # Morse alpha at 0.95 to 0.98 of its limit 2 sqrt(2): every row reports and warns.
+        code, out, err = run_cli(
+            capsys, "sweep", "--potential", "morse:D=1", "--axis", "alpha",
+            "--from", "2.7", "--to", "2.76", "--points", "4",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(row["alpha"], row["error"]) for row in rows] == [
+            ("2.7", ""), ("2.72", ""), ("2.74", ""), ("2.76", "")]
+        expected = [f"warning: alpha={value:.12g}: {warning}"
+                    for value in np.linspace(2.7, 2.76, 4)
+                    for warning in measure_report(Morse(1.0, float(value))).diagnostics.warnings]
+        assert err.splitlines() == expected
+        assert [line.split(": ")[1] for line in expected] == [
+            "alpha=2.7", "alpha=2.72", "alpha=2.74", "alpha=2.76"]
+        assert expected[-1] == ("warning: alpha=2.76: det sigma - 1/4 = 9.84 moves by 0.0018 "
+                                "on every other node; measures carry resolution error")
+
     def test_fellows_smith_eta_b_presence_boundary(self, capsys):
         code, out, _ = run_cli(
             capsys, "sweep", "--potential", "fs:p=-0.5", "--axis", "p",
@@ -566,6 +594,16 @@ class TestOracleCheck:
         assert (code, out) == (2, "")
         assert err.splitlines() == [line]
 
+    def test_analytic_warnings_precede_the_verdict(self, capsys):
+        # The analytic side warns on the half-grid alarm; the DVR ladder then
+        # fails to converge on the same extent.
+        code, out, err = run_cli(capsys, "oracle-check", "--potential", "mio:a=3000")
+        assert (code, out) == (2, "")
+        warning, error = err.splitlines()
+        assert warning == ("warning: det sigma - 1/4 = 3.99e-05 moves by 1e-11 on every other "
+                           "node; measures carry resolution error")
+        assert error.startswith("error: the DVR oracle has not converged at 1025 nodes")
+
     def test_fine_spacing_reports(self, capsys):
         # 1/(2 h^2) is about 1e152 here; the DVR never squares it.
         code, out, err = run_cli(capsys, "oracle-check", "--potential", "harmonic:omega=1e150")
@@ -618,6 +656,41 @@ class TestOracleCheck:
         n = math.sqrt(2.0) / 0.5 - 0.5
         assert float(fields["e_fd"]) == pytest.approx(-0.5 * 0.25 * n**2, abs=1e-4)
         assert abs(float(fields["e_fd"]) - (-0.5 * 0.5 * n**2)) > 0.5
+
+
+class UnnamedError(HANDLED_ERRORS):
+    """A package error whose class the CLI never names."""
+
+
+class TestErrorBase:
+    @pytest.mark.parametrize("error, builtin", [
+        (SpecError, ValueError), (DomainError, ValueError), (ConvergenceError, RuntimeError),
+        (GridError, RuntimeError), (NormalizationError, ValueError)])
+    def test_each_error_keeps_its_builtin_base(self, error, builtin):
+        assert issubclass(error, HANDLED_ERRORS) and issubclass(error, builtin)
+
+    def test_unnamed_error_is_one_line_in_measure(self, capsys, monkeypatch):
+        def fail(spec, **kwargs):
+            raise UnnamedError("raised by the report")
+
+        monkeypatch.setattr(cli, "measure_report", fail)
+        code, out, err = run_cli(capsys, "measure", "--potential", "morse:D=1,alpha=1")
+        assert (code, out, err) == (2, "", "error: raised by the report\n")
+
+    def test_unnamed_error_is_an_error_row_in_sweep(self, capsys, monkeypatch):
+        def fail_above_one(spec, **kwargs):
+            if spec.alpha > 1.0:
+                raise UnnamedError("raised by the report")
+            return measure_report(spec, **kwargs)
+
+        monkeypatch.setattr(cli, "measure_report", fail_above_one)
+        code, out, err = run_cli(
+            capsys, "sweep", "--potential", "morse:D=1", "--axis", "alpha",
+            "--from", "0.5", "--to", "1.5", "--points", "2",
+        )
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["error"] for row in rows] == ["", "UnnamedError: raised by the report"]
 
 
 class TestDeterminism:

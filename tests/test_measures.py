@@ -14,6 +14,7 @@ from nonlinosc.numerics import (
     Grid,
     SampledWavefunction,
     covariance_of,
+    sample_ground_state,
     sized_ground_state,
 )
 from nonlinosc.oracle import fd_ground_state
@@ -43,7 +44,6 @@ from helpers import (
     overlap,
     perturbed_variances,
     reference_gaussian,
-    sample_ground_state,
     three_term_state,
     wigner_gaussian,
     wigner_normalization_check,
@@ -301,13 +301,19 @@ class TestExactSeeds:
         report = measure_report(ModifiedIsotonic(0.01))
         assert report.eta_ng == pytest.approx(exact_eta_ng(var_x * var_p), abs=2e-10)
 
-    @pytest.mark.parametrize("alpha", [0.2, 0.8, 0.9, 1.4, 2.0, 2.6])
-    def test_morse_golden_fidelities_against_mpmath(self, alpha):
-        # The rows of measure_morse.json and sweep_morse.csv; renormalizing the
-        # reference on the state's grid had moved them by up to 5e-10.
-        report = measure_report(Morse(1.0, alpha))
-        expected = morse_reference_fidelity(1.0, alpha)
-        assert report.fidelity_to_reference == pytest.approx(expected, abs=1e-11)
+    @pytest.mark.parametrize(
+        "depth, alpha",
+        [pytest.param(1.0, alpha, id=str(alpha)) for alpha in (0.2, 0.8, 0.9, 1.4, 2.0, 2.6)]
+        + [pytest.param(20000.0, 0.5, id="deep")],
+    )
+    def test_morse_golden_fidelities_against_mpmath(self, depth, alpha):
+        # The rows of measure_morse.json, sweep_morse.csv and measure_morse_deep.csv;
+        # renormalizing the reference on the state's grid had moved them by up to
+        # 5e-10. The deep well (N = 399.5) is narrow on the reference's scale, so
+        # it checks that the helper's quadrature resolves the state.
+        report = measure_report(Morse(depth, alpha))
+        expected = morse_reference_fidelity(depth, alpha)
+        assert report.fidelity_to_reference == pytest.approx(expected, rel=1e-12)
 
 
 # Every sampled golden spec except the Morse edge: the measure cases, every

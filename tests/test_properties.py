@@ -407,20 +407,24 @@ SAMPLED_TEXTS = st.one_of(
 @example(text="morse:D=1,alpha=0.5", tail=1e-8)
 def test_oracle_check_reports_what_measure_reports(text, tail):
     # One evaluator: oracle-check's analytic eta_ng is measure's, cell for
-    # cell, and a spec that measure cannot report fails there with the same
-    # line, before the DVR solve.
+    # cell, with measure's warnings first; a spec that measure cannot report
+    # fails there with the same line, before the DVR solve.
     flags = ("--potential", text, "--tail", repr(tail))
     code, out, err = run("oracle-check", *flags)
     assert code in (0, 1, 2), (text, tail, code)
     measured, measure_out, measure_err = run("measure", *flags)
+    lines = err.splitlines()
     if code == 2:
         assert out == "", (text, tail)
-        [line] = err.splitlines()
+        *warnings, line = lines
         assert line.startswith("error: "), (text, tail, line)
         if measured == 2:
-            assert measure_err.splitlines() == [line], (text, tail)
+            assert measure_err.splitlines() == lines, (text, tail)
+        else:
+            assert warnings == measure_err.splitlines(), (text, tail)
         return
     assert measured == 0, (text, tail, measure_err)
+    assert lines[: len(lines) - code] == measure_err.splitlines(), (text, tail)
     header, row = out.splitlines()
     cells = dict(zip(header.split(","), row.split(",")))
     measure_header, measure_row = measure_out.splitlines()
