@@ -18,10 +18,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": ("ConvergenceError", "DomainError", "GridError", "NormalizationError", "SpecError"),
-    "measures": ("MeasureReport", "ReportDiagnostics", "measure_report"),
-    "numerics": (
-        "CovarianceMatrix", "Grid", "SampledWavefunction", "covariance_of", "sized_ground_state",
-    ),
+    "measures": ("MeasureReport", "ReportDiagnostics", "measure_report", "sized_ground_state"),
+    "numerics": ("CovarianceMatrix", "Grid", "SampledWavefunction", "covariance_of"),
     "oracle": ("EigenResult", "fd_ground_state"),
     "perturbation": (
         "CurvePoint", "PerturbativeState", "alpha_coefficients", "eta_b_perturbative",

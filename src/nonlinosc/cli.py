@@ -28,8 +28,9 @@ if __name__ == "__main__":
 import numpy as np
 
 from .errors import NonlinoscError, SpecError
-from .measures import MeasureReport, measure_report
-from .numerics import DEFAULT_N_POINTS, DEFAULT_TARGET_TAIL, require_grid_settings
+from .measures import (
+    DEFAULT_N_POINTS, DEFAULT_TARGET_TAIL, MeasureReport, measure_report, require_grid_settings,
+)
 from .oracle import fd_ground_state, fidelity as oracle_fidelity
 from .perturbation import parametric_curve, scatter_sample
 from .potentials import PerturbedHarmonic, parse_potential_params, parse_potential_spec

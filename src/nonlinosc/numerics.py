@@ -6,9 +6,8 @@ sinc-DVR oracle; for the smooth, tail-cut catalog states it converges
 geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014). Each sample
 carries its family's exact log-derivative psi'/psi, so no stencil is needed.
 Grids have an odd number of nodes, so every other node spans the same extent.
-A grid spans its family's exact seed, whatever its size, and moments are
-taken in its unit, a power of two near the spacing, so x and psi' stay in
-the float range at any scale.
+Moments are taken in a grid's unit, a power of two near the spacing, so x
+and psi' stay in the float range at any scale.
 """
 
 from __future__ import annotations
@@ -20,25 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridError, NormalizationError
-from .potentials import Harmonic, PotentialSpec, ground_state_log_amplitude
-
-DEFAULT_N_POINTS = 4097
-DEFAULT_TARGET_TAIL = 1e-8
-
-
-def require_grid_settings(target_tail: float, n_points: int) -> None:
-    """Raise GridError unless ``sized_ground_state`` accepts the tail target
-    and ``Grid`` the point count."""
-    if not (0.0 < target_tail <= 1e-4):
-        raise GridError(f"target_tail must lie in (0, 1e-4], got {target_tail!r}")
-    _require_n_points(n_points)
-
-
-def _require_n_points(n_points: int) -> None:
-    if n_points < 128:
-        raise GridError(f"grid requires n_points >= 128, got {n_points}")
-    if n_points % 2 == 0:
-        raise GridError(f"grid requires an odd n_points for its half grid, got {n_points}")
+from .potentials import PotentialSpec, ground_state_log_amplitude
 
 
 @dataclass(frozen=True)
@@ -54,7 +35,10 @@ class Grid:
             raise GridError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise GridError(f"grid requires x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        _require_n_points(self.n_points)
+        if self.n_points < 128:
+            raise GridError(f"grid requires n_points >= 128, got {self.n_points}")
+        if self.n_points % 2 == 0:
+            raise GridError(f"grid requires an odd n_points for its half grid, got {self.n_points}")
 
     @property
     def spacing(self) -> float:
@@ -136,40 +120,6 @@ class CovarianceMatrix:
     @property
     def det(self) -> float:
         return 0.25 + self.excess
-
-
-def sized_ground_state(
-    spec: PotentialSpec,
-    target_tail: float = DEFAULT_TARGET_TAIL,
-    n_points: int = DEFAULT_N_POINTS,
-) -> SampledWavefunction:
-    """Sample the analytic ground state once, on the grid of its family's
-    exact seed halfwidths for the tail target, and normalize it.
-
-    The grid spans the seed whatever its size; a seed that leaves the float
-    range, or a side that misses the tail, is a GridError. With a reference,
-    each side widens toward the seed of Harmonic(omega_R), but not past the
-    state's own seed at twice the depth, where the state is below tail^2 of
-    its peak. Whether the grid resolves the state is for the half-grid check
-    of the report. No family's log amplitude peaks beyond +-180, so the
-    squared amplitude stays in range.
-    """
-    require_grid_settings(target_tail, n_points)
-    depth = math.log(1.0 / target_tail)
-    left, right = spec.seed_halfwidths(depth)
-    omega_r = spec.omega_r()
-    reach = 0.0 if omega_r is None else Harmonic(omega_r).seed_halfwidths(depth)[0]
-    if reach > min(left, right):
-        left, right = (max(side, min(reach, bound))
-                       for side, bound in zip((left, right), spec.seed_halfwidths(2.0 * depth)))
-    if not (math.isfinite(left) and math.isfinite(right)):
-        raise GridError(f"{spec.kind} seed for tail {target_tail:g} leaves the float range")
-    wf = sample_ground_state(spec, Grid(-left, right, n_points))
-    if wf.tail_ratio > target_tail:
-        side = "left" if wf.amplitude[0] >= wf.amplitude[-1] else "right"
-        raise GridError(f"{spec.kind} seed misses the {side} tail "
-                        f"(end/peak ratio {wf.tail_ratio:.3g})")
-    return wf
 
 
 def sample_ground_state(spec: PotentialSpec, grid: Grid) -> SampledWavefunction:

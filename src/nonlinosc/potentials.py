@@ -302,10 +302,7 @@ class FellowsSmith(_Family):
         wells, so no proper reference exists there."""
         if self.p < P_PLUS:
             return None
-        curvature = 1.0 + 8.0 * self.p * (1.0 + self.p)
-        if curvature <= 0.0:
-            return None
-        return math.sqrt(curvature)
+        return math.sqrt(1.0 + 8.0 * self.p * (1.0 + self.p))
 
     def energy(self) -> float:
         return 0.5 - self.p

@@ -151,9 +151,10 @@ def morse_reference_fidelity(D: float, alpha: float) -> float:
         return state * (omega / mp.pi) ** mp.mpf(0.25) * mp.exp(-omega * u**2 / 2)
 
     # The reference is below e^{-72} past 12 widths; a deep well is narrow on
-    # the same scale, so the quadrature breaks at every quarter width.
+    # the same scale, so the quadrature breaks at every half width (whole
+    # widths are 2e-10 off at D = 2e4).
     width = 1 / mp.sqrt(omega)
-    overlap = mp.quad(product, [k * width / 4 for k in range(-48, 49)])
+    overlap = mp.quad(product, [k * width / 2 for k in range(-24, 25)])
     return float(overlap**2 / norm_sq)
 
 

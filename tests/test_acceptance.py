@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from nonlinosc.cli import main as cli_main
-from nonlinosc.measures import measure_report
-from nonlinosc.numerics import sized_ground_state
+from nonlinosc.measures import measure_report, sized_ground_state
 from nonlinosc.oracle import fd_ground_state, fidelity
 from nonlinosc.perturbation import (
     PerturbativeState,

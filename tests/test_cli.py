@@ -551,6 +551,53 @@ class TestCurve:
         assert err.splitlines() == [f"error: curve needs at least 2 points, got {points}"]
 
 
+# argv and the last stderr line of argument errors of each command; argparse's
+# own lines follow its usage, which starts with "usage: nonlinosc <command> ".
+ARGUMENT_ERRORS = {
+    "sweep-one-point": (
+        ["sweep", "--potential", "mio:a=1", "--axis", "a", "--from", "1", "--to", "2",
+         "--points", "1"],
+        "error: sweep needs at least 2 points, got 1",
+    ),
+    "sweep-log-from-zero": (
+        ["sweep", "--potential", "mio:a=1", "--axis", "a", "--from", "0", "--to", "2",
+         "--points", "3", "--log-spacing"],
+        "error: log spacing requires a positive range start",
+    ),
+    "curve-past-one": (
+        ["curve", "--from", "0.5", "--to", "1.2"],
+        "error: curve range must satisfy 0 <= from < to < 1, got [0.5, 1.2]",
+    ),
+    "scatter-one-bound": (
+        ["scatter", "--eps3", "0.1"],
+        "nonlinosc scatter: error: argument --eps3: expected lo,hi, got '0.1'",
+    ),
+    "scatter-text-bounds": (
+        ["scatter", "--eps3", "a,b"],
+        "nonlinosc scatter: error: argument --eps3: expected numeric lo,hi, got 'a,b'",
+    ),
+    "scatter-negative-count": (
+        ["scatter", "--n", "-1"],
+        "error: sample count must be >= 0, got -1",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, line", ARGUMENT_ERRORS.values(), ids=ARGUMENT_ERRORS)
+def test_argument_error_exits_2_with_its_line(capsys, argv, line):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    if line.startswith("nonlinosc "):
+        assert lines[0].startswith(f"usage: nonlinosc {argv[0]} ")
+        lines = lines[-1:]
+    assert lines == [line]
+
+
 class TestOracleCheck:
     def test_mpt_passes(self, capsys):
         code, out, _ = run_cli(capsys, "oracle-check", "--potential", "mpt:D=1,alpha=1")
@@ -583,7 +630,9 @@ class TestOracleCheck:
         assert done.returncode == 2
         assert done.stdout == ""
         [line] = done.stderr.splitlines()
-        assert line.startswith("error: ") and "float range" in line
+        assert line.startswith(
+            "error: V(x) or the kinetic matrix overflows the float range on the grid "
+        )
 
     def test_unresolved_reference_exits_2_as_measure_does(self, capsys):
         code, out, err = run_cli(capsys, "measure", "--potential", "mio:a=1e20")

@@ -9,13 +9,12 @@ import pytest
 from nonlinosc import measures, perturbation, potentials
 from nonlinosc.cli import main
 from nonlinosc.errors import DomainError, GridError
-from nonlinosc.measures import measure_report
+from nonlinosc.measures import measure_report, sized_ground_state
 from nonlinosc.numerics import (
     Grid,
     SampledWavefunction,
     covariance_of,
     sample_ground_state,
-    sized_ground_state,
 )
 from nonlinosc.oracle import fd_ground_state
 from nonlinosc.potentials import (

@@ -7,14 +7,13 @@ import pytest
 
 from nonlinosc import numerics
 from nonlinosc.errors import GridError, NormalizationError
-from nonlinosc.measures import measure_report
+from nonlinosc.measures import measure_report, sized_ground_state
 from nonlinosc.numerics import (
     CovarianceMatrix,
     Grid,
     SampledWavefunction,
     covariance_of,
     sample_ground_state,
-    sized_ground_state,
 )
 from nonlinosc.potentials import (
     P_PLUS,

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nonlinosc.errors import ConvergenceError, GridError, SpecError
-from nonlinosc.numerics import Grid, sized_ground_state
+from nonlinosc.measures import sized_ground_state
+from nonlinosc.numerics import Grid
 from nonlinosc.oracle import (
     EigenResult,
     _hamiltonian,

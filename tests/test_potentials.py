@@ -7,8 +7,7 @@ import pytest
 
 from nonlinosc import potentials, specfun
 from nonlinosc.errors import DomainError, SpecError
-from nonlinosc.measures import measure_report
-from nonlinosc.numerics import sized_ground_state
+from nonlinosc.measures import measure_report, sized_ground_state
 from nonlinosc.potentials import (
     P_PLUS,
     FellowsSmith,
@@ -183,6 +182,12 @@ class TestReferenceFrequency:
         p = -0.1
         expected = math.sqrt(1.0 + 8.0 * p * (1.0 + p))
         assert FellowsSmith(p).omega_r() == pytest.approx(expected, rel=1e-14)
+
+    def test_fellows_smith_at_the_float_p_plus(self):
+        # The curvature 1 + 8p(1 + p) rounds to one ulp of 1 at the float p+,
+        # and rises above it; the next float below p+ has no reference.
+        assert FellowsSmith(P_PLUS).omega_r() == 1.4901161193847656e-08
+        assert FellowsSmith(math.nextafter(P_PLUS, -1.0)).omega_r() is None
 
     def test_harmonic_and_perturbed(self):
         assert Harmonic(3.0).omega_r() == 3.0

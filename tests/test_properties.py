@@ -23,8 +23,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from nonlinosc import numerics
 from nonlinosc.cli import main
 from nonlinosc.errors import GridError, SpecError
-from nonlinosc.measures import measure_report
-from nonlinosc.numerics import sized_ground_state
+from nonlinosc.measures import DEFAULT_N_POINTS, measure_report, sized_ground_state
 from nonlinosc.potentials import (
     P_PLUS,
     FellowsSmith,
@@ -315,6 +314,7 @@ SAMPLED_FAMILIES = st.one_of(
 @example(family=(ModifiedPoschlTeller, (1e35, 1.0)), tail=1e-8)
 @example(family=(ModifiedIsotonic, (1e300,)), tail=1e-300)
 @example(family=(morse_at, (1.0, 0.99)), tail=1e-4)  # 724 wide on the right
+@example(family=(Harmonic, (5e-324,)), tail=1e-8)  # a seed past the float range
 def test_sizing_samples_once_and_meets_the_tail(family, tail):
     # The seed is exact: one evaluation of the amplitude, and both sides end
     # below the tail. A seed that missed would raise GridError here. An
@@ -336,12 +336,13 @@ def test_sizing_samples_once_and_meets_the_tail(family, tail):
         try:
             wf = sized_ground_state(spec, tail)
         except GridError as exc:  # a seed past the float range
-            assert str(exc) == "grid bounds must be finite", (spec, tail)
+            assert str(exc) == f"{spec.kind} seed for tail {tail:g} leaves the float range", \
+                (spec, tail)
             assert calls == [], (spec, tail)
             return
     # An even state is evaluated on the (n+1)/2 nodes x >= 0 of its symmetric grid.
     [(size, peak)] = calls
-    n = numerics.DEFAULT_N_POINTS
+    n = DEFAULT_N_POINTS
     assert size == ((n + 1) // 2 if spec.even else n), (spec, tail)
     assert abs(peak) <= 180.0, (spec, tail, peak)
     peak = float(np.max(np.abs(wf.amplitude)))
@@ -368,6 +369,7 @@ def test_symmetric_grid_is_mirror_exact(n, w):
        tail=st.one_of(st.just(1e-8), log_uniform(-300.0, -4.0)))
 @example(family=(FellowsSmith, (-0.5,)), tail=1e-8)
 @example(family=(FellowsSmith, (0.0,)), tail=1e-8)
+@example(family=(Harmonic, (5e-324,)), tail=1e-8)  # a seed past the float range
 def test_even_state_is_sampled_with_exact_parity(family, tail):
     # The amplitude of an even state is exactly even and its log-derivative
     # exactly odd: each comes from the half grid x >= 0, mirrored. A
@@ -381,7 +383,8 @@ def test_even_state_is_sampled_with_exact_parity(family, tail):
     try:
         wf = sized_ground_state(spec, tail)
     except GridError as exc:  # a seed past the float range
-        assert str(exc) == "grid bounds must be finite", (spec, tail)
+        assert str(exc) == f"{spec.kind} seed for tail {tail:g} leaves the float range", \
+            (spec, tail)
         return
     assert np.array_equal(wf.amplitude, wf.amplitude[::-1]), (spec, tail)
     assert np.array_equal(wf.log_derivative, -wf.log_derivative[::-1]), (spec, tail)

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from nonlinosc import specfun
 from nonlinosc.errors import ConvergenceError, DomainError
-from nonlinosc.numerics import sized_ground_state
+from nonlinosc.measures import sized_ground_state
 from nonlinosc.potentials import P_PLUS, FellowsSmith
 from nonlinosc.specfun import eta_ng_of_excess, kummer_phi_log_grid
 
