@@ -147,10 +147,19 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _parse_range(name: str, text: str) -> tuple[float, float]:
+    try:
+        lo, hi = map(float, text.split(","))
+    except ValueError:  # a count other than two, or a part that is not a number
+        raise SpecError(f"{name} range must be two numbers lo,hi, got {text!r}") from None
+    return lo, hi
+
+
 def _run_scatter(args: argparse.Namespace) -> int:
     columns = ["eps3", "eps4", "eta_b", "eta_ng"]
+    ranges = _parse_range("eps3", args.eps3), _parse_range("eps4", args.eps4)
     rows = []
-    for eps3, eps4 in scatter_sample(args.n, args.eps3, args.eps4, args.omega, args.seed):
+    for eps3, eps4 in scatter_sample(args.n, *ranges, args.omega, args.seed):
         report = measure_report(PerturbedHarmonic(args.omega, eps3, eps4))
         rows.append(dict(zip(columns, map(_round12, (eps3, eps4, report.eta_b, report.eta_ng)))))
     _emit(args, columns, rows, {"command": "scatter", "seed": args.seed, "rows": rows})
@@ -205,17 +214,6 @@ def _run_oracle_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_range(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected lo,hi, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numeric lo,hi, got {text!r}") from None
-    return lo, hi
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nonlinosc",
@@ -249,8 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_scatter, _run_scatter, potential=False)
     p_scatter.add_argument("--n", type=int, default=500)
     p_scatter.add_argument("--seed", type=int, default=0)
-    p_scatter.add_argument("--eps3", type=_parse_range, default=(-0.1, 0.1))
-    p_scatter.add_argument("--eps4", type=_parse_range, default=(-0.25, 0.25))
+    p_scatter.add_argument("--eps3", default="-0.1,0.1")
+    p_scatter.add_argument("--eps4", default="-0.25,0.25")
     p_scatter.add_argument("--omega", type=float, default=1.0)
 
     p_curve = sub.add_parser("curve", help="even-perturbation parametric curve")

@@ -10,10 +10,10 @@ ground states; eta_ng needs no reference potential at all.
 
 ``measure_report`` is the one evaluator from a spec to its report, for
 every command: a family with a sampled state gets it sampled once, on a
-grid that spans its family's exact seed whatever its size, with the
-half-grid difference d of the excess det sigma - 1/4 (all nodes against
-every other node) as its alarm; ``pert`` gets the closed forms of its
-first-order state and no grid.
+grid that spans its family's exact seed whatever its size, with its peak
+PEAK_MARGIN nodes inside the ends and the half-grid difference d of the
+excess det sigma - 1/4 (all nodes against every other node) as its checks;
+``pert`` gets the closed forms of its first-order state and no grid.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ DEFAULT_N_POINTS = 4097
 DEFAULT_TARGET_TAIL = 1e-8
 # d per unit of the excess above which a report warns and fails, and the floor for rounding.
 WARN_SPREAD, FAIL_SPREAD, SPREAD_FLOOR = 1e-9, 1e-3, 1e-15
+# Fewest nodes from a sampled state's peak to either end: d cannot see a rise between two nodes.
+PEAK_MARGIN = 8
 
 
 @dataclass(frozen=True)
@@ -84,9 +86,9 @@ def sized_ground_state(
     range, or a side that misses the tail, is a GridError. With a reference,
     each side widens toward the seed of Harmonic(omega_R), but not past the
     state's own seed at twice the depth, where the state is below tail^2 of
-    its peak. Whether the grid resolves the state is for the half-grid check
-    of the report. No family's log amplitude peaks beyond +-180, so the
-    squared amplitude stays in range.
+    its peak. Whether the grid resolves the state is for the peak and
+    half-grid checks of the report. No family's log amplitude peaks beyond
+    +-180, so the squared amplitude stays in range.
     """
     require_grid_settings(target_tail, n_points)
     depth = math.log(1.0 / target_tail)
@@ -120,14 +122,17 @@ def measure_report(
         diagnostics = ReportDiagnostics(grid=None, tail_ratio=0.0)
     else:
         wf = sized_ground_state(spec, target_tail, n_points)
+        grid, peak = wf.grid, int(np.argmax(wf.amplitude))
+        span = f"[{grid.x_min:.6g}, {grid.x_max:.6g}]"
+        if min(peak, grid.n_points - 1 - peak) < PEAK_MARGIN:
+            raise GridError(f"{spec.kind} state peaks at node {peak} of {grid.n_points} over "
+                            f"{span}: the grid does not resolve the state")
         excess = covariance_of(wf).excess
         spread = abs(excess - covariance_of(wf, stride=2).excess)
-        grid = wf.grid
         moves = f"det sigma - 1/4 = {excess:.3g} moves by {spread:.2g} on every other node"
         if spread > FAIL_SPREAD * excess + SPREAD_FLOOR:
-            raise GridError(f"{moves} of {grid.n_points} points over [{grid.x_min:.6g}, "
-                            f"{grid.x_max:.6g}] at tail {target_tail:g}: the grid does not "
-                            "resolve the state")
+            raise GridError(f"{moves} of {grid.n_points} points over {span} at tail "
+                            f"{target_tail:g}: the grid does not resolve the state")
         omega_r = spec.omega_r()
         eta_b = fidelity = None
         ref_norm_defect = 0.0

@@ -99,7 +99,7 @@ class CovarianceMatrix:
 
     For a real amplitude <p> = 0 and the symmetrized <xp> vanishes (the
     integral of x phi phi' is exactly -1/2 after normalization), so sigma is
-    diagonal; ``det`` is var_x var_p, kept as 1/4 + ``excess``.
+    diagonal; det sigma = var_x var_p is kept as its ``excess`` over 1/4.
     """
 
     var_x: float
@@ -116,10 +116,6 @@ class CovarianceMatrix:
             raise GridError(
                 f"covariance requires positive variances, got ({self.var_x}, {self.var_p})"
             )
-
-    @property
-    def det(self) -> float:
-        return 0.25 + self.excess
 
 
 def sample_ground_state(spec: PotentialSpec, grid: Grid) -> SampledWavefunction:

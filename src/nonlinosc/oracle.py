@@ -51,7 +51,6 @@ class EigenResult:
     """
 
     energy: float
-    det_sigma: float
     eta_ng: float
     grid: Grid
     coefficients: np.ndarray
@@ -93,11 +92,11 @@ def fd_ground_state(spec: PotentialSpec, grid: Grid) -> EigenResult:
             f"[{grid.x_min:.6g}, {grid.x_max:.6g}]: its last moves are "
             f"|dE| = {d_energy:.3g} and |d eta_ng| = {d_eta_ng:.3g}"
         )
-    return EigenResult(energy, 0.25 + excess, eta_ng, nodes, c, d_energy, d_eta_ng, solves)
+    return EigenResult(energy, eta_ng, nodes, c, d_energy, d_eta_ng, solves)
 
 
-def _hamiltonian(spec: PotentialSpec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The kinetic matrix T and V on the nodes of ``grid``.
+def _hamiltonian(spec: PotentialSpec, grid: Grid) -> np.ndarray:
+    """The DVR Hamiltonian T + V on the nodes of ``grid``.
 
     Raises GridError when T's spectrum, up to pi^2/(2 h^2) = 3 T_ii, plus
     max |V| leaves the float range: then so would the eigenvalues of H.
@@ -106,7 +105,7 @@ def _hamiltonian(spec: PotentialSpec, grid: Grid) -> tuple[np.ndarray, np.ndarra
     k = np.arange(1.0, n)
     row = np.concatenate(([math.pi**2 / 3.0], 2.0 * (-1.0) ** k / k**2))  # T_ij by |i - j|
     with np.errstate(over="ignore", invalid="ignore"):
-        v = np.asarray(evaluate_potential(spec, grid.points()), dtype=float)
+        v = evaluate_potential(spec, grid.points())
         row /= 2.0 * h * h
         top = 3.0 * row[0] + np.max(np.abs(v))
     if not math.isfinite(top):
@@ -115,7 +114,9 @@ def _hamiltonian(spec: PotentialSpec, grid: Grid) -> tuple[np.ndarray, np.ndarra
             f"[{grid.x_min:.6g}, {grid.x_max:.6g}]"
         )
     index = np.arange(n)
-    return row[np.abs(index[:, None] - index)], v
+    hamiltonian = row[np.abs(index[:, None] - index)]
+    hamiltonian.flat[:: n + 1] += v
+    return hamiltonian
 
 
 def _solve(spec: PotentialSpec, grid: Grid) -> tuple[float, float, np.ndarray]:
@@ -123,8 +124,7 @@ def _solve(spec: PotentialSpec, grid: Grid) -> tuple[float, float, np.ndarray]:
 
     Raises ConvergenceError when rounding in H swamps the gap above E.
     """
-    kinetic, v = _hamiltonian(spec, grid)
-    energies, vectors = np.linalg.eigh(kinetic + np.diag(v))
+    energies, vectors = np.linalg.eigh(_hamiltonian(spec, grid))
     energy, c = float(energies[0]), vectors[:, 0].copy()
     if not (math.isfinite(energy) and np.all(np.isfinite(c))):
         raise ConvergenceError(f"the DVR eigenpair is not finite for {spec!r}")

@@ -67,8 +67,6 @@ def kummer_phi_log_grid(a: float, b: float, z: np.ndarray) -> tuple[np.ndarray, 
             f"kummer_phi_log_grid cannot pass the ratio peak within {cap} terms "
             f"for a={a}, b={b}, z={z_max}"
         )
-    if z_max == 0.0:
-        return np.zeros_like(z), np.zeros_like(z)
     exponent = math.frexp(z_max)[1]
     s = math.ldexp(1.0, exponent)
     powers = np.empty((_BLOCK, flat.size))

@@ -195,6 +195,15 @@ class TestMeasure:
             "error: det sigma - 1/4 = 24.4 moves by 2.8 on every other node of 4097 points over "
             "[-1.54206, 1368.35] at tail 1e-08: the grid does not resolve the state"]
 
+    def test_rise_between_two_nodes_is_unresolved(self, capsys):
+        # N = 4e-5: the state peaks at x = 3.33, inside the first 41.8-wide step of its grid.
+        # There the node sums give det sigma 0.75 (exact 3113.05) and move by only 5.6e-06.
+        code, out, err = run_cli(capsys, "measure", "--potential", "morse:D=1,alpha=2.8282")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: morse state peaks at node 1 of 4097 over [-1.52977, 171017]: "
+            "the grid does not resolve the state"]
+
     def test_parse_error_nonzero_exit(self, capsys):
         code, _, err = run_cli(capsys, "measure", "--potential", "nope:x=1")
         assert code != 0
@@ -551,8 +560,7 @@ class TestCurve:
         assert err.splitlines() == [f"error: curve needs at least 2 points, got {points}"]
 
 
-# argv and the last stderr line of argument errors of each command; argparse's
-# own lines follow its usage, which starts with "usage: nonlinosc <command> ".
+# argv and the one stderr line of argument errors of each command.
 ARGUMENT_ERRORS = {
     "sweep-one-point": (
         ["sweep", "--potential", "mio:a=1", "--axis", "a", "--from", "1", "--to", "2",
@@ -570,11 +578,11 @@ ARGUMENT_ERRORS = {
     ),
     "scatter-one-bound": (
         ["scatter", "--eps3", "0.1"],
-        "nonlinosc scatter: error: argument --eps3: expected lo,hi, got '0.1'",
+        "error: eps3 range must be two numbers lo,hi, got '0.1'",
     ),
     "scatter-text-bounds": (
         ["scatter", "--eps3", "a,b"],
-        "nonlinosc scatter: error: argument --eps3: expected numeric lo,hi, got 'a,b'",
+        "error: eps3 range must be two numbers lo,hi, got 'a,b'",
     ),
     "scatter-negative-count": (
         ["scatter", "--n", "-1"],
@@ -585,17 +593,9 @@ ARGUMENT_ERRORS = {
 
 @pytest.mark.parametrize("argv, line", ARGUMENT_ERRORS.values(), ids=ARGUMENT_ERRORS)
 def test_argument_error_exits_2_with_its_line(capsys, argv, line):
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
+    code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    lines = err.splitlines()
-    if line.startswith("nonlinosc "):
-        assert lines[0].startswith(f"usage: nonlinosc {argv[0]} ")
-        lines = lines[-1:]
-    assert lines == [line]
+    assert err.splitlines() == [line]
 
 
 class TestOracleCheck:

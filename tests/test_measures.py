@@ -446,7 +446,7 @@ class TestSymplecticInvariance:
         grid = Grid(-10.0, 16.0, 4097)
         x = grid.points()
         wf = SampledWavefunction(grid, np.exp(-((x - 3.0) ** 2) / 2.0), 3.0 - x)
-        det = covariance_of(wf).det
+        det = 0.25 + covariance_of(wf).excess
         assert entropy_h(math.sqrt(det)) <= 1e-6
 
 
@@ -457,5 +457,5 @@ class TestOracleEquivalence:
     )
     def test_eta_ng_from_fd_state(self, spec):
         wf = sized_ground_state(spec)
-        analytic = entropy_h(math.sqrt(covariance_of(wf).det))
+        analytic = entropy_h(math.sqrt(0.25 + covariance_of(wf).excess))
         assert fd_ground_state(spec, wf.grid).eta_ng == pytest.approx(analytic, abs=1e-6)

@@ -211,7 +211,7 @@ class TestSizedGroundState:
         assert kept.amplitude.tobytes() == whole.amplitude.tobytes()
         report = measure_report(spec)
         assert report.diagnostics.grid == kept.grid
-        assert report.det_sigma == covariance_of(kept).det
+        assert report.det_sigma == 0.25 + covariance_of(kept).excess
 
     @pytest.mark.parametrize("n_points", [129, 513, 1025, 4097, 8193])
     def test_near_threshold_morse_spans_its_seed_at_every_point_count(self, n_points):
@@ -256,7 +256,7 @@ class TestCovariance:
         cov = covariance_of(sized_ground_state(spec))
         assert cov.var_x == pytest.approx(0.25, rel=1e-9)
         assert cov.var_p == pytest.approx(1.0, rel=1e-9)
-        assert cov.det == pytest.approx(0.25, rel=1e-9)
+        assert 0.25 + cov.excess == pytest.approx(0.25, rel=1e-9)
 
     def test_sech_state_closed_moments(self):
         spec = ModifiedPoschlTeller(1.0, 1.0)
@@ -320,7 +320,7 @@ class TestCovariance:
     @pytest.mark.parametrize("spec", SMALL_CATALOG)
     def test_heisenberg_bound(self, spec):
         cov = covariance_of(sized_ground_state(spec))
-        assert cov.det >= 0.25 - 1e-6
+        assert cov.var_x * cov.var_p >= 0.25 - 1e-6
 
     @pytest.mark.parametrize("spec", EVEN_SPECS)
     def test_parity_zero_mean(self, spec):
@@ -378,8 +378,7 @@ class TestExcess:
     @pytest.mark.parametrize("spec", EXCESS_TABLE, ids=repr)
     def test_det_is_a_quarter_plus_the_excess(self, spec):
         cov = covariance_of(sized_ground_state(spec))
-        assert cov.det == 0.25 + cov.excess
-        assert cov.det == pytest.approx(cov.var_x * cov.var_p, rel=1e-13)
+        assert 0.25 + cov.excess == pytest.approx(cov.var_x * cov.var_p, rel=1e-13)
 
     @pytest.mark.parametrize("omega", [0.01, 1.0, 1e4])
     def test_a_gaussian_keeps_its_excess_at_rounding_squared(self, omega):

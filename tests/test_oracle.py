@@ -71,8 +71,7 @@ def solved(spec):
 
 def dvr_matrix(spec, grid):
     """The DVR Hamiltonian on ``grid`` and its spectral norm."""
-    kinetic, v = _hamiltonian(spec, grid)
-    h = kinetic + np.diag(v)
+    h = _hamiltonian(spec, grid)
     return h, float(np.linalg.norm(h, 2))
 
 
@@ -126,9 +125,11 @@ class TestFdGroundState:
         # det sigma - 1/4 = var_x |Dc + (x - mu) c/(2 var_x)|^2 is left only with the
         # sinc derivative's cut at the tail (2e-10 at the end nodes); as
         # var_x var_p - 1/4 it was eigh's rounding, and eta_ng printed 4.9e-13.
-        result = solved(Harmonic(0.7))
+        spec = Harmonic(0.7)
+        result = solved(spec)
         assert 0.0 <= result.eta_ng <= 1e-17
-        assert result.det_sigma == 0.25
+        _, excess, _ = _solve(spec, result.grid)
+        assert 0.25 + excess == 0.25
 
     def test_iterations_reported(self):
         # Two solves, 129 and 257 nodes, when the first move is already below tolerance.
@@ -163,7 +164,8 @@ class TestLadder:
         assert (result.grid.n_points, result.iterations) == (257, 2)
         assert result.energy_error <= 5e-13 * max(1.0, abs(result.energy))
         _, excess_coarse, _ = _solve(spec, Grid(grid.x_min, grid.x_max, 129))
-        assert abs(result.det_sigma - (0.25 + excess_coarse)) <= 5e-13
+        _, excess, _ = _solve(spec, result.grid)
+        assert abs(excess - excess_coarse) <= 5e-13
 
     def test_a_long_tail_climbs_the_ladder(self):
         # MIO a = 30 has an inner scale 1/sqrt(a): 257 nodes leave E 2.5e-9 off.

@@ -8,7 +8,8 @@ line from one of the package's error classes. An exception that escapes
 sized in one evaluation of its amplitude, and ``oracle-check`` prints the
 eta_ng that ``measure`` prints, or fails where ``measure`` fails. Both
 measures are free of units: a well rescaled by any factor reports them as
-the unscaled well does.
+the unscaled well does. Near the Morse bound-state limit, an exit 0 carries
+the closed form's eta_ng.
 """
 
 import contextlib
@@ -32,8 +33,9 @@ from nonlinosc.potentials import (
     ModifiedPoschlTeller,
     Morse,
 )
+from nonlinosc.specfun import eta_ng_of_excess
 
-from helpers import P_MINUS, report_extent
+from helpers import P_MINUS, closed_excess, report_extent
 
 FIELDS = ("eta_b", "eta_ng", "omega_r", "ground_energy", "det_sigma", "fidelity_to_reference")
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -106,6 +108,24 @@ def test_harmonic(omega):
 @example(depth=1e-300, fraction=1e-300 / (2.0 * math.sqrt(2e-300)))  # omega_R underflows
 def test_morse(depth, fraction):
     check_measure(f"morse:D={depth!r},alpha={fraction * 2.0 * math.sqrt(2.0 * depth)!r}")
+
+
+# (D, alpha) with alpha at 1 - 10**[-9, -0.5] of the limit 2 sqrt(2D), so N is 5e-10 to 0.23.
+NEAR_LIMIT_MORSE = st.tuples(log_uniform(-3.0, 3.0), log_uniform(-9.0, -0.5)).map(
+    lambda draw: (draw[0], (1.0 - draw[1]) * 2.0 * math.sqrt(2.0 * draw[0]))
+)
+
+
+@SETTINGS
+@given(well=NEAR_LIMIT_MORSE, tail=st.one_of(st.just(1e-8), log_uniform(-300.0, -4.0)))
+@example(well=(1.0, 2.8282), tail=1e-8)  # its rise falls between nodes 0 and 1
+def test_morse_near_the_limit_reports_the_closed_form(well, tail):
+    depth, alpha = well
+    report = check_measure(f"morse:D={depth!r},alpha={alpha!r}", "--tail", repr(tail))
+    if report is not None:
+        exact = eta_ng_of_excess(closed_excess(Morse(depth, alpha)))
+        bound = 1e-3 if report["warnings"] else 1e-6
+        assert abs(report["eta_ng"] - exact) <= bound * exact, (depth, alpha, tail, report)
 
 
 @SETTINGS
