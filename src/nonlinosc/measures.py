@@ -67,10 +67,10 @@ class MeasureReport:
 
 
 def require_grid_settings(target_tail: float, n_points: int) -> None:
-    """Raise GridError unless ``sized_ground_state`` accepts the tail target
-    and ``Grid`` the point count."""
-    if not (0.0 < target_tail <= 1e-4):
-        raise GridError(f"target_tail must lie in (0, 1e-4], got {target_tail!r}")
+    """Raise GridError unless the tail target lies in (0, DEFAULT_TARGET_TAIL] and ``Grid``
+    accepts the point count: the default is the loosest tail, as a looser cut costs digits."""
+    if not (0.0 < target_tail <= DEFAULT_TARGET_TAIL):
+        raise GridError(f"target_tail must lie in (0, {DEFAULT_TARGET_TAIL!r}], got {target_tail!r}")
     Grid(-1.0, 1.0, n_points)
 
 

@@ -163,7 +163,8 @@ class TestMeasure:
         expected = -0.5 * (math.sqrt(2.0 * depth) - 0.5 * alpha) ** 2
         assert energy.ground_energy == pytest.approx(expected, rel=1e-14)
 
-    @pytest.mark.parametrize("text,tail", [("harmonic:omega=1", 1e-100), ("mio:a=1e-6", 1e-4)])
+    @pytest.mark.parametrize("text,tail", [("harmonic:omega=1", 1e-100), ("mio:a=1e-6", 1e-8),
+                                           ("mio:a=1e-6", 1e-30)])
     def test_sample_once_below_a_quarter_reports_exactly(self, capsys, text, tail):
         # Simpson moments put det sigma a few 1e-9 below 1/4 here, a GridError;
         # the excess is a sum of squares and reports eta_NG and det sigma to 1e-15.
@@ -175,6 +176,25 @@ class TestMeasure:
         excess = 0.0 if isinstance(spec, Harmonic) else mio_quadrature_excess(spec.a)
         assert report["det_sigma"] == float(f"{0.25 + excess:.12g}")  # printed to 12 digits
         assert report["eta_ng"] == pytest.approx(eta_ng_of_excess(excess), abs=1e-15)
+
+    @pytest.mark.parametrize("text,tail", [
+        ("morse:D=1,alpha=1", "0.0001"),
+        ("mio:a=1000", "0.0001"),
+        ("mpt:D=2,alpha=1", "0.0001"),
+        ("mpt:D=2,alpha=1", "1e-06"),
+        ("morse:D=10.842940072974082,alpha=7.869640333942365", "6.069832265940608e-05"),
+    ])
+    def test_tail_looser_than_the_default_exits_2(self, capsys, text, tail):
+        # Each tail cuts as many as the last 5 of eta_NG's printed digits, which no
+        # check books; at the default tail the cut is below the printed digits.
+        code, out, err = run_cli(capsys, "measure", "--potential", text, "--tail", tail)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: target_tail must lie in (0, 1e-08], got {tail}"]
+        code, out, err = run_cli(capsys, "measure", "--potential", text)
+        assert (code, err) == (0, "")
+        spec = parse_potential_spec(text)
+        exact = eta_ng_of_excess(closed_excess(spec))
+        assert measure_report(spec).eta_ng == pytest.approx(exact, rel=1e-12)
 
     def test_wide_state_reports_exactly(self, capsys):
         # The state is 1,048 wide: its whole seed is sampled, and eta_NG is the closed form's.
@@ -272,7 +292,8 @@ NO_GRID_COMMANDS = {
     "curve": ["curve", "--points", "5"],
 }
 BAD_GRID_FLAGS = {
-    "tail": (["--tail", "5"], "error: target_tail must lie in (0, 1e-4], got 5.0"),
+    "tail": (["--tail", "5"], "error: target_tail must lie in (0, 1e-08], got 5.0"),
+    "loose-tail": (["--tail", "1e-4"], "error: target_tail must lie in (0, 1e-08], got 0.0001"),
     "grid-points": (["--grid-points", "100"], "error: grid requires n_points >= 128, got 100"),
     "even-grid-points": (
         ["--grid-points", "4096"],
@@ -587,6 +608,10 @@ ARGUMENT_ERRORS = {
     "scatter-negative-count": (
         ["scatter", "--n", "-1"],
         "error: sample count must be >= 0, got -1",
+    ),
+    "scatter-zero-omega": (
+        ["scatter", "--omega", "0"],
+        "error: omega must be positive, got 0.0",
     ),
 }
 

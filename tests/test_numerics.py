@@ -81,6 +81,8 @@ class TestGrid:
             Grid(-1.0, 1.0, 64)
         with pytest.raises(GridError, match="odd n_points"):
             Grid(-1.0, 1.0, 200)
+        with pytest.raises(GridError, match="grid bounds must be finite"):
+            Grid(-math.inf, 1.0, 129)
 
     def test_refined_halves_spacing(self):
         g = Grid(-1.0, 1.0, 201)
@@ -126,6 +128,9 @@ class TestAutoGrid:
         assert g.x_min > -5.0
 
     def test_tail_target_validation(self):
+        # The default tail is the loosest accepted.
+        with pytest.raises(GridError):
+            sized_ground_state(Harmonic(1.0), target_tail=math.nextafter(1e-8, 1.0))
         with pytest.raises(GridError):
             sized_ground_state(Harmonic(1.0), target_tail=1e-3)
         with pytest.raises(GridError):

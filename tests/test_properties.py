@@ -56,6 +56,8 @@ MORSE_FRACTION = st.one_of(
     st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
     log_uniform(-300.0, 0.0),
 )
+# A --tail: the default, which is the loosest the CLI accepts, or anything tighter.
+TAIL = st.one_of(st.just(1e-8), log_uniform(-300.0, -8.0))
 
 
 def run(*argv: str) -> tuple[int, str, str]:
@@ -117,7 +119,7 @@ NEAR_LIMIT_MORSE = st.tuples(log_uniform(-3.0, 3.0), log_uniform(-9.0, -0.5)).ma
 
 
 @SETTINGS
-@given(well=NEAR_LIMIT_MORSE, tail=st.one_of(st.just(1e-8), log_uniform(-300.0, -4.0)))
+@given(well=NEAR_LIMIT_MORSE, tail=TAIL)
 @example(well=(1.0, 2.8282), tail=1e-8)  # its rise falls between nodes 0 and 1
 def test_morse_near_the_limit_reports_the_closed_form(well, tail):
     depth, alpha = well
@@ -150,11 +152,8 @@ def test_mio(a):
 
 
 @SETTINGS
-@given(
-    p=st.floats(min_value=-1.0, max_value=0.0, exclude_min=True),
-    tail=log_uniform(-300.0, -4.0),
-)
-@example(p=0.0, tail=1e-4)  # a seed narrower than the harmonic one misses this tail
+@given(p=st.floats(min_value=-1.0, max_value=0.0, exclude_min=True), tail=TAIL)
+@example(p=0.0, tail=1e-8)  # the harmonic end: Harmonic(1)'s state, seed and reference
 @example(p=P_PLUS, tail=1e-8)
 @example(p=P_MINUS, tail=1e-8)
 @example(p=-0.9999, tail=1e-30)
@@ -236,16 +235,17 @@ def test_mpt_measures_are_free_of_units(alpha, s, k):
 # omega over the whole range where the seed at tail 1e-8 is finite; a
 # smaller tail moves its lower end up, and past it the seed's error is named.
 @SETTINGS
-@given(omega=log_uniform(-306.6, 308.25), tail=st.one_of(st.just(1e-8), log_uniform(-300.0, -4.0)))
+@given(omega=log_uniform(-306.6, 308.25), tail=TAIL)
 @example(omega=1e-300, tail=1e-8)
 @example(omega=1e300, tail=1e-8)
 # Near both ends of the float range, where a plain x^2 leaves it.
 @example(omega=2.1e-307, tail=1e-8)
 @example(omega=1e307, tail=1e-8)
 @example(omega=1.7976931348623157e308, tail=1e-8)
-# The grid cuts psi and phi alike; phi's norm on the grid is its norm.
-@example(omega=1.0, tail=1e-4)
-@example(omega=5.664248341266697, tail=8.98e-06)
+# The grid cuts psi and phi alike; phi's norm on the grid is its norm. Here its
+# rounding leaves it 1 and 2.5 eps short of 1: booked as a cut, that prints eta_b 1e-8.
+@example(omega=1.0, tail=1e-8)
+@example(omega=36.929025839371974, tail=1e-8)
 def test_harmonic_reports_zero_at_every_frequency(omega, tail):
     seed = Harmonic(omega).seed_halfwidths(math.log(1.0 / tail))[0]
     report = check_measure(f"harmonic:omega={omega!r}", "--tail", repr(tail),
@@ -329,11 +329,11 @@ SAMPLED_FAMILIES = st.one_of(
 
 
 @settings(max_examples=200, deadline=None)
-@given(family=SAMPLED_FAMILIES, tail=st.one_of(st.just(1e-8), log_uniform(-300.0, -4.0)))
+@given(family=SAMPLED_FAMILIES, tail=TAIL)
 @example(family=(morse_at, (1.5e40, 7.4e-4 / (2.0 * math.sqrt(3e40)))), tail=1e-8)
 @example(family=(ModifiedPoschlTeller, (1e35, 1.0)), tail=1e-8)
 @example(family=(ModifiedIsotonic, (1e300,)), tail=1e-300)
-@example(family=(morse_at, (1.0, 0.99)), tail=1e-4)  # 724 wide on the right
+@example(family=(morse_at, (1.0, 0.99)), tail=1e-8)  # 1,375 wide on the right
 @example(family=(Harmonic, (5e-324,)), tail=1e-8)  # a seed past the float range
 def test_sizing_samples_once_and_meets_the_tail(family, tail):
     # The seed is exact: one evaluation of the amplitude, and both sides end
@@ -385,8 +385,7 @@ def test_symmetric_grid_is_mirror_exact(n, w):
 
 
 @settings(max_examples=100, deadline=None)
-@given(family=SAMPLED_FAMILIES.filter(lambda family: family[0] is not morse_at),
-       tail=st.one_of(st.just(1e-8), log_uniform(-300.0, -4.0)))
+@given(family=SAMPLED_FAMILIES.filter(lambda family: family[0] is not morse_at), tail=TAIL)
 @example(family=(FellowsSmith, (-0.5,)), tail=1e-8)
 @example(family=(FellowsSmith, (0.0,)), tail=1e-8)
 @example(family=(Harmonic, (5e-324,)), tail=1e-8)  # a seed past the float range
@@ -423,7 +422,7 @@ SAMPLED_TEXTS = st.one_of(
 
 
 @settings(max_examples=30, deadline=None)
-@given(text=SAMPLED_TEXTS, tail=st.one_of(st.just(1e-8), log_uniform(-300.0, -4.0)))
+@given(text=SAMPLED_TEXTS, tail=TAIL)
 @example(text="mio:a=1e20", tail=1e-8)  # the reference is unresolved: exit 2, as measure
 @example(text="harmonic:omega=1", tail=1e-100)  # once below det sigma = 1/4, now exact
 @example(text="mio:a=1e-169", tail=1e-8)  # E = -4e169: the DVR is lost to rounding
