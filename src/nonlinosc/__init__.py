@@ -12,6 +12,7 @@ Importing the package loads none of its modules (and so no numpy): each
 exported name imports its defining module on first access.
 """
 
+import gc
 import importlib
 
 __version__ = "0.1.0"
@@ -27,8 +28,7 @@ _EXPORTS = {
     ),
     "potentials": (
         "P_PLUS", "FellowsSmith", "Harmonic", "ModifiedIsotonic", "ModifiedPoschlTeller",
-        "Morse", "PerturbedHarmonic", "PotentialSpec", "evaluate_potential",
-        "parse_potential_spec",
+        "Morse", "PerturbedHarmonic", "PotentialSpec", "parse_potential_spec",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -47,3 +47,9 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
+
+
+def _main():
+    """The ``nonlinosc`` script: ``cli.run()``, with numpy imported while the collector is off."""
+    gc.disable()  # run() turns it back on after freezing what the imports allocated
+    importlib.import_module(".cli", __name__).run()

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridError, NormalizationError
-from .potentials import PotentialSpec, ground_state_log_amplitude
+from .potentials import PotentialSpec
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,13 @@ def sample_ground_state(spec: PotentialSpec, grid: Grid) -> SampledWavefunction:
     """The analytic ground state on the nodes of ``grid``, normalized; an
     even state on a symmetric grid is evaluated on x >= 0 and mirrored."""
     x = grid.points()
-    if spec.even and grid.x_min == -grid.x_max:  # L is even and L' odd
-        log_amp, log_derivative = ground_state_log_amplitude(spec, x[grid.n_points // 2 :])
-        log_amp = np.concatenate((log_amp[:0:-1], log_amp))
+    mirror = spec.even and grid.x_min == -grid.x_max  # psi is even and L' odd
+    log_amp, log_derivative = spec.log_amplitude(x[grid.n_points // 2 :] if mirror else x)
+    amplitude = np.exp(log_amp)
+    if mirror:
+        amplitude = np.concatenate((amplitude[:0:-1], amplitude))
         log_derivative = np.concatenate((-log_derivative[:0:-1], log_derivative))
-    else:
-        log_amp, log_derivative = ground_state_log_amplitude(spec, x)
-    return SampledWavefunction(grid, np.exp(log_amp), log_derivative)
+    return SampledWavefunction(grid, amplitude, log_derivative)
 
 
 def covariance_of(wf: SampledWavefunction, stride: int = 1) -> CovarianceMatrix:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConvergenceError, GridError
 from .numerics import Grid, sample_ground_state, sampled_covariance
-from .potentials import PotentialSpec, evaluate_potential
+from .potentials import PotentialSpec
 from .specfun import eta_ng_of_excess
 
 # The ladder's node counts; each rung keeps the nodes of the one before. eigh
@@ -105,7 +105,7 @@ def _hamiltonian(spec: PotentialSpec, grid: Grid) -> np.ndarray:
     k = np.arange(1.0, n)
     row = np.concatenate(([math.pi**2 / 3.0], 2.0 * (-1.0) ** k / k**2))  # T_ij by |i - j|
     with np.errstate(over="ignore", invalid="ignore"):
-        v = evaluate_potential(spec, grid.points())
+        v = spec.potential(grid.points())
         row /= 2.0 * h * h
         top = 3.0 * row[0] + np.max(np.abs(v))
     if not math.isfinite(top):

@@ -19,7 +19,7 @@ from typing import ClassVar, Union, get_args
 
 import numpy as np
 
-from .errors import DomainError, SpecError
+from .errors import SpecError
 from .perturbation import alpha_coefficients
 from .specfun import kummer_phi_log_grid
 
@@ -364,22 +364,6 @@ PotentialSpec = Union[
 ]
 
 _FAMILIES = {cls.kind: cls for cls in get_args(PotentialSpec)}
-
-
-def evaluate_potential(spec: PotentialSpec, x):
-    """V(x) for a catalog potential; accepts scalars or numpy arrays."""
-    x_arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x_arr)):
-        raise DomainError("evaluate_potential requires finite x")
-    v = spec.potential(x_arr)
-    return v if np.ndim(x) else float(v)
-
-
-def ground_state_log_amplitude(spec: PotentialSpec, x) -> tuple[np.ndarray, np.ndarray]:
-    """log of the analytic ground-state amplitude, without a normalization
-    constant, and its exact x-derivative. Log space keeps the hypergeometric
-    and the deep-well states representable on wide grids."""
-    return spec.log_amplitude(np.asarray(x, dtype=float))
 
 
 def parse_potential_spec(text: str) -> PotentialSpec:

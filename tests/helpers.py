@@ -22,12 +22,7 @@ from numpy.polynomial import Polynomial
 from nonlinosc.errors import ConvergenceError, DomainError, SpecError
 from nonlinosc.numerics import Grid, SampledWavefunction
 from nonlinosc.perturbation import PerturbativeState
-from nonlinosc.potentials import (
-    ModifiedIsotonic,
-    ModifiedPoschlTeller,
-    Morse,
-    evaluate_potential,
-)
+from nonlinosc.potentials import ModifiedIsotonic, ModifiedPoschlTeller, Morse
 
 mp.mp.dps = 40
 
@@ -475,7 +470,7 @@ def _three_point_hamiltonian(spec, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of H = -d^2/dx^2 / 2 + V by 3-point
     differences on the interior nodes, with Dirichlet ends."""
     h = grid.spacing
-    diag = 1.0 / h**2 + evaluate_potential(spec, grid.points()[1:-1])
+    diag = 1.0 / h**2 + spec.potential(grid.points()[1:-1])
     return diag, np.full(diag.size - 1, -0.5 / h**2)
 
 

@@ -5,7 +5,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from nonlinosc import numerics
 from nonlinosc.errors import GridError, NormalizationError
 from nonlinosc.measures import measure_report, sized_ground_state
 from nonlinosc.numerics import (
@@ -165,16 +164,16 @@ class TestAutoGrid:
 
 
 def count_amplitude_calls(monkeypatch, spec) -> list:
-    """Grids on which ``numerics`` evaluates the log amplitude of ``spec``."""
+    """Grids on which the log amplitude of ``spec`` is evaluated."""
     grids = []
-    original = numerics.ground_state_log_amplitude
+    original = type(spec).log_amplitude
 
     def counted(other, x):
         if other is spec:
             grids.append((float(x[0]), float(x[-1]), x.size))
         return original(other, x)
 
-    monkeypatch.setattr(numerics, "ground_state_log_amplitude", counted)
+    monkeypatch.setattr(type(spec), "log_amplitude", counted)
     return grids
 
 

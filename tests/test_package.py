@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -31,7 +32,7 @@ def test_unknown_name_is_an_attribute_error():
                  "WellRegion", "P_MINUS", "FockState", "fock_covariance", "TruncationError",
                  "ScatterRecord", "eta_ng_perturbative", "simpson_integral", "overlap",
                  "IncompatibleDomainError", "UnsupportedSpecError", "perturbed_variances",
-                 "entropy_h"):
+                 "entropy_h", "evaluate_potential"):
         with pytest.raises(AttributeError, match=f"no attribute {name!r}"):
             getattr(nonlinosc, name)
 
@@ -53,7 +54,27 @@ def _fresh(code: str, openblas_threads: str | None = None) -> str:
 
 
 def test_package_import_loads_no_numpy():
-    assert _fresh("import sys, nonlinosc; print('numpy' in sys.modules)") == "False"
+    # dir() lists every export before any is accessed, and loads none of them.
+    code = ("import sys, nonlinosc; listed = set(nonlinosc.__all__) <= set(dir(nonlinosc)); "
+            "print('numpy' in sys.modules, listed)")
+    assert _fresh(code) == "False True"
+
+
+def test_console_script_imports_numpy_with_the_collector_off():
+    # The installed script calls nonlinosc._main, so cli is never __main__ there.
+    code = textwrap.dedent("""
+        import gc, os, sys, nonlinosc
+        seen = []
+        sys.addaudithook(lambda event, args: event == "import" and args[0] == "numpy"
+                         and seen.append(gc.isenabled()))
+        sys.argv = ["nonlinosc", "curve", "--points", "2", "--out", os.devnull]
+        try:
+            nonlinosc._main()
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+        print(seen)
+    """)
+    assert _fresh(code) == "[False]"
 
 
 def test_cli_import_loads_numpy_and_no_test_extra():

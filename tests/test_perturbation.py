@@ -58,6 +58,9 @@ class TestAlphaCoefficients:
             alpha_coefficients(0.6, 0.0, 1.0)
         with pytest.raises(SpecError):
             alpha_coefficients(0.0, -0.51, 1.0)
+        for alphas, name in (((math.nan, 0.0), "alpha1"), ((0.0, math.inf), "alpha2")):
+            with pytest.raises(SpecError, match=f"{name} must be finite"):
+                PerturbativeState(*alphas)
 
 
 class TestPerturbedVariances:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nonlinosc import potentials, specfun
-from nonlinosc.errors import DomainError, SpecError
+from nonlinosc.errors import SpecError
 from nonlinosc.measures import measure_report, sized_ground_state
 from nonlinosc.potentials import (
     P_PLUS,
@@ -16,7 +16,6 @@ from nonlinosc.potentials import (
     ModifiedPoschlTeller,
     Morse,
     PerturbedHarmonic,
-    evaluate_potential,
     parse_potential_spec,
     sweep_axes,
     with_parameter,
@@ -58,19 +57,19 @@ def fs_potential_oracle(p: float, x: float) -> float:
 
 class TestEvaluatePotential:
     def test_morse_at_origin(self):
-        assert evaluate_potential(Morse(1.0, 1.0), 0.0) == pytest.approx(-1.0, abs=1e-14)
+        assert Morse(1.0, 1.0).potential(np.zeros(1)) == pytest.approx([-1.0], abs=1e-14)
 
     def test_mio_at_origin(self):
-        assert evaluate_potential(ModifiedIsotonic(1.0), 0.0) == pytest.approx(-6.0, abs=1e-13)
+        assert ModifiedIsotonic(1.0).potential(np.zeros(1)) == pytest.approx([-6.0], abs=1e-13)
 
     def test_mpt_at_origin(self):
-        assert evaluate_potential(ModifiedPoschlTeller(2.0, 1.0), 0.0) == pytest.approx(-2.0)
+        assert ModifiedPoschlTeller(2.0, 1.0).potential(np.zeros(1)) == pytest.approx([-2.0])
 
     @pytest.mark.parametrize("p", [-0.99, -0.85, -0.6, -0.3, -0.1, 0.0])
     def test_fellows_smith_against_series_oracle(self, p):
         # Every 64th node of the report grid, against 40-digit mpmath.
         x = sized_ground_state(FellowsSmith(p)).grid.points()[::64]
-        for value, got in zip(x, evaluate_potential(FellowsSmith(p), x)):
+        for value, got in zip(x, FellowsSmith(p).potential(x)):
             expected = fs_potential_oracle(p, float(value))
             assert abs(got - expected) <= 1e-14 * max(1.0, abs(expected)), (value, got, expected)
 
@@ -89,7 +88,7 @@ class TestEvaluatePotential:
 
     def test_fellows_smith_wide_range_no_overflow(self):
         x = np.linspace(-30.0, 30.0, 201)
-        v = evaluate_potential(FellowsSmith(-0.6), x)
+        v = FellowsSmith(-0.6).potential(x)
         assert np.all(np.isfinite(v))
         # supersymmetric partner of the harmonic well: V -> x^2/2 far out
         assert v[-1] / (0.5 * 30.0**2) == pytest.approx(1.0, abs=1e-3)
@@ -98,11 +97,7 @@ class TestEvaluatePotential:
         spec = PerturbedHarmonic(2.0, 0.1, 0.2)
         x = 1.3
         expected = 0.5 * 4.0 * x**2 + 0.1 * x**3 + 0.2 * x**4
-        assert evaluate_potential(spec, x) == pytest.approx(expected, rel=1e-14)
-
-    def test_non_finite_x_raises(self):
-        with pytest.raises(DomainError):
-            evaluate_potential(Harmonic(1.0), math.inf)
+        assert spec.potential(np.array([x])) == pytest.approx([expected], rel=1e-14)
 
 
 class TestGroundState:
@@ -200,7 +195,7 @@ class TestReferenceFrequency:
     )
     def test_curvature_at_minimum_matches(self, spec):
         # second finite difference of V at its (x = 0) global minimum
-        curvature = second_difference(lambda x: evaluate_potential(spec, x), 0.0)
+        curvature = second_difference(lambda x: spec.potential(np.array([x]))[0], 0.0)
         assert curvature == pytest.approx(spec.omega_r() ** 2, rel=1e-4)
 
 
@@ -476,7 +471,7 @@ class TestSchrodingerConsistency:
         wf = sized_ground_state(spec, n_points=8193)
         grid = wf.grid
         x = grid.points()
-        v = np.asarray(evaluate_potential(spec, x))
+        v = spec.potential(x)
         d2 = fourth_order_second_derivative(wf.amplitude, grid.spacing)
         peak = float(np.max(np.abs(wf.amplitude)))
         inner = slice(2, -2)

@@ -345,14 +345,14 @@ def test_sizing_samples_once_and_meets_the_tail(family, tail):
     except SpecError:
         assume(False)
     calls = []
-    original = numerics.ground_state_log_amplitude
+    original = type(spec).log_amplitude
 
     def counted(other, x):
         log_amp, log_derivative = original(other, x)
         calls.append((x.size, float(np.max(log_amp))))
         return log_amp, log_derivative
 
-    with mock.patch.object(numerics, "ground_state_log_amplitude", counted):
+    with mock.patch.object(type(spec), "log_amplitude", counted):
         try:
             wf = sized_ground_state(spec, tail)
         except GridError as exc:  # a seed past the float range
